@@ -1,9 +1,9 @@
 //! Cost of the exec runtime the whole stack now runs on.
 //!
-//! Every budgeted hot loop (selection retry draws, STA candidate
-//! evals, sensitization oracle queries) pays one `charge` + `check`
-//! per unit of work, and every parallel stage (campaign grid, serve
-//! request pool, `batch_eval`) goes through the pool primitives, so
+//! Every budgeted hot loop (selection retry draws and closure probes,
+//! sensitization oracle queries) pays one `charge` + `check` per unit
+//! of work, and every parallel stage (campaign grid, serve request
+//! pool) goes through the pool primitives, so
 //! their fixed costs bound how finely work can be metered:
 //!
 //! * `budget/*` — `charge(1)` + `check()` in a tight loop, on a root
@@ -13,7 +13,7 @@
 //! * `scoped_map/*` — fork/join over a CPU-bound workload versus the
 //!   serial loop, at 1 and 4 workers. The 1-worker number isolates the
 //!   scope + catch_unwind overhead; the 4-worker number shows the
-//!   speedup the campaign grid and `batch_eval` actually get.
+//!   speedup the campaign grid actually gets.
 //! * `pool/dispatch` — admit-and-run latency of tiny jobs through a
 //!   bounded [`Pool`], the per-request floor of the serve layer.
 //!

@@ -10,10 +10,9 @@
 //!   seeds × attacks — plus the execution budget (worker count, per-run
 //!   timeout, cache directory).
 //! * [`execute`](runner::execute) runs the grid with work-stealing
-//!   parallelism over OS threads (`std::thread::scope`, the same
-//!   pattern as `IncrementalSta::batch_eval`), isolating each cell so a
-//!   panicking or runaway run becomes a recorded failure row instead of
-//!   aborting the whole campaign.
+//!   parallelism over OS threads (`std::thread::scope`), isolating each
+//!   cell so a panicking or runaway run becomes a recorded failure row
+//!   instead of aborting the whole campaign.
 //! * [`RunRecord`] is the structured per-cell result, serialized as one
 //!   JSONL line (selection metrics, `N_indep`/`N_dep`/`N_bf`, DIP
 //!   counts, solver stats, timings).

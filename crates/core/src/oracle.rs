@@ -16,7 +16,6 @@
 //! evaluates the same max-fold expression on the same operand sets), so
 //! a fixed seed yields byte-identical selections whichever oracle runs.
 
-use sttlock_exec::{Budget, BudgetError};
 use sttlock_netlist::{Netlist, NodeId};
 use sttlock_sta::{analyze, IncrementalSta};
 use sttlock_techlib::Library;
@@ -38,46 +37,6 @@ pub trait TimingOracle {
 
     /// Minimum feasible clock period of the current hypothesis, ns.
     fn clock_period_ns(&mut self) -> f64;
-
-    /// Clock period for each of `candidates` swapped **individually**
-    /// on top of the current hypothesis (the hypothesis itself is left
-    /// unchanged). The default probes sequentially; implementations may
-    /// parallelize as long as the result is identical.
-    fn eval_single_swaps(&mut self, candidates: &[NodeId]) -> Vec<f64> {
-        candidates
-            .iter()
-            .map(|&id| {
-                self.swap_to_lut(id);
-                let period = self.clock_period_ns();
-                self.revert_to_gate(id);
-                period
-            })
-            .collect()
-    }
-
-    /// [`eval_single_swaps`](TimingOracle::eval_single_swaps) under a
-    /// cooperative [`Budget`]: each probe checks the budget first (so a
-    /// cancelled request stops between cone queries) and charges one
-    /// step. With `None` the answers must be identical to the
-    /// unbudgeted path.
-    fn eval_single_swaps_budgeted(
-        &mut self,
-        candidates: &[NodeId],
-        budget: Option<&Budget>,
-    ) -> Result<Vec<f64>, BudgetError> {
-        let Some(budget) = budget else {
-            return Ok(self.eval_single_swaps(candidates));
-        };
-        let mut periods = Vec::with_capacity(candidates.len());
-        for &id in candidates {
-            budget.check()?;
-            budget.charge(1);
-            self.swap_to_lut(id);
-            periods.push(self.clock_period_ns());
-            self.revert_to_gate(id);
-        }
-        Ok(periods)
-    }
 }
 
 /// Reference oracle: a scratch netlist mutated in place and re-analyzed
@@ -138,18 +97,6 @@ impl TimingOracle for IncrementalSta<'_> {
     fn clock_period_ns(&mut self) -> f64 {
         IncrementalSta::clock_period_ns(self)
     }
-
-    fn eval_single_swaps(&mut self, candidates: &[NodeId]) -> Vec<f64> {
-        self.batch_eval(candidates)
-    }
-
-    fn eval_single_swaps_budgeted(
-        &mut self,
-        candidates: &[NodeId],
-        budget: Option<&Budget>,
-    ) -> Result<Vec<f64>, BudgetError> {
-        self.batch_eval_with(candidates, budget)
-    }
 }
 
 #[cfg(test)]
@@ -184,16 +131,16 @@ mod tests {
                 TimingOracle::clock_period_ns(&mut inc).to_bits()
             );
         }
-        let probes: Vec<NodeId> = gates
-            .iter()
-            .copied()
-            .filter(|&g| gates.iter().position(|&x| x == g).unwrap() % 3 != 0)
-            .collect();
-        let a = full.eval_single_swaps(&probes);
-        let b = inc.eval_single_swaps(&probes);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        // Single-swap probes (swap, measure, revert) on top of them.
+        for (_, &id) in gates.iter().enumerate().filter(|(i, _)| i % 3 != 0) {
+            TimingOracle::swap_to_lut(&mut full, id);
+            TimingOracle::swap_to_lut(&mut inc, id);
+            assert_eq!(
+                TimingOracle::clock_period_ns(&mut full).to_bits(),
+                TimingOracle::clock_period_ns(&mut inc).to_bits()
+            );
+            TimingOracle::revert_to_gate(&mut full, id);
+            TimingOracle::revert_to_gate(&mut inc, id);
         }
     }
 }

@@ -265,7 +265,7 @@ pub fn parametric<'a, R: Rng + ?Sized>(
 }
 
 /// [`parametric`] under a cooperative [`Budget`]: every oracle question
-/// (path-draw timing check or USL-closure wave probe) first checks the
+/// (path-draw timing check or USL-closure probe) first checks the
 /// budget and then charges one step, so a cancelled or expired request
 /// stops mid-selection — between cone queries, not at stage boundaries.
 ///
@@ -304,9 +304,9 @@ pub fn parametric_full_sta<'a, R: Rng + ?Sized>(
 
 /// Algorithm 2 over any [`TimingOracle`].
 ///
-/// The oracle's running hypothesis mirrors `selected` at all times:
-/// accepted draws stay swapped, rejected draws are reverted before the
-/// next question.
+/// The oracle's running hypothesis mirrors the selection at all times:
+/// accepted draws and closure gates stay swapped, rejected ones are
+/// reverted before the next question.
 fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
     view: &CircuitView<'_>,
     timing: &TimingAnalysis,
@@ -318,9 +318,90 @@ fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
     if let Some(b) = budget {
         b.check()?;
     }
+    let draws = draw_on_paths(view, timing, cfg, rng, oracle, budget)?;
+    let candidates = closure_candidates(view, &draws);
+    let closure = close_usl(oracle, &candidates, &fits_budget(timing, cfg), budget)?;
+    sttlock_obs::counter("select.draw_retries", draws.retries);
+    sttlock_obs::counter("select.closure_candidates", candidates.len() as u64);
+    sttlock_obs::counter("select.closure_accepted", closure.len() as u64);
+
+    let mut gates: Vec<NodeId> = draws
+        .selected
+        .into_iter()
+        .chain(closure.iter().copied())
+        .collect();
+    gates.sort_unstable();
+    Ok(Selection {
+        algorithm: SelectionAlgorithm::ParametricAware,
+        gates,
+        usl_closure: closure,
+        paths_considered: draws.paths_considered,
+    })
+}
+
+/// Whether a hybrid's clock period stays within the timing budget over
+/// the baseline period.
+fn fits_budget(timing: &TimingAnalysis, cfg: &SelectionConfig) -> impl Fn(f64) -> bool {
+    let base_period = timing.clock_period_ns();
+    let budget_pct = cfg.timing_budget_pct;
+    move |period| degradation_pct_from_periods(base_period, period) <= budget_pct + 1e-9
+}
+
+/// Checks `budget` and bills one oracle question to it.
+fn charge(budget: Option<&Budget>) -> Result<(), BudgetError> {
+    if let Some(b) = budget {
+        b.check()?;
+        b.charge(1);
+    }
+    Ok(())
+}
+
+/// Swaps `draw` into the oracle's hypothesis and keeps it if the clock
+/// period still fits; otherwise reverts it. Returns whether it was kept.
+fn try_accept<O: TimingOracle>(
+    oracle: &mut O,
+    draw: &[NodeId],
+    fits: &impl Fn(f64) -> bool,
+) -> bool {
+    for &id in draw {
+        oracle.swap_to_lut(id);
+    }
+    if fits(oracle.clock_period_ns()) {
+        return true;
+    }
+    for &id in draw {
+        oracle.revert_to_gate(id);
+    }
+    false
+}
+
+/// What the on-path draws of Algorithm 2 hand to the USL closure.
+struct PathDraws {
+    /// Gates kept by timing-checked draws.
+    selected: HashSet<NodeId>,
+    /// Every gate on a targeted timing path.
+    on_path: HashSet<NodeId>,
+    /// Unreplaced gates on the targeted paths, in path order.
+    usl: Vec<NodeId>,
+    /// Sampled I/O paths the targets came from.
+    paths_considered: usize,
+    /// Draws rejected for breaking the timing budget (re-draws).
+    retries: u64,
+}
+
+/// The on-path half of Algorithm 2: for each targeted timing path, draw
+/// gates, keep the draw if the hybrid meets the timing budget, re-draw
+/// on violation and shrink the draw when retries run out.
+fn draw_on_paths<R: Rng + ?Sized, O: TimingOracle>(
+    view: &CircuitView<'_>,
+    timing: &TimingAnalysis,
+    cfg: &SelectionConfig,
+    rng: &mut R,
+    oracle: &mut O,
+    budget: Option<&Budget>,
+) -> Result<PathDraws, BudgetError> {
     let netlist = view.netlist();
     let paths = candidate_paths(view, timing, cfg, rng);
-    let paths_considered = paths.len();
 
     // The paper targets *timing paths* — the FF-to-FF combinational
     // segments of the sampled I/O paths. Pool and deduplicate them.
@@ -339,28 +420,10 @@ fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
         .min(segments.len());
     let targeted: Vec<&Vec<NodeId>> = segments.choose_multiple(rng, want_segments).collect();
 
-    let budget_pct = cfg.timing_budget_pct;
-    let base_period = timing.clock_period_ns();
-    let fits = |period: f64| degradation_pct_from_periods(base_period, period) <= budget_pct + 1e-9;
+    let fits = fits_budget(timing, cfg);
     let mut selected: HashSet<NodeId> = HashSet::new();
     let mut usl: Vec<NodeId> = Vec::new();
-
-    // Accepts `draw` if the hybrid still meets the timing budget;
-    // otherwise reverts it. Returns whether it was kept.
-    let try_accept = |oracle: &mut O, draw: &[NodeId]| -> bool {
-        for &id in draw {
-            oracle.swap_to_lut(id);
-        }
-        if fits(oracle.clock_period_ns()) {
-            true
-        } else {
-            for &id in draw {
-                oracle.revert_to_gate(id);
-            }
-            false
-        }
-    };
-
+    let mut retries = 0;
     for segment in &targeted {
         let candidates: Vec<NodeId> = segment
             .iter()
@@ -378,16 +441,14 @@ fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
             let mut accepted: Vec<NodeId> = Vec::new();
             'shrink: while take > 0 {
                 for _ in 0..cfg.max_retries.max(1) {
-                    if let Some(b) = budget {
-                        b.check()?;
-                        b.charge(1);
-                    }
+                    charge(budget)?;
                     let draw: Vec<NodeId> =
                         candidates.choose_multiple(rng, take).copied().collect();
-                    if try_accept(oracle, &draw) {
+                    if try_accept(oracle, &draw, &fits) {
                         accepted = draw;
                         break 'shrink;
                     }
+                    retries += 1;
                 }
                 take -= 1;
             }
@@ -399,58 +460,55 @@ fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
         // neighbourhood stays CMOS).
         usl.extend(segment.iter().copied().filter(|id| !selected.contains(id)));
     }
+    Ok(PathDraws {
+        selected,
+        on_path: targeted.iter().flat_map(|s| s.iter().copied()).collect(),
+        usl,
+        paths_considered: paths.len(),
+        retries,
+    })
+}
 
-    // USL closure: replace immediate off-path drivers and readers of
-    // every USL gate so no partial truth table can anchor on them. Each
-    // closure gate passes the same timing budget (the "parametric-aware"
-    // property extends to the closure; gates that would blow the budget
-    // are skipped).
-    let on_path: HashSet<NodeId> = targeted.iter().flat_map(|s| s.iter().copied()).collect();
+/// The USL closure's candidates: every replaceable off-path driver and
+/// reader of a USL gate, sorted and deduplicated. Drawn gates lie on the
+/// targeted paths, so none of them is a candidate.
+fn closure_candidates(view: &CircuitView<'_>, draws: &PathDraws) -> Vec<NodeId> {
+    let netlist = view.netlist();
     let fanout = view.fanout();
-    let mut closure: Vec<NodeId> = Vec::new();
     let mut neighbours: Vec<NodeId> = Vec::new();
-    for &u in &usl {
+    for &u in &draws.usl {
         neighbours.extend(netlist.node(u).fanin().iter().copied());
         neighbours.extend(fanout[u.index()].iter().copied());
     }
     neighbours.sort_unstable();
     neighbours.dedup();
-    neighbours.retain(|&cand| {
-        !on_path.contains(&cand) && !selected.contains(&cand) && is_replaceable(netlist, cand)
-    });
+    neighbours.retain(|&cand| !draws.on_path.contains(&cand) && is_replaceable(netlist, cand));
+    neighbours
+}
 
-    // Wave-based scan: batch-probe every pending candidate against the
-    // current hypothesis, commit the first passer, re-probe the rest.
-    // Candidates ahead of the first passer saw the same hypothesis a
-    // sequential scan would have shown them, so the decisions (and the
-    // final selection) are identical to probing one by one — there are
-    // just `acceptances + 1` waves instead of `candidates` full probes,
-    // and each wave's probes run in parallel on the incremental oracle.
-    let mut pending = neighbours;
-    while !pending.is_empty() {
-        let periods = oracle.eval_single_swaps_budgeted(&pending, budget)?;
-        let first_pass = periods.iter().position(|&p| fits(p));
-        match first_pass {
-            None => break,
-            Some(i) => {
-                let id = pending[i];
-                oracle.swap_to_lut(id);
-                selected.insert(id);
-                closure.push(id);
-                pending.drain(..=i);
-            }
+/// USL closure: replace immediate off-path drivers and readers of every
+/// USL gate so no partial truth table can anchor on them. Each closure
+/// gate passes the same timing budget (the "parametric-aware" property
+/// extends to the closure; gates that would blow the budget are
+/// skipped).
+///
+/// One linear scan in candidate order, one clock-period question per
+/// candidate: each is judged with every closure gate kept before it
+/// still swapped in, as Algorithm 2 walks its list.
+fn close_usl<O: TimingOracle>(
+    oracle: &mut O,
+    candidates: &[NodeId],
+    fits: &impl Fn(f64) -> bool,
+    budget: Option<&Budget>,
+) -> Result<Vec<NodeId>, BudgetError> {
+    let mut closure = Vec::new();
+    for &id in candidates {
+        charge(budget)?;
+        if try_accept(oracle, &[id], fits) {
+            closure.push(id);
         }
     }
-
-    let mut gates: Vec<NodeId> = selected.into_iter().collect();
-    gates.sort_unstable();
-    closure.sort_unstable();
-    Ok(Selection {
-        algorithm: SelectionAlgorithm::ParametricAware,
-        gates,
-        usl_closure: closure,
-        paths_considered,
-    })
+    Ok(closure)
 }
 
 fn is_replaceable(netlist: &Netlist, id: NodeId) -> bool {
@@ -703,6 +761,104 @@ mod tests {
                 &mut StdRng::seed_from_u64(seed * 7 + 1),
             );
             assert_eq!(fast, reference, "gates={gates} seed={seed}");
+        }
+    }
+
+    /// Counts the clock-period questions asked of the wrapped oracle.
+    struct Counting<O> {
+        inner: O,
+        periods: usize,
+    }
+
+    impl<O: TimingOracle> TimingOracle for Counting<O> {
+        fn swap_to_lut(&mut self, id: NodeId) {
+            self.inner.swap_to_lut(id);
+        }
+
+        fn revert_to_gate(&mut self, id: NodeId) {
+            self.inner.revert_to_gate(id);
+        }
+
+        fn clock_period_ns(&mut self) -> f64 {
+            self.periods += 1;
+            self.inner.clock_period_ns()
+        }
+    }
+
+    #[test]
+    fn usl_closure_probes_each_candidate_once() {
+        let lib = Library::predictive_90nm();
+        let cfg = SelectionConfig::default();
+        let n = Profile::custom("par", 700, 8, 8, 6).generate(&mut StdRng::seed_from_u64(13));
+        let timing = analyze(&n, &lib);
+        let view = CircuitView::new(&n);
+        let oracle = || Counting {
+            inner: IncrementalSta::from_analysis_with(&view, &lib, &timing),
+            periods: 0,
+        };
+        let seed = 92;
+
+        // The draws alone, then the whole selection from the same seed:
+        // the difference is what the closure asked.
+        let mut drawing = oracle();
+        let draws = draw_on_paths(
+            &view,
+            &timing,
+            &cfg,
+            &mut StdRng::seed_from_u64(seed),
+            &mut drawing,
+            None,
+        )
+        .unwrap();
+        let candidates = closure_candidates(&view, &draws);
+        assert!(candidates.windows(2).all(|w| w[0] < w[1]));
+
+        let mut whole = oracle();
+        let sel = parametric_with(
+            &view,
+            &timing,
+            &cfg,
+            &mut StdRng::seed_from_u64(seed),
+            &mut whole,
+            None,
+        )
+        .unwrap();
+        assert!(sel.usl_closure.len() >= 10, "{sel:?}");
+        assert_eq!(whole.periods - drawing.periods, candidates.len());
+    }
+
+    #[test]
+    fn paper_profile_selections_are_pinned() {
+        // (gates, closure gates, key over the sorted gate indices) of
+        // parametric selection at seed 42: any changed decision moves one.
+        let lib = Library::predictive_90nm();
+        for (name, want) in [
+            ("s9234a", (121, 105, "4f6b99bcd2718141744ba6dbff26fc95")),
+            ("s13207", (188, 158, "7b6655c2160ec4b63fbad27df858eae9")),
+        ] {
+            let n = sttlock_benchgen::profiles::by_name(name)
+                .unwrap()
+                .generate(&mut StdRng::seed_from_u64(42));
+            let sel = run(
+                &n,
+                &lib,
+                SelectionAlgorithm::ParametricAware,
+                &SelectionConfig::default(),
+                &mut StdRng::seed_from_u64(42),
+            );
+            let key = sel
+                .gates
+                .iter()
+                .fold(sttlock_exec::KeyBuilder::new(0), |k, g| {
+                    k.chunk(&(g.index() as u64).to_le_bytes())
+                })
+                .finish()
+                .hex();
+            assert_eq!(
+                (sel.gates.len(), sel.usl_closure.len(), key.as_str()),
+                want,
+                "{name}"
+            );
         }
     }
 

@@ -5,8 +5,8 @@
 //! * an optional wall-clock **deadline** — pre-minimised against the
 //!   parent's at derivation time, so a child can only ever tighten it;
 //! * an optional **step budget** — an abstract work limit (the attack
-//!   bills simulated test clocks, the STA layer bills candidate
-//!   evaluations). [`Budget::charge`] bills the node *and every
+//!   bills simulated test clocks, the selection bills timing
+//!   probes). [`Budget::charge`] bills the node *and every
 //!   ancestor*, which makes sibling budgets disjoint draws on one
 //!   shared parent pool;
 //! * a **cancel flag** — checking walks the ancestor chain, so

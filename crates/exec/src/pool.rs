@@ -12,8 +12,8 @@
 //! item indices on a fixed number of scoped worker threads pulling from
 //! a shared work-stealing counter. Because the threads are scoped, the
 //! closure may borrow from the caller's stack — this is what the
-//! campaign grid and `IncrementalSta::batch_eval` run on. Per-item
-//! panics are captured and returned, not propagated mid-scope.
+//! campaign grid runs on. Per-item panics are captured and returned,
+//! not propagated mid-scope.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -15,17 +15,13 @@
 //! property tests in `crates/sta/tests` assert exactly that.
 //!
 //! The engine never mutates the [`Netlist`] it watches: swaps are
-//! hypothetical delay changes, which is what makes [`batch_eval`]
-//! (one engine clone per worker thread) safe and cheap.
-//!
-//! [`batch_eval`]: IncrementalSta::batch_eval
+//! hypothetical delay changes, so a probe (swap, measure, restore)
+//! leaves the engine exactly as it found it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::thread;
 
-use sttlock_exec::{Budget, BudgetError};
 use sttlock_netlist::{CircuitView, GateKind, Netlist, Node, NodeId};
 use sttlock_techlib::Library;
 
@@ -42,14 +38,6 @@ struct ObsStats {
     node_reevals: u64,
     /// Re-evaluations whose arrival was unchanged (wave stopped there).
     early_terminations: u64,
-}
-
-impl Clone for ObsStats {
-    fn clone(&self) -> Self {
-        // Clones (batch_eval workers) tally their own work from zero;
-        // copying would double-flush the parent's counts.
-        ObsStats::default()
-    }
 }
 
 impl Drop for ObsStats {
@@ -89,25 +77,23 @@ impl Ord for OrdF64 {
 /// cone and [`clock_period_ns`] answers from the endpoint heap.
 ///
 /// The engine holds the netlist and library by reference and never
-/// mutates them; it is `Clone`, and clones evolve independently —
-/// the basis of [`batch_eval`]'s thread-per-chunk parallelism.
+/// mutates them.
 ///
 /// [`from_analysis`]: IncrementalSta::from_analysis
 /// [`swap_to_lut`]: IncrementalSta::swap_to_lut
 /// [`restore_gate`]: IncrementalSta::restore_gate
 /// [`clock_period_ns`]: IncrementalSta::clock_period_ns
-/// [`batch_eval`]: IncrementalSta::batch_eval
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IncrementalSta<'a> {
     netlist: &'a Netlist,
     lib: &'a Library,
     /// Cached combinational topological order, shared with the
-    /// [`CircuitView`] it came from (and with engine clones).
+    /// [`CircuitView`] it came from.
     order: Arc<Vec<NodeId>>,
     /// Node index → position in `order` (`usize::MAX` for non-comb).
     topo_pos: Vec<usize>,
     /// Node index → combinational readers (propagation frontier),
-    /// shared with the view and with engine clones.
+    /// shared with the view.
     comb_fanout: Arc<Vec<Vec<NodeId>>>,
     /// Current hypothetical per-node delay.
     delay: Vec<f64>,
@@ -345,74 +331,6 @@ impl<'a> IncrementalSta<'a> {
         0.0
     }
 
-    /// Evaluates each candidate's **single-swap** clock period against
-    /// the engine's current state, in parallel.
-    ///
-    /// Worker threads clone the engine, apply one candidate at a time
-    /// and roll it back, so candidates are judged independently — the
-    /// result is identical (bit for bit) to calling
-    /// [`swap_to_lut`](IncrementalSta::swap_to_lut) /
-    /// [`clock_period_ns`](IncrementalSta::clock_period_ns) /
-    /// [`restore_gate`](IncrementalSta::restore_gate) per candidate
-    /// sequentially, just faster.
-    ///
-    /// Parallelism uses [`sttlock_exec::scoped_map`]: the workspace has
-    /// no `rayon` (the offline build environment lacks the dependency),
-    /// so its work-stealing scoped threads stand in for a `par_iter`.
-    pub fn batch_eval(&self, candidates: &[NodeId]) -> Vec<f64> {
-        self.batch_eval_with(candidates, None)
-            .expect("an unbudgeted batch_eval cannot be cancelled")
-    }
-
-    /// [`batch_eval`](IncrementalSta::batch_eval) under a cooperative
-    /// [`Budget`]: each candidate evaluation first checks the budget
-    /// (so a cancelled request stops mid-wave, between cone queries)
-    /// and then charges one step. With `None` the behaviour — including
-    /// the chunking, and therefore the output bytes — is identical to
-    /// the unbudgeted path.
-    pub fn batch_eval_with(
-        &self,
-        candidates: &[NodeId],
-        budget: Option<&Budget>,
-    ) -> Result<Vec<f64>, BudgetError> {
-        if candidates.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(candidates.len());
-        // Chunk exactly as the pre-exec scoped loop did so the
-        // per-worker engine clones see the same candidate runs and the
-        // results stay bit-identical.
-        let chunk = candidates.len().div_ceil(workers);
-        let chunks: Vec<&[NodeId]> = candidates.chunks(chunk).collect();
-        let evaluated = sttlock_exec::scoped_map(workers, chunks.len(), |i| {
-            let mut engine = self.clone();
-            let mut out = Vec::with_capacity(chunks[i].len());
-            for &id in chunks[i] {
-                if let Some(b) = budget {
-                    b.check()?;
-                    b.charge(1);
-                }
-                let prev = engine.delay[id.index()];
-                engine.swap_to_lut(id);
-                out.push(engine.clock_period_ns());
-                engine.set_delay(id, prev);
-            }
-            Ok(out)
-        });
-        let mut periods = Vec::with_capacity(candidates.len());
-        for slot in evaluated {
-            match slot {
-                Ok(Ok(vals)) => periods.extend(vals),
-                Ok(Err(e)) => return Err(e),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        Ok(periods)
-    }
-
     /// Materializes a full [`TimingAnalysis`] (required times, critical
     /// path, worst endpoint) from the cached arrivals — same output as
     /// [`analyze`](crate::analyze) on an equivalently mutated netlist,
@@ -600,59 +518,6 @@ mod tests {
         let before_g3 = inc.arrival_ns(g3);
         inc.swap_to_lut(side);
         assert_eq!(inc.arrival_ns(g3).to_bits(), before_g3.to_bits());
-    }
-
-    #[test]
-    fn batch_eval_equals_sequential_probing() {
-        let n = circuit();
-        let l = lib();
-        let mut inc = IncrementalSta::new(&n, &l);
-        let candidates: Vec<NodeId> = ["g1", "g2", "g3", "side"]
-            .iter()
-            .map(|s| n.find(s).unwrap())
-            .collect();
-        let batch = inc.batch_eval(&candidates);
-        for (&id, &period) in candidates.iter().zip(&batch) {
-            let kind = n.node(id).gate_kind().unwrap();
-            inc.swap_to_lut(id);
-            assert_eq!(inc.clock_period_ns().to_bits(), period.to_bits());
-            inc.restore_gate(id, kind);
-        }
-    }
-
-    #[test]
-    fn batch_eval_with_unbounded_budget_is_bit_identical_and_charges_steps() {
-        let n = circuit();
-        let l = lib();
-        let inc = IncrementalSta::new(&n, &l);
-        let candidates: Vec<NodeId> = ["g1", "g2", "g3", "side"]
-            .iter()
-            .map(|s| n.find(s).unwrap())
-            .collect();
-        let plain = inc.batch_eval(&candidates);
-        let budget = Budget::unbounded();
-        let budgeted = inc.batch_eval_with(&candidates, Some(&budget)).unwrap();
-        for (a, b) in plain.iter().zip(&budgeted) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(budget.steps_spent(), candidates.len() as u64);
-    }
-
-    #[test]
-    fn batch_eval_with_cancelled_budget_stops_mid_wave() {
-        let n = circuit();
-        let l = lib();
-        let inc = IncrementalSta::new(&n, &l);
-        let candidates: Vec<NodeId> = ["g1", "g2", "g3", "side"]
-            .iter()
-            .map(|s| n.find(s).unwrap())
-            .collect();
-        let budget = Budget::unbounded();
-        budget.cancel();
-        assert_eq!(
-            inc.batch_eval_with(&candidates, Some(&budget)),
-            Err(BudgetError::Cancelled)
-        );
     }
 
     #[test]

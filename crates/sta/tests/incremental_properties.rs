@@ -74,37 +74,46 @@ proptest! {
         }
     }
 
-    /// `batch_eval` answers exactly what one-at-a-time probing answers,
-    /// and perturbs nothing: the engine state afterwards is unchanged.
+    /// Single-swap probes (swap, measure, restore) on top of a standing
+    /// hypothesis — the selection's USL-closure pattern — each read the
+    /// period a fresh analysis of hypothesis + candidate gives, and leave
+    /// the engine equal to a fresh analysis of the hypothesis alone.
     #[test]
-    fn batch_eval_matches_sequential_probes(
+    fn single_swap_probes_match_fresh_analyze_and_restore(
         seed in any::<u64>(),
-        picks in prop::collection::vec(any::<u32>(), 1..24usize),
+        picks in prop::collection::vec(any::<u32>(), 2..24usize),
     ) {
         let netlist =
-            Profile::custom("batch", 200, 8, 8, 6).generate(&mut StdRng::seed_from_u64(seed));
+            Profile::custom("probe", 200, 8, 8, 6).generate(&mut StdRng::seed_from_u64(seed));
         let lib = Library::predictive_90nm();
         let pool = swap_pool(&netlist);
         prop_assert!(!pool.is_empty());
 
-        let mut candidates: Vec<NodeId> = picks
+        let mut picked: Vec<NodeId> = picks
             .iter()
             .map(|&p| pool[p as usize % pool.len()])
             .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
+        picked.sort_unstable();
+        picked.dedup();
+        let (standing, probes) = picked.split_at(picked.len() / 2);
 
         let mut engine = IncrementalSta::new(&netlist, &lib);
-        let before = engine.clock_period_ns();
-        let batch = engine.batch_eval(&candidates);
-        prop_assert_eq!(engine.clock_period_ns().to_bits(), before.to_bits());
-
-        for (&id, &period) in candidates.iter().zip(&batch) {
-            let kind = netlist.node(id).gate_kind().expect("pool gates are cells");
+        let mut hypothesis = netlist.clone();
+        for &id in standing {
             engine.swap_to_lut(id);
-            prop_assert_eq!(engine.clock_period_ns().to_bits(), period.to_bits());
+            hypothesis.replace_gate_with_lut(id).expect("pool gates are replaceable");
+        }
+        for &id in probes {
+            let kind = netlist.node(id).gate_kind().expect("pool gates are cells");
+            let mut probed = hypothesis.clone();
+            probed.replace_gate_with_lut(id).expect("pool gates are replaceable");
+            engine.swap_to_lut(id);
+            prop_assert_eq!(
+                engine.clock_period_ns().to_bits(),
+                analyze(&probed, &lib).clock_period_ns().to_bits()
+            );
             engine.restore_gate(id, kind);
         }
-        prop_assert_eq!(engine.clock_period_ns().to_bits(), before.to_bits());
+        prop_assert_eq!(engine.to_analysis(), analyze(&hypothesis, &lib));
     }
 }
