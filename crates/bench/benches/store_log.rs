@@ -63,20 +63,6 @@ fn bench_append(c: &mut Criterion) {
         })
     });
 
-    // Batched durability: one fsync per 16 records.
-    group.bench_function("fsync_every16", |b| {
-        let dir = tmp_dir("append-batch");
-        b.iter(|| {
-            let path = dir.join("log");
-            let _ = std::fs::remove_file(&path);
-            let mut opened = RecordLog::<Vec<u8>>::open(&path, FsyncPolicy::EveryN(16)).unwrap();
-            for i in 0..n {
-                opened.log.append(&payload(i)).unwrap();
-            }
-            opened.log.len_bytes()
-        })
-    });
-
     // The journal setting: every record is durable before the append
     // returns. Fewer records — each iteration is n real fsyncs.
     group.bench_function("fsync_always", |b| {

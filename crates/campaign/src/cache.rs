@@ -1,4 +1,5 @@
-//! Content-hash result cache.
+//! Content-hash result caching for campaign cells, on the store's
+//! [`Cache`].
 //!
 //! A cell's cache key hashes everything that determines its outcome:
 //!
@@ -12,16 +13,19 @@
 //!   whose circuits are byte-identical keep hitting.
 //!
 //! Keys are 128-bit [`sttlock_exec::CacheKey`]s (two independent
-//! FNV-1a streams) rendered as hex file names — the keying scheme
-//! itself lives in the exec runtime and is shared with serve's response
-//! cache. Only [`RunStatus::Ok`](crate::RunStatus::Ok) records are
-//! stored: failures, panics and timeouts always re-execute, because
-//! they are exactly the cells one is trying to fix.
+//! FNV-1a streams); the keying scheme itself lives in the exec runtime
+//! and is shared with serve's response cache. Records live as JSON
+//! bodies in `<cache_dir>/campaign-cache.log`, stamped with
+//! [`CACHE_VERSION`]. Only [`RunStatus::Ok`](crate::RunStatus::Ok)
+//! records are stored: failures, panics and timeouts always
+//! re-execute, because they are exactly the cells one is trying to
+//! fix. A body that no longer parses as a record reads as a miss.
 
-use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
+use std::sync::Arc;
 
 use sttlock_exec::KeyBuilder;
+use sttlock_store::Cache;
 
 use crate::json::Json;
 use crate::record::RunRecord;
@@ -31,18 +35,11 @@ pub use sttlock_exec::CacheKey;
 /// Bump when the record layout or keying scheme changes.
 pub const CACHE_VERSION: u32 = 1;
 
-/// A directory of cached [`RunRecord`]s keyed by content hash.
-#[derive(Debug, Clone)]
-pub struct Cache {
-    dir: PathBuf,
-}
-
 /// Computes the key for one cell from its descriptor and the generated
 /// netlist text.
 ///
-/// The raw-chunk feed reproduces the pre-exec byte stream exactly
-/// (`v{CACHE_VERSION}\x1f`, descriptor, `\x1f`, bench text), so every
-/// cache directory written before the exec refactor stays valid.
+/// The raw-chunk feed hashes `v{CACHE_VERSION}\x1f`, the descriptor,
+/// `\x1f`, then the bench text.
 pub fn cell_key(descriptor: &str, bench_text: &str) -> CacheKey {
     KeyBuilder::new(CACHE_VERSION)
         .chunk(descriptor.as_bytes())
@@ -51,50 +48,24 @@ pub fn cell_key(descriptor: &str, bench_text: &str) -> CacheKey {
         .finish()
 }
 
-impl Cache {
-    /// Opens (creating if needed) a cache directory. Returns `None` if
-    /// the directory cannot be created — the campaign then runs
-    /// uncached rather than failing.
-    pub fn open(dir: PathBuf) -> Option<Cache> {
-        fs::create_dir_all(&dir).ok()?;
-        Some(Cache { dir })
-    }
+/// Opens the campaign cache under `dir`. `None` (an unopenable
+/// directory) means the campaign runs uncached rather than failing.
+pub(crate) fn open(dir: &Path) -> Option<Arc<Cache>> {
+    Cache::open(dir.join("campaign-cache.log"), CACHE_VERSION)
+        .ok()
+        .map(Arc::new)
+}
 
-    fn path(&self, key: CacheKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key.hex()))
-    }
+/// Looks up a cached record; an unparseable body reads as a miss.
+pub(crate) fn lookup(cache: &Cache, key: CacheKey) -> Option<RunRecord> {
+    let text = cache.lookup(&key.hex())?;
+    RunRecord::from_json(&Json::parse(&text).ok()?)
+}
 
-    /// Looks up a raw text entry. Unreadable entries read as misses.
-    ///
-    /// This is the reusable face of the cache: the serve layer stores
-    /// whole response bodies under its own descriptors, sharing the
-    /// keying scheme ([`cell_key`]) and directory layout with the
-    /// campaign's record cache.
-    pub fn lookup_text(&self, key: CacheKey) -> Option<String> {
-        fs::read_to_string(self.path(key)).ok()
-    }
-
-    /// Stores a raw text entry under `key`. Write failures are
-    /// swallowed: the cache is an accelerator, never a correctness
-    /// dependency.
-    pub fn store_text(&self, key: CacheKey, text: &str) {
-        let _ = fs::write(self.path(key), text);
-    }
-
-    /// Looks up a cached record. Corrupt or unreadable entries read as
-    /// misses.
-    pub fn lookup(&self, key: CacheKey) -> Option<RunRecord> {
-        let text = self.lookup_text(key)?;
-        RunRecord::from_json(&Json::parse(&text).ok()?)
-    }
-
-    /// Stores a successful record. Write failures are swallowed: the
-    /// cache is an accelerator, never a correctness dependency.
-    pub fn store(&self, key: CacheKey, record: &RunRecord) {
-        if !record.status.is_ok() {
-            return;
-        }
-        self.store_text(key, &record.to_json().to_string());
+/// Stores a successful record; any other status is not cached.
+pub(crate) fn store(cache: &Cache, key: CacheKey, record: &RunRecord) {
+    if record.status.is_ok() {
+        cache.store(&key.hex(), &record.to_json().to_string());
     }
 }
 
@@ -103,12 +74,12 @@ mod tests {
     use super::*;
     use crate::record::RunStatus;
 
-    fn tmp_cache(name: &str) -> Cache {
+    fn tmp_cache(name: &str) -> Arc<Cache> {
         let dir = std::env::temp_dir()
             .join("sttlock-campaign-cache-tests")
             .join(format!("{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        Cache::open(dir).unwrap()
+        let _ = std::fs::remove_dir_all(&dir);
+        open(&dir).unwrap()
     }
 
     fn ok_record() -> RunRecord {
@@ -139,10 +110,10 @@ mod tests {
     fn store_then_lookup_round_trips() {
         let cache = tmp_cache("roundtrip");
         let key = cell_key("d", "t");
-        assert_eq!(cache.lookup(key), None);
+        assert_eq!(lookup(&cache, key), None);
         let r = ok_record();
-        cache.store(key, &r);
-        assert_eq!(cache.lookup(key), Some(r));
+        store(&cache, key, &r);
+        assert_eq!(lookup(&cache, key), Some(r));
     }
 
     #[test]
@@ -154,28 +125,20 @@ mod tests {
             RunStatus::Panicked("y".into()),
             RunStatus::TimedOut,
         ] {
-            cache.store(key, &RunRecord::failure("c", "a", 1, "none", status));
-            assert_eq!(cache.lookup(key), None);
+            store(
+                &cache,
+                key,
+                &RunRecord::failure("c", "a", 1, "none", status),
+            );
+            assert_eq!(lookup(&cache, key), None);
         }
-    }
-
-    #[test]
-    fn raw_text_entries_round_trip_and_miss_when_absent() {
-        let cache = tmp_cache("raw");
-        let key = cell_key("serve.harden|v1|independent|7", "INPUT(a)\n");
-        assert_eq!(cache.lookup_text(key), None);
-        cache.store_text(key, "{\"cached\":false}");
-        assert_eq!(cache.lookup_text(key), Some("{\"cached\":false}".into()));
-        // Raw entries and record entries share the namespace on
-        // purpose — distinct descriptors keep them apart.
-        assert_ne!(key, cell_key("other", "INPUT(a)\n"));
     }
 
     #[test]
     fn corrupt_entries_read_as_misses() {
         let cache = tmp_cache("corrupt");
         let key = cell_key("d", "t");
-        fs::write(cache.path(key), "not json{").unwrap();
-        assert_eq!(cache.lookup(key), None);
+        cache.store(&key.hex(), "not json{");
+        assert_eq!(lookup(&cache, key), None);
     }
 }

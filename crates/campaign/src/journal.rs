@@ -126,6 +126,15 @@ pub fn journal_key(
     format!("{circuit}|{algorithm}|{seed}|{attack}|{config}|{fault}")
 }
 
+/// The replay rule, shared by `--resume` and the cluster coordinator's
+/// dispatch journal: a journaled row stands in for a fresh run only if
+/// it was written under this build's [`JOURNAL_SCHEMA_VERSION`], is
+/// `ok`, and carries the flow metrics every consumer of `ok` rows
+/// expects. Each caller decides what a rejected row costs.
+pub fn replayable(schema: u32, record: &RunRecord) -> bool {
+    schema == JOURNAL_SCHEMA_VERSION && record.status.is_ok() && record.flow.is_some()
+}
+
 /// Collapses journal entries to the *last* entry per cell identity —
 /// a resumed campaign appends fresh results after the stale ones, so
 /// re-resuming from the same journal sees the newest outcome.

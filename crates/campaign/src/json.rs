@@ -136,7 +136,7 @@ impl fmt::Display for Json {
                     f.write_str("null")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => sttlock_obs::write_json_str(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -153,7 +153,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    sttlock_obs::write_json_str(f, k)?;
                     f.write_str(":")?;
                     write!(f, "{v}")?;
                 }
@@ -161,22 +161,6 @@ impl fmt::Display for Json {
             }
         }
     }
-}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
 }
 
 /// A parse failure with its byte offset.
@@ -402,6 +386,11 @@ mod tests {
         let v = Json::Str("line\nquote\" tab\t back\\ unit\u{1}".into());
         let text = v.to_string();
         assert!(text.contains("\\n") && text.contains("\\u0001"));
+        assert_eq!(Json::parse(&text).unwrap(), v);
+        // Keys escape like values; non-ASCII text passes through.
+        let v = Json::obj([("k\"\\é", Json::from("q\"b\\\n\r\t\u{7}é☃"))]);
+        let text = v.to_string();
+        assert_eq!(text, "{\"k\\\"\\\\é\":\"q\\\"b\\\\\\n\\r\\t\\u0007é☃\"}");
         assert_eq!(Json::parse(&text).unwrap(), v);
     }
 

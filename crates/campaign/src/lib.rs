@@ -19,9 +19,10 @@
 //! * [`render`] turns a record set back into the paper's Table I /
 //!   Table II / Figure 3 text — one campaign invocation reproduces all
 //!   three artifacts.
-//! * [`cache::Cache`] keys results by a content hash of the cell
-//!   descriptor *and the generated netlist text*, so re-running an
-//!   unchanged grid only re-executes changed cells.
+//! * [`cache`] keys results by a content hash of the cell descriptor
+//!   *and the generated netlist text*, and keeps `ok` records in the
+//!   store's result cache, so re-running an unchanged grid only
+//!   re-executes changed cells.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -185,7 +186,8 @@ pub struct CampaignSpec {
     pub timeout: Duration,
     /// Worker threads (0 = available parallelism).
     pub jobs: usize,
-    /// Result-cache directory (`None` disables caching).
+    /// Result-cache directory, holding `campaign-cache.log`; one
+    /// process uses a directory at a time (`None` disables caching).
     pub cache_dir: Option<PathBuf>,
     /// Append every freshly executed record to this JSONL journal as it
     /// completes (`None` disables journaling). Lines are flushed per
@@ -302,12 +304,7 @@ impl CampaignSpec {
 /// engine and the thin table binaries generate byte-identical circuits:
 /// the EXPERIMENTS.md numbers depend on it.
 pub fn circuit_seed(seed: u64, circuit_name: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in circuit_name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    seed ^ h
+    seed ^ sttlock_exec::fnv1a(sttlock_exec::FNV_OFFSET_BASIS, circuit_name.as_bytes())
 }
 
 #[cfg(test)]
@@ -362,6 +359,22 @@ mod tests {
             5,
             "the seed xors into the name hash"
         );
+    }
+
+    #[test]
+    fn circuit_seeds_are_pinned() {
+        // Captured before the FNV-1a copies were folded into
+        // `sttlock_exec::fnv1a`: every generated circuit depends on
+        // these values.
+        for (seed, name, want) in [
+            (42, "s641", 0x722b0317d8d136c1),
+            (1, "s27", 0x818048195c42afe4),
+            (7, "s38584", 0xc7e251a47087182f),
+            (0, "smoke-a", 0x5726882e940109f0),
+            (u64::MAX, "", 0x340d631b7bdddcda),
+        ] {
+            assert_eq!(circuit_seed(seed, name), want, "({seed}, {name:?})");
+        }
     }
 
     #[test]

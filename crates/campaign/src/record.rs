@@ -1,6 +1,7 @@
 //! Per-run result records and their JSONL encoding.
 
 use crate::json::Json;
+use crate::Cell;
 
 /// How a campaign cell ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,6 +166,25 @@ impl RunRecord {
             repair: None,
             wall_ms: 0,
             cached: false,
+        }
+    }
+
+    /// The record skeleton of `cell` ending in `status`: every identity
+    /// field set from the cell (config and fault descriptors included),
+    /// no metrics, zero wall time. Failure rows and the `ok` row alike
+    /// start from it, so a fault cell can never be recorded as its
+    /// fault-free twin.
+    pub fn for_cell(cell: &Cell, status: RunStatus) -> RunRecord {
+        RunRecord {
+            config: cell.overrides.descriptor(),
+            fault: cell.fault.descriptor(),
+            ..RunRecord::failure(
+                cell.circuit.name(),
+                &cell.algorithm.to_string(),
+                cell.seed,
+                cell.attack.tag(),
+                status,
+            )
         }
     }
 

@@ -45,9 +45,10 @@ use sttlock_core::{verify_and_repair_budgeted, Flow, FlowError, FlowOutcome, Rep
 use sttlock_exec::Budget;
 use sttlock_fault::FaultInjector;
 use sttlock_netlist::{bench_format, Netlist};
+use sttlock_store::Cache;
 use sttlock_techlib::Library;
 
-use crate::cache::{cell_key, Cache};
+use crate::cache::{self, cell_key};
 use crate::journal::{self, Journal, JournalEntry, JOURNAL_SCHEMA_VERSION};
 use crate::record::{AttackMetrics, FlowMetrics, RepairMetrics, RunRecord, RunStatus};
 use crate::{circuit_seed, AttackKind, CampaignSpec, Cell, CircuitSpec};
@@ -122,10 +123,7 @@ impl CampaignResult {
 pub fn execute(spec: &CampaignSpec) -> CampaignResult {
     let start = Instant::now();
     let cells = spec.cells();
-    let cache = spec
-        .cache_dir
-        .as_ref()
-        .and_then(|dir| Cache::open(dir.clone()));
+    let cache = spec.cache_dir.as_deref().and_then(cache::open);
 
     // Open the journal through the store: the framed log heals any
     // torn or corrupt tail (a crash mid-append costs exactly the torn
@@ -185,11 +183,7 @@ pub fn execute(spec: &CampaignSpec) -> CampaignResult {
             queue_us = start.elapsed().as_micros() as u64,
         );
         let record = match replay.get(&cell_journal_key(cell)) {
-            Some(entry)
-                if entry.schema == JOURNAL_SCHEMA_VERSION
-                    && entry.record.status.is_ok()
-                    && entry.record.flow.is_some() =>
-            {
+            Some(entry) if journal::replayable(entry.schema, &entry.record) => {
                 cell_span.record("replayed", true);
                 entry.record.clone()
             }
@@ -217,18 +211,7 @@ pub fn execute(spec: &CampaignSpec) -> CampaignResult {
                              metrics; re-run this cell without --resume"
                                 .to_owned()
                         };
-                        let mut r = RunRecord::failure(
-                            cell.circuit.name(),
-                            &cell.algorithm.to_string(),
-                            cell.seed,
-                            cell.attack.tag(),
-                            RunStatus::Failed(message),
-                        );
-                        r.config = cell.overrides.descriptor();
-                        if !cell.fault.is_noop() {
-                            r.fault = cell.fault.descriptor();
-                        }
-                        r
+                        RunRecord::for_cell(cell, RunStatus::Failed(message))
                     }
                     _ => run_cell_isolated(cell, spec.timeout, cache.as_ref(), &pool),
                 };
@@ -274,18 +257,10 @@ fn finalize_records(cells: &[Cell], slots: Vec<Option<RunRecord>>) -> Vec<RunRec
         .map(|(cell, slot)| {
             slot.unwrap_or_else(|| {
                 sttlock_obs::counter("campaign.lost_records", 1);
-                let mut r = RunRecord::failure(
-                    cell.circuit.name(),
-                    &cell.algorithm.to_string(),
-                    cell.seed,
-                    cell.attack.tag(),
+                RunRecord::for_cell(
+                    cell,
                     RunStatus::Failed("worker thread died before recording this cell".to_owned()),
-                );
-                r.config = cell.overrides.descriptor();
-                if !cell.fault.is_noop() {
-                    r.fault = cell.fault.descriptor();
-                }
-                r
+                )
             })
         })
         .collect()
@@ -296,7 +271,7 @@ fn finalize_records(cells: &[Cell], slots: Vec<Option<RunRecord>>) -> Vec<RunRec
 /// full [`execute`] run, held open across independent dispatches so
 /// repeated cells hit the same reuse paths a local campaign would.
 pub struct CellExecutor {
-    cache: Option<Cache>,
+    cache: Option<Arc<Cache>>,
     pool: GenPool,
 }
 
@@ -306,7 +281,7 @@ impl CellExecutor {
     /// disables caching exactly like [`CampaignSpec::cache_dir`]).
     pub fn new(cache_dir: Option<std::path::PathBuf>) -> CellExecutor {
         CellExecutor {
-            cache: cache_dir.and_then(Cache::open),
+            cache: cache_dir.as_deref().and_then(cache::open),
             pool: Arc::new(Mutex::new(HashMap::new())),
         }
     }
@@ -332,7 +307,7 @@ impl CellExecutor {
 fn run_cell_isolated(
     cell: &Cell,
     timeout: Duration,
-    cache: Option<&Cache>,
+    cache: Option<&Arc<Cache>>,
     pool: &GenPool,
 ) -> RunRecord {
     let start = Instant::now();
@@ -351,7 +326,7 @@ fn run_cell_isolated(
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             run_cell(
                 &owned_cell,
-                owned_cache.as_ref(),
+                owned_cache.as_deref(),
                 &owned_pool,
                 &owned_budget,
             )
@@ -366,31 +341,19 @@ fn run_cell_isolated(
         Ok(Ok(record)) => record,
         Ok(Err(payload)) => {
             sttlock_obs::counter("campaign.panic", 1);
-            let mut r = RunRecord::failure(
-                cell.circuit.name(),
-                &cell.algorithm.to_string(),
-                cell.seed,
-                cell.attack.tag(),
-                RunStatus::Panicked(panic_message(payload)),
-            );
-            r.config = cell.overrides.descriptor();
-            r.wall_ms = start.elapsed().as_millis() as u64;
-            r
+            RunRecord {
+                wall_ms: start.elapsed().as_millis() as u64,
+                ..RunRecord::for_cell(cell, RunStatus::Panicked(panic_message(payload)))
+            }
         }
         Err(_) => {
             sttlock_obs::counter("campaign.timeout", 1);
             sttlock_obs::gauge("campaign.abandoned_cells", 1);
             budget.cancel();
-            let mut r = RunRecord::failure(
-                cell.circuit.name(),
-                &cell.algorithm.to_string(),
-                cell.seed,
-                cell.attack.tag(),
-                RunStatus::TimedOut,
-            );
-            r.config = cell.overrides.descriptor();
-            r.wall_ms = timeout.as_millis() as u64;
-            r
+            RunRecord {
+                wall_ms: timeout.as_millis() as u64,
+                ..RunRecord::for_cell(cell, RunStatus::TimedOut)
+            }
         }
     }
 }
@@ -479,18 +442,9 @@ fn generate(
 /// already recorded the timeout row.
 fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget) -> RunRecord {
     let start = Instant::now();
-    let algorithm = cell.algorithm.to_string();
-    let fail = |status| {
-        let mut r = RunRecord::failure(
-            cell.circuit.name(),
-            &algorithm,
-            cell.seed,
-            cell.attack.tag(),
-            status,
-        );
-        r.config = cell.overrides.descriptor();
-        r.wall_ms = start.elapsed().as_millis() as u64;
-        r
+    let fail = |status| RunRecord {
+        wall_ms: start.elapsed().as_millis() as u64,
+        ..RunRecord::for_cell(cell, status)
     };
 
     let netlist = {
@@ -512,7 +466,7 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
     let mut descriptor = format!(
         "{}|{}|{}|{}|{}",
         cell.circuit.name(),
-        algorithm,
+        cell.algorithm,
         cell.seed,
         cell.attack.descriptor(),
         cell.overrides.descriptor()
@@ -523,7 +477,7 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
     }
     let key = cell_key(&descriptor, &bench_format::write(&netlist));
     if let Some(cache) = cache {
-        if let Some(mut hit) = cache.lookup(key) {
+        if let Some(mut hit) = cache::lookup(cache, key) {
             sttlock_obs::counter("campaign.cache_hit", 1);
             hit.cached = true;
             return hit;
@@ -579,7 +533,6 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
                 let mut r = fail(RunStatus::Failed(message));
                 r.flow = Some(flow_metrics);
                 r.gates = netlist.gate_count();
-                r.fault = cell.fault.descriptor();
                 return r;
             }
         }
@@ -597,7 +550,6 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
             // row so a broken attack does not erase the overhead data.
             r.flow = Some(flow_metrics);
             r.gates = netlist.gate_count();
-            r.fault = cell.fault.descriptor();
             r.repair = repair;
             return r;
         }
@@ -605,22 +557,15 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
     drop(attack_span);
 
     let record = RunRecord {
-        circuit: cell.circuit.name().to_owned(),
         gates: netlist.gate_count(),
-        algorithm,
-        seed: cell.seed,
-        attack: cell.attack.tag().to_owned(),
-        config: cell.overrides.descriptor(),
-        status: RunStatus::Ok,
         flow: Some(flow_metrics),
         attack_metrics,
-        fault: cell.fault.descriptor(),
         repair,
         wall_ms: start.elapsed().as_millis() as u64,
-        cached: false,
+        ..RunRecord::for_cell(cell, RunStatus::Ok)
     };
     if let Some(cache) = cache {
-        cache.store(key, &record);
+        cache::store(cache, key, &record);
     }
     record
 }
@@ -1036,6 +981,35 @@ mod tests {
     }
 
     #[test]
+    fn failure_rows_of_fault_cells_keep_their_fault_descriptor() {
+        // A fault cell that fails must not be written as its fault-free
+        // twin: `journal_key` reads the record's `fault` field, so the
+        // twin's key would shadow the twin's own ok entry on resume.
+        let spec = CampaignSpec {
+            faults: vec![
+                sttlock_fault::FaultModel::default(),
+                sttlock_fault::FaultModel::write_failures(0.05),
+            ],
+            ..quick_spec(vec![CircuitSpec::Profile("s999999".into())])
+        };
+        let result = execute(&spec);
+        let faults: Vec<&str> = result.records.iter().map(|r| r.fault.as_str()).collect();
+        assert_eq!(faults, ["none", "wf=0.05"]);
+        assert!(result.records.iter().all(|r| !r.status.is_ok()));
+        // The fault-free row serializes exactly as before: no fault keys.
+        assert!(!result.records[0]
+            .to_json()
+            .to_string()
+            .contains("\"fault\""));
+
+        // The timed-out and panicked rows start from the same skeleton.
+        let cell = &spec.cells()[1];
+        for status in [RunStatus::TimedOut, RunStatus::Panicked("p".into())] {
+            assert_eq!(RunRecord::for_cell(cell, status).fault, "wf=0.05");
+        }
+    }
+
+    #[test]
     fn rerunning_an_unchanged_grid_hits_the_cache() {
         let dir = std::env::temp_dir()
             .join("sttlock-campaign-runner-tests")
@@ -1051,8 +1025,16 @@ mod tests {
 
         let second = execute(&spec);
         assert_eq!(second.cache_hits(), 2, "unchanged cells must hit");
-        // Cached records carry the same metrics as the original run.
-        assert_eq!(second.records[0].flow, first.records[0].flow);
+        // Cached records are the original records, marked cached.
+        for (warm, cold) in second.records.iter().zip(&first.records) {
+            assert_eq!(
+                &RunRecord {
+                    cached: false,
+                    ..warm.clone()
+                },
+                cold
+            );
+        }
 
         // Changing the seed changes the generated circuit => full miss.
         let changed = CampaignSpec {
@@ -1060,6 +1042,13 @@ mod tests {
             ..spec
         };
         assert_eq!(execute(&changed).cache_hits(), 0);
+
+        // The whole cache is one record log.
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["campaign-cache.log"]);
     }
 
     #[test]

@@ -344,7 +344,12 @@ impl Coordinator {
             .map(|(cell, key)| {
                 done.get(key).cloned().unwrap_or_else(|| {
                     sttlock_obs::counter("cluster.lost_records", 1);
-                    synthesize_failure(cell)
+                    RunRecord::for_cell(
+                        cell,
+                        RunStatus::Failed(
+                            "cluster run ended before this cell completed".to_owned(),
+                        ),
+                    )
                 })
             })
             .collect();
@@ -419,23 +424,6 @@ fn dispatch_cell(
         sttlock_obs::counter("cluster.skewed_responses", 1);
     }
     decoded.map(|d| d.record)
-}
-
-/// The failure row for a cell the cluster could not complete, shaped
-/// like the campaign runner's lost-slot rows.
-fn synthesize_failure(cell: &Cell) -> RunRecord {
-    let mut r = RunRecord::failure(
-        cell.circuit.name(),
-        &cell.algorithm.to_string(),
-        cell.seed,
-        cell.attack.tag(),
-        RunStatus::Failed("cluster run ended before this cell completed".to_owned()),
-    );
-    r.config = cell.overrides.descriptor();
-    if !cell.fault.is_noop() {
-        r.fault = cell.fault.descriptor();
-    }
-    r
 }
 
 /// The coordinator's overlay routes: registration, heartbeats, and

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
+use sttlock_campaign::journal::replayable;
 use sttlock_campaign::json::Json;
 use sttlock_campaign::{RunRecord, JOURNAL_SCHEMA_VERSION};
 use sttlock_store::{FsyncPolicy, OpenedLog, Record, RecordLog, RecoveryReport};
@@ -127,9 +128,9 @@ impl DispatchJournal {
     }
 }
 
-/// Collapses journal entries to the last replayable completion per
-/// cell: current schema, `ok` status, flow metrics present — the same
-/// gate the single-node `--resume` applies. Anything else (failures,
+/// Collapses journal entries to the last completion per cell that
+/// passes the campaign's [`replayable`] rule — the same rule the
+/// single-node `--resume` applies. Anything else (failures,
 /// version-skewed completions, bare dispatches) leaves the cell
 /// incomplete, so the coordinator re-dispatches exactly those.
 pub fn completed_map(entries: &[DispatchEntry]) -> HashMap<String, RunRecord> {
@@ -141,7 +142,7 @@ pub fn completed_map(entries: &[DispatchEntry]) -> HashMap<String, RunRecord> {
             record,
         } = entry
         {
-            if *schema == JOURNAL_SCHEMA_VERSION && record.status.is_ok() && record.flow.is_some() {
+            if replayable(*schema, record) {
                 out.insert(key.clone(), record.as_ref().clone());
             } else {
                 out.remove(key);

@@ -7,7 +7,7 @@
 //! `SERIAL` first and every server runs with `install_obs: false`
 //! under one ambient [`MetricsCollector`] per test.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -26,6 +26,7 @@ use sttlock_exec::{Backoff, Budget};
 use sttlock_netlist::bench_format;
 use sttlock_obs::MetricsCollector;
 use sttlock_serve::client;
+use sttlock_serve::http::{read_request, Limits};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -236,15 +237,16 @@ fn a_version_skewed_worker_is_treated_like_a_dead_one() {
     let baseline = zeroed(execute(&spec));
 
     // A fake worker that answers 200 with a payload from a different
-    // protocol version. The thread parks on accept; it dies with the
-    // test process.
+    // protocol version. It reads the whole request (head and body)
+    // before replying: closing a socket with unread bytes sends an RST,
+    // which would turn the skewed reply into a transport error. The
+    // thread parks on accept; it dies with the test process.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let skewed_addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { continue };
-            let mut buf = [0u8; 4096];
-            let _ = stream.read(&mut buf);
+            let _ = read_request(&mut BufReader::new(&stream), &Limits::default());
             let body = "{\"proto\":999}";
             let _ = write!(
                 stream,

@@ -1,13 +1,18 @@
-//! Typed 128-bit content-hash cache keys.
+//! Typed 128-bit content-hash cache keys, and the workspace's one
+//! FNV-1a.
 //!
 //! The campaign result cache and serve's response cache share one
 //! keying scheme: two independent FNV-1a streams (distinct offset
 //! bases, one stream rotated per chunk) over a version salt plus the
-//! caller's content, rendered as a 32-hex-digit file name. This module
-//! owns the scheme; [`KeyBuilder`] is the typed face that replaces
-//! hand-rolled `format!("…|v1|…")` descriptor strings — each field is
-//! hashed as `name=value` with an explicit `\x1f` separator, so no two
-//! field layouts can collide by string concatenation.
+//! caller's content, rendered as 32 hex digits. This module owns the
+//! scheme; [`KeyBuilder`] is the typed face that replaces hand-rolled
+//! `format!("…|v1|…")` descriptor strings — each field is hashed as
+//! `name=value` with an explicit `\x1f` separator, so no two field
+//! layouts can collide by string concatenation.
+//!
+//! [`fnv1a`] is also the seed mixer behind `campaign::circuit_seed`,
+//! the fault injector's per-node streams and the store's chaos
+//! schedule.
 
 use std::fmt;
 
@@ -16,26 +21,32 @@ use std::fmt;
 pub struct CacheKey(u64, u64);
 
 impl CacheKey {
-    /// Hex file-name form of the key (32 digits).
+    /// Hex form of the key (32 digits).
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.0, self.1)
     }
 }
 
-/// Hashes one content chunk into an FNV-1a stream.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+/// The 64-bit FNV-1a offset basis: the starting `state` of a fresh
+/// [`fnv1a`] stream.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf29ce484222325;
+
+/// Folds `bytes` into the 64-bit FNV-1a stream `state` and returns the
+/// new state. Start a stream from [`FNV_OFFSET_BASIS`]; feeding chunks
+/// one after another equals feeding their concatenation.
+pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
+        state ^= u64::from(b);
+        state = state.wrapping_mul(0x100000001b3);
     }
-    h
+    state
 }
 
 /// Incremental builder of a [`CacheKey`].
 ///
 /// The raw [`KeyBuilder::chunk`] face feeds bytes verbatim (the
-/// campaign's `cell_key` uses it to keep every pre-existing key byte
-/// stream — and thus every cache directory — valid). The typed
+/// campaign's `cell_key` uses it, so its keys stay the byte stream
+/// they have always been). The typed
 /// [`KeyBuilder::field`] face is for new key layouts: it frames each
 /// value with its name and a separator so fields cannot bleed into one
 /// another.
@@ -51,7 +62,7 @@ impl KeyBuilder {
     /// misparsed.
     pub fn new(version: u32) -> KeyBuilder {
         KeyBuilder {
-            a: 0xcbf29ce484222325,
+            a: FNV_OFFSET_BASIS,
             b: 0x6c62272e07bb0142, // distinct offset basis
         }
         .chunk(format!("v{version}\u{1f}").as_bytes())
@@ -107,6 +118,18 @@ mod tests {
         let k1 = KeyBuilder::new(1).text("same").finish();
         let k2 = KeyBuilder::new(2).text("same").finish();
         assert_ne!(k1, k2);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_and_chains() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(FNV_OFFSET_BASIS, b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(FNV_OFFSET_BASIS, b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET_BASIS, b"foobar"), 0x85944171f73967e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET_BASIS, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET_BASIS, b"foobar")
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   work-stealing sibling for fork/join parallelism over in-scope data.
 //! * [`KeyBuilder`]/[`CacheKey`] — the typed 128-bit content-hash key
 //!   scheme shared by the campaign result cache and serve's response
-//!   cache.
+//!   cache, over the workspace's one [`fnv1a`].
 //!
 //! Everything is observable: budget trips surface as
 //! `exec.budget.{cancelled,deadline,steps}` counters, charged steps as
@@ -40,5 +40,5 @@ mod pool;
 
 pub use backoff::Backoff;
 pub use budget::{Budget, BudgetError, CancelToken};
-pub use key::{CacheKey, KeyBuilder};
+pub use key::{fnv1a, CacheKey, KeyBuilder, FNV_OFFSET_BASIS};
 pub use pool::{scoped_map, Pool, PoolFull};

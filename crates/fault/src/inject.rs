@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use sttlock_exec::{fnv1a, FNV_OFFSET_BASIS};
 use sttlock_netlist::{HybridOverlay, Node, NodeId, TruthTable, MAX_LUT_INPUTS};
 
 use crate::model::{FaultKind, FaultModel, InjectedFault};
@@ -241,18 +242,9 @@ impl FaultInjector {
     /// The per-(node, salt) random stream: FNV-1a over seed ‖ node ‖
     /// salt, the same mixing scheme as the campaign's `circuit_seed`.
     fn stream(&self, id: NodeId, salt: u64) -> StdRng {
-        let mut h = 0xcbf29ce484222325u64;
-        let bytes = self
-            .seed
-            .to_le_bytes()
-            .into_iter()
-            .chain((id.index() as u64).to_le_bytes())
-            .chain(salt.to_le_bytes());
-        for b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        StdRng::seed_from_u64(h)
+        let h = fnv1a(FNV_OFFSET_BASIS, &self.seed.to_le_bytes());
+        let h = fnv1a(h, &(id.index() as u64).to_le_bytes());
+        StdRng::seed_from_u64(fnv1a(h, &salt.to_le_bytes()))
     }
 }
 
@@ -304,6 +296,17 @@ mod tests {
             n.replace_gate_with_lut(id).unwrap();
         }
         Arc::new(n)
+    }
+
+    #[test]
+    fn per_node_streams_are_pinned() {
+        // Captured before the FNV-1a copies were folded into
+        // `sttlock_exec::fnv1a`: every injected fault set depends on
+        // these draws.
+        let inj = FaultInjector::new(FaultModel::write_failures(0.5), 0xFA17_5EED);
+        let a: u64 = inj.stream(NodeId::from_index(5), SALT_WRITE + 3).gen();
+        let b: u64 = inj.stream(NodeId::from_index(0), SALT_STUCK1).gen();
+        assert_eq!((a, b), (0xcb14a49b0bb4918a, 0x1597db0c9407c649));
     }
 
     #[test]

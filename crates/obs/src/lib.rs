@@ -32,7 +32,7 @@ mod metrics;
 mod trace;
 
 pub use metrics::{Fanout, MetricsCollector};
-pub use trace::TraceCollector;
+pub use trace::{write_json_str, TraceCollector};
 
 use std::cell::RefCell;
 use std::fmt;

@@ -2,7 +2,7 @@
 //! aggregator, JSONL trace exporter and text summary renderer.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 
 use crate::{Collector, FieldValue, SpanData};
@@ -125,18 +125,19 @@ impl TraceCollector {
                 }
                 None => out.push_str("null"),
             }
+            out.push_str(",\"name\":");
+            let _ = write_json_str(&mut out, s.name);
             let _ = write!(
                 out,
-                ",\"name\":\"{}\",\"start_us\":{},\"dur_us\":{},\"fields\":{{",
-                escape(s.name),
-                s.start_us,
-                s.duration_us
+                ",\"start_us\":{},\"dur_us\":{},\"fields\":{{",
+                s.start_us, s.duration_us
             );
             for (i, (k, v)) in s.fields.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":", escape(k));
+                let _ = write_json_str(&mut out, k);
+                out.push(':');
                 match v {
                     FieldValue::U64(n) => {
                         let _ = write!(out, "{n}");
@@ -152,31 +153,28 @@ impl TraceCollector {
                         let _ = write!(out, "{b}");
                     }
                     FieldValue::Str(t) => {
-                        let _ = write!(out, "\"{}\"", escape(t));
+                        let _ = write_json_str(&mut out, t);
                     }
                 }
             }
             out.push_str("}}\n");
         }
         for (name, value) in &state.counters {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-                escape(name)
-            );
+            out.push_str("{\"type\":\"counter\",\"name\":");
+            let _ = write_json_str(&mut out, name);
+            let _ = writeln!(out, ",\"value\":{value}}}");
         }
         for (name, (current, peak)) in &state.gauges {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{current},\"peak\":{peak}}}",
-                escape(name)
-            );
+            out.push_str("{\"type\":\"gauge\",\"name\":");
+            let _ = write_json_str(&mut out, name);
+            let _ = writeln!(out, ",\"value\":{current},\"peak\":{peak}}}");
         }
         for (name, h) in &state.hists {
+            out.push_str("{\"type\":\"hist\",\"name\":");
+            let _ = write_json_str(&mut out, name);
             let _ = writeln!(
                 out,
-                "{{\"type\":\"hist\",\"name\":\"{}\",\"count\":{},\"sum_us\":{},\"min_us\":{},\"p50_us\":{},\"p95_us\":{},\"max_us\":{}}}",
-                escape(name),
+                ",\"count\":{},\"sum_us\":{},\"min_us\":{},\"p50_us\":{},\"p95_us\":{},\"max_us\":{}}}",
                 h.count,
                 h.sum_us,
                 if h.count == 0 { 0 } else { h.min_us },
@@ -270,23 +268,24 @@ fn fmt_us(us: u64) -> String {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Writes `s` as a quoted JSON string: quotes, backslashes and control
+/// characters escaped, everything else (non-ASCII included) verbatim.
+/// The workspace's one JSON string escaper — the trace export here and
+/// `campaign::json` both write through it.
+pub fn write_json_str<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out
+    out.write_char('"')
 }
 
 #[cfg(test)]
@@ -315,7 +314,7 @@ mod tests {
         let collector = TraceCollector::new();
         install(collector.clone());
         {
-            let _outer = span!("outer", label = "a\"b");
+            let _outer = span!("outer", label = "a\"b\\c\n\u{7}é");
             let _inner = span!("inner", n = 2u64);
         }
         crate::counter("hits", 3);
@@ -329,7 +328,7 @@ mod tests {
         assert_eq!(lines.len(), 7, "{jsonl}");
         assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
         assert!(jsonl.contains("\"type\":\"span\""));
-        assert!(jsonl.contains("\"label\":\"a\\\"b\""));
+        assert!(jsonl.contains("\"label\":\"a\\\"b\\\\c\\n\\u0007é\""));
         assert!(jsonl.contains("\"type\":\"counter\",\"name\":\"hits\",\"value\":3"));
         assert!(jsonl.contains("\"type\":\"gauge\",\"name\":\"live\",\"value\":5,\"peak\":5"));
         assert!(jsonl.contains("\"type\":\"hist\",\"name\":\"wait\""));
@@ -360,7 +359,13 @@ mod tests {
 
     #[test]
     fn escape_handles_control_characters() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let quoted = |s: &str| {
+            let mut out = String::new();
+            write_json_str(&mut out, s).unwrap();
+            out
+        };
+        assert_eq!(quoted("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(quoted("\u{1}\r\t\u{1f}"), "\"\\u0001\\r\\t\\u001f\"");
+        assert_eq!(quoted("é☃ ok"), "\"é☃ ok\"");
     }
 }

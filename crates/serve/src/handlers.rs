@@ -26,9 +26,8 @@ use sttlock_exec::{Budget, KeyBuilder};
 use sttlock_netlist::{bench_format, Netlist};
 use sttlock_techlib::Library;
 
-use crate::cache::HARDEN_KEY_VERSION;
 use crate::http::{Request, Response};
-use crate::Shared;
+use crate::{Shared, HARDEN_KEY_VERSION};
 
 /// Routes one request. Unknown paths are 404; known paths with the
 /// wrong method are 405.
@@ -130,7 +129,7 @@ fn parse_flow_request(req: &Request) -> Result<FlowRequest, Response> {
 /// `POST /v1/harden` — run the selection/replacement flow and return
 /// the bitstream plus overhead and security metrics. Idempotent per
 /// (bench, algorithm, seed): responses are cached in the persistent
-/// [`crate::cache::HardenCache`], so repeats skip the flow entirely —
+/// [`sttlock_store::Cache`], so repeats skip the flow entirely —
 /// including repeats arriving after a server restart, which hit the
 /// warm-loaded log.
 fn harden(shared: &Shared, req: &Request, budget: &Budget) -> Response {
@@ -145,9 +144,10 @@ fn harden(shared: &Shared, req: &Request, budget: &Budget) -> Response {
         .field("algorithm", &fr.algorithm)
         .field("seed", &fr.seed)
         .text(&fr.bench)
-        .finish();
+        .finish()
+        .hex();
     if let Some(cache) = &shared.cache {
-        if let Some(hit) = cache.lookup_text(key) {
+        if let Some(hit) = cache.lookup(&key) {
             if let Ok(Json::Obj(mut m)) = Json::parse(&hit) {
                 sttlock_obs::counter("serve.harden.cache_hit", 1);
                 m.insert("cached".to_owned(), Json::Bool(true));
@@ -222,7 +222,7 @@ fn harden(shared: &Shared, req: &Request, budget: &Budget) -> Response {
     // answer but blew its budget still pays forward — the idempotent
     // retry becomes a cache hit.
     if let Some(cache) = &shared.cache {
-        cache.store_text(key, &body.to_string());
+        cache.store(&key, &body.to_string());
     }
     if budget.exhausted() {
         sttlock_obs::counter("serve.deadline_missed", 1);

@@ -14,6 +14,8 @@
 
 use std::io::BufRead;
 
+use sttlock_campaign::json::Json;
+
 /// Parse limits; defaults sized for JSON API traffic with room for a
 /// large bench-format netlist in the body.
 #[derive(Debug, Clone, Copy)]
@@ -334,7 +336,10 @@ impl Response {
 
     /// A JSON error envelope: `{"error": "..."}`.
     pub fn error(status: u16, detail: &str) -> Response {
-        Response::json(status, format!("{{\"error\":\"{}\"}}", json_escape(detail)))
+        Response::json(
+            status,
+            Json::obj([("error", Json::from(detail))]).to_string(),
+        )
     }
 
     /// Attaches a `Retry-After: secs` header.
@@ -381,25 +386,6 @@ pub fn reason(status: u16) -> &'static str {
         504 => "Gateway Timeout",
         _ => "Unknown",
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -517,6 +503,8 @@ mod tests {
         assert!(String::from_utf8(err.to_bytes())
             .unwrap()
             .contains("{\"error\":\"flow failed: \\\"quoted\\\"\"}"));
+        let err = Response::error(400, "bad \\ \n\u{1} é");
+        assert_eq!(err.body, "{\"error\":\"bad \\\\ \\n\\u0001 é\"}".as_bytes());
     }
 
     #[test]

@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod handlers;
 pub mod http;
@@ -48,9 +47,16 @@ use std::time::{Duration, Instant};
 
 use sttlock_exec::{Budget, CancelToken, Pool, PoolFull};
 use sttlock_obs::{Fanout, MetricsCollector, TraceCollector};
+use sttlock_store::Cache;
 
-use cache::HardenCache;
 use http::{Limits, Response};
+
+/// Version of the harden response cache: it salts every harden
+/// [`sttlock_exec::KeyBuilder`] key and stamps every cache entry. v1
+/// was the pre-exec string-descriptor scheme (`serve.harden|v1|…`);
+/// v2 keys the same inputs as typed fields, so stale v1 entries are
+/// invisible rather than misparsed.
+pub const HARDEN_KEY_VERSION: u32 = 2;
 
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
@@ -71,9 +77,10 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Per-request wall budget, measured from accept; overruns are 504.
     pub request_timeout: Duration,
-    /// Response cache directory: holds the persistent
-    /// [`cache::HardenCache`] record log, warm-loaded on boot so
-    /// repeats hit across restarts. `None` disables caching.
+    /// Response cache directory: holds `harden-cache.log`, the
+    /// persistent [`sttlock_store::Cache`] of harden responses,
+    /// warm-loaded on boot so repeats hit across restarts. One server
+    /// process owns a directory at a time. `None` disables caching.
     pub cache_dir: Option<PathBuf>,
     /// HTTP parse limits.
     pub limits: Limits,
@@ -117,7 +124,7 @@ pub(crate) struct Shared {
     pub(crate) request_timeout: Duration,
     pub(crate) limits: Limits,
     pub(crate) debug_endpoints: bool,
-    pub(crate) cache: Option<HardenCache>,
+    pub(crate) cache: Option<Cache>,
     pub(crate) metrics: Arc<MetricsCollector>,
     pub(crate) started: Instant,
     pub(crate) workers: usize,
@@ -202,7 +209,9 @@ impl Server {
             request_timeout: cfg.request_timeout,
             limits: cfg.limits,
             debug_endpoints: cfg.debug_endpoints,
-            cache: cfg.cache_dir.and_then(HardenCache::open),
+            cache: cfg
+                .cache_dir
+                .and_then(|dir| Cache::open(dir.join("harden-cache.log"), HARDEN_KEY_VERSION).ok()),
             metrics: metrics.clone(),
             started: Instant::now(),
             workers,

@@ -13,6 +13,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use sttlock_exec::{fnv1a, FNV_OFFSET_BASIS};
+
 use crate::fs::{Fs, KillPoint, LogFile, StdFs};
 
 /// Fault schedule for a [`ChaosFs`].
@@ -68,7 +70,7 @@ impl ChaosFs {
     /// Builds a chaos filesystem from a fault schedule.
     pub fn new(config: ChaosConfig) -> ChaosFs {
         let state = ChaosState {
-            stream: config.seed ^ 0xcbf2_9ce4_8422_2325,
+            stream: config.seed ^ FNV_OFFSET_BASIS,
             draws: 0,
             appends: 0,
             syncs: 0,
@@ -110,9 +112,7 @@ impl ChaosFs {
     /// collapsing onto the same stream.
     fn draw(state: &mut ChaosState) -> u64 {
         state.draws += 1;
-        for b in state.draws.to_le_bytes() {
-            state.stream = (state.stream ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        state.stream = fnv1a(state.stream, &state.draws.to_le_bytes());
         state.stream
     }
 }
@@ -243,6 +243,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn the_fault_stream_is_pinned() {
+        // Captured before the FNV-1a copies were folded into
+        // `sttlock_exec::fnv1a`: every chaos schedule replays from
+        // these draws.
+        let fs = ChaosFs::new(ChaosConfig::quiet(11));
+        let mut state = fs.state.lock().unwrap();
+        let draws = [ChaosFs::draw(&mut state), ChaosFs::draw(&mut state)];
+        assert_eq!(draws, [0xde93be8c95731f0f, 0x60176b7809f3c2ad]);
     }
 
     #[test]

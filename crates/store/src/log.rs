@@ -16,10 +16,8 @@ pub enum FsyncPolicy {
     /// Fsync after every record — the journal setting: a record that
     /// was reported appended survives `kill -9`.
     Always,
-    /// Fsync after every nth record (and on [`RecordLog::sync`]).
-    EveryN(u32),
-    /// Never fsync implicitly — for caches whose loss costs only a
-    /// recomputation.
+    /// Never fsync implicitly (only on [`RecordLog::sync`]) — for
+    /// caches whose loss costs only a recomputation.
     Never,
 }
 
@@ -115,7 +113,6 @@ pub struct RecordLog<T: Record> {
     /// Bytes known to be on disk and frame-valid; the truncate target
     /// if an append fails partway.
     len: u64,
-    unsynced: u32,
     poisoned: bool,
     _marker: PhantomData<fn() -> T>,
 }
@@ -181,7 +178,6 @@ impl<T: Record> RecordLog<T> {
                 file: Some(file),
                 policy,
                 len: scan.valid_len as u64,
-                unsynced: 0,
                 poisoned: false,
                 _marker: PhantomData,
             },
@@ -229,15 +225,8 @@ impl<T: Record> RecordLog<T> {
         }
         self.len += framed.len() as u64;
         sttlock_obs::counter("store.appends", 1);
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
+        if self.policy == FsyncPolicy::Always {
+            self.sync()?;
         }
         Ok(())
     }
@@ -268,9 +257,7 @@ impl<T: Record> RecordLog<T> {
             .file
             .as_mut()
             .ok_or_else(|| io::Error::other("record log has no open file"))?;
-        file.sync()?;
-        self.unsynced = 0;
-        Ok(())
+        file.sync()
     }
 
     /// Atomically rewrites the log to contain exactly `records`
@@ -288,7 +275,6 @@ impl<T: Record> RecordLog<T> {
         crate::fs::write_atomic_with(self.fs.as_ref(), &self.path, &bytes)?;
         self.file = Some(self.fs.open_append(&self.path)?);
         self.len = bytes.len() as u64;
-        self.unsynced = 0;
         self.poisoned = false;
         sttlock_obs::counter("store.compactions", 1);
         Ok(())
