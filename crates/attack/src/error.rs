@@ -35,8 +35,9 @@ pub enum AttackError {
     /// seen when the "oracle" is a different design or a tampered part.
     OracleContradiction,
     /// The constraint set became unsatisfiable after the DIP loop — the
-    /// same inconsistency as [`OracleContradiction`], detected at final
-    /// key extraction instead of during a query.
+    /// same inconsistency as
+    /// [`OracleContradiction`](AttackError::OracleContradiction),
+    /// detected at final key extraction instead of during a query.
     Unsatisfiable,
     /// A sequential attack was configured with a zero unroll bound.
     ZeroFrames,

@@ -49,7 +49,7 @@ use sttlock_exec::Budget;
 use sttlock_netlist::{CircuitView, HybridOverlay, Netlist, Node, NodeId, TruthTable};
 use sttlock_sat::encode::{assert_some_difference, encode};
 use sttlock_sat::{Lit, SatResult, Solver, Var};
-use sttlock_sim::tri::{Forced, PartialLut, TriSimulator};
+use sttlock_sim::tri::{PartialLut, TriSimulator, TriWord};
 use sttlock_sim::{SimError, Simulator};
 
 use crate::error::AttackError;
@@ -581,8 +581,9 @@ fn try_pattern(
     budget.charge(64);
 
     // Partial knowledge of the *other* unresolved gates narrows their X
-    // poisoning to the rows still open.
-    let with_partials = |sim: &mut TriSimulator<'_>| {
+    // poisoning to the rows still open; `g` itself is forced to `value`.
+    let hypothesis = |value: u64| -> Result<TriSimulator<'_>, SimError> {
+        let mut sim = TriSimulator::with_view(view)?;
         for (&id, rec) in &state.gates {
             if id != g && rec.resolved_rows != 0 {
                 sim.set_partial_lut(
@@ -594,26 +595,18 @@ fn try_pattern(
                 );
             }
         }
+        sim.force(g, TriWord::known(value));
+        sim.eval_frame(inputs, frame_state)?;
+        Ok(sim)
     };
 
-    let mut sim0 = TriSimulator::with_view(view);
-    with_partials(&mut sim0);
-    sim0.eval_frame(inputs, frame_state, &[Forced { node: g, value: 0 }])?;
+    let sim0 = hypothesis(0)?;
     let obs0 = sim0.observation();
     // g's input rows are read off the 0-run: fan-ins are upstream of g
     // and unaffected by the forcing (eval_frame cuts feedback via state).
     let fanin_words: Vec<_> = fanin.iter().map(|&f| sim0.value(f)).collect();
 
-    let mut sim1 = TriSimulator::with_view(view);
-    with_partials(&mut sim1);
-    sim1.eval_frame(
-        inputs,
-        frame_state,
-        &[Forced {
-            node: g,
-            value: u64::MAX,
-        }],
-    )?;
+    let sim1 = hypothesis(u64::MAX)?;
     let obs1 = sim1.observation();
 
     // Lanes where some observation point provably differs regardless of

@@ -3,7 +3,8 @@
 //!
 //! Before the shared analysis layer, every consumer (simulator, STA,
 //! path sampler, USL closure) recomputed the fanout map and topological
-//! order from scratch. `circuit_view/fresh` times that historical cost;
+//! order from scratch. `circuit_view/fresh` times that historical cost
+//! (a cold view per query, computing the fanout map, order and levels);
 //! `circuit_view/memoized` times the same queries answered from a warm
 //! view; `circuit_view/build` times one cold view (the one-off cost a
 //! flow run pays per circuit).
@@ -18,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sttlock_benchgen::{profiles, Profile};
-use sttlock_netlist::{graph, CircuitView, HybridOverlay, Netlist, NodeId};
+use sttlock_netlist::{CircuitView, HybridOverlay, Netlist, NodeId};
 
 fn quick() -> bool {
     std::env::var_os("STTLOCK_BENCH_QUICK").is_some()
@@ -41,10 +42,10 @@ fn bench_graph_facts(c: &mut Criterion) {
         // The pre-refactor pattern: each consumer recomputes the facts.
         group.bench_with_input(BenchmarkId::new("fresh", profile.name), &netlist, |b, n| {
             b.iter(|| {
-                let fanout = graph::fanout_map(n);
-                let topo = graph::topo_order(n);
-                let levels = graph::levels(n);
-                (fanout.len(), topo.len(), levels.len())
+                let fanout = CircuitView::new(n).fanout().len();
+                let topo = CircuitView::new(n).topo_order().len();
+                let levels = CircuitView::new(n).levels().len();
+                (fanout, topo, levels)
             })
         });
 

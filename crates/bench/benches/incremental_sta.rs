@@ -18,6 +18,7 @@ use rand::SeedableRng;
 
 use sttlock_benchgen::{profiles, Profile};
 use sttlock_core::select::{parametric, parametric_full_sta, SelectionConfig};
+use sttlock_exec::Budget;
 use sttlock_netlist::{CircuitView, NodeId};
 use sttlock_sta::{analyze, IncrementalSta};
 use sttlock_techlib::Library;
@@ -102,6 +103,7 @@ fn bench_selection(c: &mut Criterion) {
             &timing,
             &cfg,
             &mut StdRng::seed_from_u64(7),
+            &Budget::unbounded(),
         );
         let reference = parametric_full_sta(
             &check_view,
@@ -110,7 +112,7 @@ fn bench_selection(c: &mut Criterion) {
             &cfg,
             &mut StdRng::seed_from_u64(7),
         );
-        assert_eq!(fast, reference, "oracles diverged on {}", profile.name);
+        assert_eq!(fast, Ok(reference), "oracles diverged on {}", profile.name);
 
         // Fresh view per iteration so the one-off graph-fact cost is
         // part of the measurement, matching what a flow run pays.
@@ -120,7 +122,8 @@ fn bench_selection(c: &mut Criterion) {
             |b, n| {
                 b.iter(|| {
                     let view = CircuitView::new(n);
-                    parametric(&view, &lib, &timing, &cfg, &mut StdRng::seed_from_u64(7))
+                    let mut rng = StdRng::seed_from_u64(7);
+                    parametric(&view, &lib, &timing, &cfg, &mut rng, &Budget::unbounded())
                 })
             },
         );

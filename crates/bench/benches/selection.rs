@@ -10,6 +10,7 @@ use rand::SeedableRng;
 use sttlock_benchgen::profiles;
 use sttlock_core::select::{self, SelectionConfig};
 use sttlock_core::SelectionAlgorithm;
+use sttlock_exec::Budget;
 use sttlock_netlist::CircuitView;
 use sttlock_sta::analyze;
 use sttlock_techlib::Library;
@@ -40,9 +41,15 @@ fn bench_selection(c: &mut Criterion) {
                             SelectionAlgorithm::Dependent => {
                                 select::dependent(&view, &timing, &cfg, &mut rng)
                             }
-                            SelectionAlgorithm::ParametricAware => {
-                                select::parametric(&view, &lib, &timing, &cfg, &mut rng)
-                            }
+                            SelectionAlgorithm::ParametricAware => select::parametric(
+                                &view,
+                                &lib,
+                                &timing,
+                                &cfg,
+                                &mut rng,
+                                &Budget::unbounded(),
+                            )
+                            .expect("an unbounded budget never trips"),
                         }
                     })
                 },

@@ -9,7 +9,7 @@
 //! * [`CampaignSpec`] describes the run grid — circuits × algorithms ×
 //!   seeds × attacks — plus the execution budget (worker count, per-run
 //!   timeout, cache directory).
-//! * [`execute`](runner::execute) runs the grid with work-stealing
+//! * [`execute`] runs the grid with work-stealing
 //!   parallelism over OS threads (`std::thread::scope`), isolating each
 //!   cell so a panicking or runaway run becomes a recorded failure row
 //!   instead of aborting the whole campaign.

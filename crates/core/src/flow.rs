@@ -146,33 +146,25 @@ impl Flow {
         algorithm: SelectionAlgorithm,
         seed: u64,
     ) -> Result<FlowOutcome, FlowError> {
-        self.run_shared(&Arc::new(netlist.clone()), algorithm, seed)
+        self.run_budgeted(
+            &Arc::new(netlist.clone()),
+            algorithm,
+            seed,
+            &Budget::unbounded(),
+        )
     }
 
-    /// [`run`](Flow::run) over a shared base netlist: the campaign
-    /// engine holds one `Arc<Netlist>` per generated circuit and every
-    /// worker/algorithm cell runs against it without cloning. Gate
-    /// replacement is applied as a copy-on-write overlay over the same
-    /// base.
+    /// [`run`](Flow::run) over a shared base netlist, under a cooperative
+    /// [`Budget`]. The campaign engine holds one `Arc<Netlist>` per
+    /// generated circuit and every worker/algorithm cell runs against it
+    /// without cloning; gate replacement is applied as a copy-on-write
+    /// overlay over the same base.
     ///
-    /// # Errors
-    ///
-    /// As [`run`](Flow::run).
-    pub fn run_shared(
-        &self,
-        base: &Arc<Netlist>,
-        algorithm: SelectionAlgorithm,
-        seed: u64,
-    ) -> Result<FlowOutcome, FlowError> {
-        self.run_budgeted(base, algorithm, seed, &Budget::unbounded())
-    }
-
-    /// [`run_shared`](Flow::run_shared) under a cooperative [`Budget`]:
-    /// the budget is checked between stages and inside the selection's
+    /// The budget is checked between stages and inside the selection's
     /// timing-oracle loop (every cone query checks and charges), so a
     /// cancelled or expired request stops mid-selection rather than
-    /// running the stage to completion. With an untripped budget the
-    /// outcome is byte-identical to [`run_shared`](Flow::run_shared).
+    /// running the stage to completion. The activity stage bills its
+    /// simulated vectors. An untripped budget never changes the outcome.
     ///
     /// # Errors
     ///
@@ -198,6 +190,8 @@ impl Flow {
             let _s = sttlock_obs::span!("flow.activity", cycles = self.activity_cycles as u64);
             estimate_activity_with(&view, self.activity_cycles, &mut activity_rng)?
         };
+        // The warm-up cycle plus `activity_cycles`, 64 vectors each.
+        budget.charge(64 * (self.activity_cycles as u64 + 1));
         let base_power = analyze_power(netlist, &self.lib, &activity);
         let base_area = analyze_area(netlist, &self.lib);
         budget.check()?;
@@ -207,7 +201,7 @@ impl Flow {
         // timing engine instead of being recomputed.
         let sel_span = sttlock_obs::span!("flow.selection", algorithm = algorithm.to_string());
         let t0 = Instant::now();
-        let selection = select::run_with_view_budgeted(
+        let selection = select::run(
             &view,
             &self.lib,
             algorithm,
@@ -449,7 +443,7 @@ pub fn verify_and_repair_budgeted(
     let mut cones: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
 
     let intended: BTreeMap<NodeId, TruthTable> = bitstream.iter().copied().collect();
-    let points = observation_points(golden);
+    let points = golden_sim.observation_points();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5E1F_4EA1);
     let mut targeted: Vec<(Vec<u64>, Vec<u64>)> = Vec::new();
     let mut ever_suspected: BTreeSet<NodeId> = BTreeSet::new();
@@ -654,18 +648,6 @@ fn diff_frame(
         }
     }
     Ok(())
-}
-
-/// The node observed at each index of [`Simulator::observation`]:
-/// primary-output drivers, then flip-flop D drivers (arena order).
-fn observation_points(netlist: &Netlist) -> Vec<NodeId> {
-    let mut points: Vec<NodeId> = netlist.outputs().to_vec();
-    for (_, node) in netlist.iter() {
-        if let sttlock_netlist::Node::Dff { d } = node {
-            points.push(*d);
-        }
-    }
-    points
 }
 
 /// Names for a set of node ids, sorted by id.
@@ -921,7 +903,7 @@ mod tests {
         let n = Arc::new(circuit());
         let flow = Flow::new(Library::predictive_90nm());
         let plain = flow
-            .run_shared(&n, SelectionAlgorithm::ParametricAware, 7)
+            .run(&n, SelectionAlgorithm::ParametricAware, 7)
             .unwrap();
         let budget = Budget::unbounded();
         let budgeted = flow

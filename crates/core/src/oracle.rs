@@ -6,7 +6,7 @@
 //! selection logic is written once:
 //!
 //! * [`FullSta`] clones the netlist and runs a complete
-//!   [`analyze`](sttlock_sta::analyze) per query — the original
+//!   [`analyze`] per query — the original
 //!   (pre-incremental) behavior, kept as the reference implementation
 //!   for differential tests and the benchmarks.
 //! * [`IncrementalSta`] answers from its cached arrival state, touching

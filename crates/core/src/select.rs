@@ -13,7 +13,7 @@ use rand::Rng;
 use sttlock_exec::{Budget, BudgetError};
 use sttlock_netlist::paths::{retain_avoiding, sample_io_paths_with, IoPath, PathSamplerConfig};
 use sttlock_netlist::{CircuitView, Netlist, NodeId};
-use sttlock_sta::{analyze_with, degradation_pct_from_periods, IncrementalSta, TimingAnalysis};
+use sttlock_sta::{degradation_pct_from_periods, IncrementalSta, TimingAnalysis};
 use sttlock_techlib::Library;
 
 use crate::oracle::{FullSta, TimingOracle};
@@ -252,26 +252,12 @@ pub fn dependent<R: Rng + ?Sized>(
 /// in, and re-draw (the paper's "go to L1") on violation — shrinking the
 /// draw when retries run out. Unselected path gates form the USL; every
 /// off-path gate driving or driven by a USL gate is then also replaced.
-pub fn parametric<'a, R: Rng + ?Sized>(
-    view: &CircuitView<'a>,
-    lib: &'a Library,
-    timing: &TimingAnalysis,
-    cfg: &SelectionConfig,
-    rng: &mut R,
-) -> Selection {
-    let mut oracle = IncrementalSta::from_analysis_with(view, lib, timing);
-    parametric_with(view, timing, cfg, rng, &mut oracle, None)
-        .expect("an unbudgeted parametric selection cannot be cancelled")
-}
-
-/// [`parametric`] under a cooperative [`Budget`]: every oracle question
-/// (path-draw timing check or USL-closure probe) first checks the
-/// budget and then charges one step, so a cancelled or expired request
-/// stops mid-selection — between cone queries, not at stage boundaries.
 ///
-/// Given an untripped budget the drawing sequence is identical to
-/// [`parametric`], so the selection bytes match.
-pub fn parametric_budgeted<'a, R: Rng + ?Sized>(
+/// Every oracle question (path-draw timing check or USL-closure probe)
+/// first checks `budget` and then charges one step, so a cancelled or
+/// expired request stops mid-selection — between cone queries, not at
+/// stage boundaries. An untripped budget never changes a decision.
+pub fn parametric<'a, R: Rng + ?Sized>(
     view: &CircuitView<'a>,
     lib: &'a Library,
     timing: &TimingAnalysis,
@@ -286,10 +272,10 @@ pub fn parametric_budgeted<'a, R: Rng + ?Sized>(
 /// [`parametric`] driven by the full-reanalysis oracle ([`FullSta`]):
 /// the pre-incremental behavior, kept as the reference implementation.
 ///
-/// For a fixed seed this produces a selection byte-identical to
-/// [`parametric`] (the oracles agree bit for bit); it exists so the
-/// differential tests and the `incremental_sta` benchmark have the slow
-/// path to compare against.
+/// For a fixed seed this produces a selection byte-identical to an
+/// untripped [`parametric`] (the oracles agree bit for bit); it exists
+/// so the differential tests and the `incremental_sta` benchmark have
+/// the slow path to compare against.
 pub fn parametric_full_sta<'a, R: Rng + ?Sized>(
     view: &CircuitView<'a>,
     lib: &'a Library,
@@ -516,59 +502,17 @@ fn is_replaceable(netlist: &Netlist, id: NodeId) -> bool {
     node.gate_kind().is_some() && node.fanin().len() <= 6
 }
 
-/// Runs the chosen algorithm, analyzing baseline timing first.
-pub fn run<R: Rng + ?Sized>(
-    netlist: &Netlist,
-    lib: &Library,
-    algorithm: SelectionAlgorithm,
-    cfg: &SelectionConfig,
-    rng: &mut R,
-) -> Selection {
-    let view = CircuitView::new(netlist);
-    let timing = analyze_with(&view, lib);
-    run_with_view(&view, lib, algorithm, cfg, rng, &timing)
-}
-
-/// Runs the chosen algorithm against an existing baseline analysis,
-/// avoiding a redundant full pass when the caller has one already.
-pub fn run_with_timing<R: Rng + ?Sized>(
-    netlist: &Netlist,
-    lib: &Library,
-    algorithm: SelectionAlgorithm,
-    cfg: &SelectionConfig,
-    rng: &mut R,
-    timing: &TimingAnalysis,
-) -> Selection {
-    run_with_view(&CircuitView::new(netlist), lib, algorithm, cfg, rng, timing)
-}
-
-/// Runs the chosen algorithm over a shared [`CircuitView`], reusing its
-/// memoized fanout/topo facts across path sampling, the incremental
-/// timing oracle and the USL closure. Callers holding a view (e.g.
-/// [`crate::Flow`]) go through here so the graph facts are computed
-/// once per circuit.
-pub fn run_with_view<'a, R: Rng + ?Sized>(
-    view: &CircuitView<'a>,
-    lib: &'a Library,
-    algorithm: SelectionAlgorithm,
-    cfg: &SelectionConfig,
-    rng: &mut R,
-    timing: &TimingAnalysis,
-) -> Selection {
-    match algorithm {
-        SelectionAlgorithm::Independent => independent(view, timing, cfg, rng),
-        SelectionAlgorithm::Dependent => dependent(view, timing, cfg, rng),
-        SelectionAlgorithm::ParametricAware => parametric(view, lib, timing, cfg, rng),
-    }
-}
-
-/// [`run_with_view`] under a cooperative [`Budget`].
+/// Runs the chosen algorithm over a shared [`CircuitView`] and the
+/// baseline timing analysis, under a cooperative [`Budget`]. The view's
+/// memoized fanout/topo facts serve path sampling, the incremental
+/// timing oracle and the USL closure, so they are computed once per
+/// circuit.
 ///
 /// The parametric algorithm checks (and charges) the budget on every
 /// timing-oracle question; the cheaper sampling-only algorithms check
-/// before and after their path work. Given an untripped budget the
-/// selection is identical to [`run_with_view`].
-pub fn run_with_view_budgeted<'a, R: Rng + ?Sized>(
+/// before and after their path work. An untripped budget never changes
+/// the selection.
+pub fn run<'a, R: Rng + ?Sized>(
     view: &CircuitView<'a>,
     lib: &'a Library,
     algorithm: SelectionAlgorithm,
@@ -589,9 +533,7 @@ pub fn run_with_view_budgeted<'a, R: Rng + ?Sized>(
             budget.check()?;
             Ok(sel)
         }
-        SelectionAlgorithm::ParametricAware => {
-            parametric_budgeted(view, lib, timing, cfg, rng, budget)
-        }
+        SelectionAlgorithm::ParametricAware => parametric(view, lib, timing, cfg, rng, budget),
     }
 }
 
@@ -601,10 +543,32 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sttlock_benchgen::Profile;
-    use sttlock_sta::{analyze, performance_degradation_pct};
+    use sttlock_sta::{analyze, analyze_with, performance_degradation_pct};
 
     fn circuit() -> Netlist {
         Profile::custom("sel", 220, 8, 8, 6).generate(&mut StdRng::seed_from_u64(5))
+    }
+
+    /// [`run`] over a fresh view and baseline analysis, unbudgeted.
+    fn run_fresh(
+        n: &Netlist,
+        lib: &Library,
+        algorithm: SelectionAlgorithm,
+        cfg: &SelectionConfig,
+        rng: &mut StdRng,
+    ) -> Selection {
+        let view = CircuitView::new(n);
+        let timing = analyze_with(&view, lib);
+        run(
+            &view,
+            lib,
+            algorithm,
+            cfg,
+            rng,
+            &timing,
+            &Budget::unbounded(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -612,7 +576,7 @@ mod tests {
         let n = circuit();
         let lib = Library::predictive_90nm();
         let mut rng = StdRng::seed_from_u64(1);
-        let sel = run(
+        let sel = run_fresh(
             &n,
             &lib,
             SelectionAlgorithm::Independent,
@@ -631,7 +595,7 @@ mod tests {
         let n = circuit();
         let lib = Library::predictive_90nm();
         let mut rng = StdRng::seed_from_u64(2);
-        let sel = run(
+        let sel = run_fresh(
             &n,
             &lib,
             SelectionAlgorithm::Dependent,
@@ -675,7 +639,15 @@ mod tests {
         let timing = analyze(&n, &lib);
         let mut rng = StdRng::seed_from_u64(4);
         let cfg = SelectionConfig::default();
-        let sel = parametric(&CircuitView::new(&n), &lib, &timing, &cfg, &mut rng);
+        let sel = parametric(
+            &CircuitView::new(&n),
+            &lib,
+            &timing,
+            &cfg,
+            &mut rng,
+            &Budget::unbounded(),
+        )
+        .unwrap();
         assert!(!sel.gates.is_empty());
         // The on-path picks respected the budget during selection; the
         // USL closure may add off-path gates. Verify the paper's claim
@@ -714,7 +686,9 @@ mod tests {
             &timing,
             &SelectionConfig::default(),
             &mut rng,
-        );
+            &Budget::unbounded(),
+        )
+        .unwrap();
         // Closure gates are part of the selection.
         let set: HashSet<NodeId> = sel.gates.iter().copied().collect();
         for c in &sel.usl_closure {
@@ -728,8 +702,8 @@ mod tests {
         let lib = Library::predictive_90nm();
         let cfg = SelectionConfig::default();
         for alg in SelectionAlgorithm::ALL {
-            let a = run(&n, &lib, alg, &cfg, &mut StdRng::seed_from_u64(9));
-            let b = run(&n, &lib, alg, &cfg, &mut StdRng::seed_from_u64(9));
+            let a = run_fresh(&n, &lib, alg, &cfg, &mut StdRng::seed_from_u64(9));
+            let b = run_fresh(&n, &lib, alg, &cfg, &mut StdRng::seed_from_u64(9));
             assert_eq!(a, b, "{alg}");
         }
     }
@@ -752,7 +726,9 @@ mod tests {
                 &timing,
                 &cfg,
                 &mut StdRng::seed_from_u64(seed * 7 + 1),
-            );
+                &Budget::unbounded(),
+            )
+            .unwrap();
             let reference = parametric_full_sta(
                 &view,
                 &lib,
@@ -839,7 +815,7 @@ mod tests {
             let n = sttlock_benchgen::profiles::by_name(name)
                 .unwrap()
                 .generate(&mut StdRng::seed_from_u64(42));
-            let sel = run(
+            let sel = run_fresh(
                 &n,
                 &lib,
                 SelectionAlgorithm::ParametricAware,
@@ -896,7 +872,15 @@ mod tests {
             ..SelectionConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(0);
-        let sel = parametric(&CircuitView::new(&n), &lib, &timing, &cfg, &mut rng);
+        let sel = parametric(
+            &CircuitView::new(&n),
+            &lib,
+            &timing,
+            &cfg,
+            &mut rng,
+            &Budget::unbounded(),
+        )
+        .unwrap();
         let spy = n.find("spy").unwrap();
         assert!(
             sel.usl_closure.contains(&spy),
@@ -916,16 +900,17 @@ mod tests {
         let view = CircuitView::new(&n);
         let cfg = SelectionConfig::default();
         for alg in SelectionAlgorithm::ALL {
-            let plain = run_with_view(
-                &view,
-                &lib,
-                alg,
-                &cfg,
-                &mut StdRng::seed_from_u64(11),
-                &timing,
-            );
+            let mut rng = StdRng::seed_from_u64(11);
+            let plain = match alg {
+                SelectionAlgorithm::Independent => independent(&view, &timing, &cfg, &mut rng),
+                SelectionAlgorithm::Dependent => dependent(&view, &timing, &cfg, &mut rng),
+                SelectionAlgorithm::ParametricAware => {
+                    let mut oracle = IncrementalSta::from_analysis_with(&view, &lib, &timing);
+                    parametric_with(&view, &timing, &cfg, &mut rng, &mut oracle, None).unwrap()
+                }
+            };
             let budget = Budget::unbounded();
-            let budgeted = run_with_view_budgeted(
+            let budgeted = run(
                 &view,
                 &lib,
                 alg,
@@ -942,7 +927,7 @@ mod tests {
         }
         let cancelled = Budget::unbounded();
         cancelled.cancel();
-        let err = run_with_view_budgeted(
+        let err = run(
             &view,
             &lib,
             SelectionAlgorithm::ParametricAware,
@@ -966,7 +951,7 @@ mod tests {
         let n = b.finish().unwrap();
         let lib = Library::predictive_90nm();
         let mut rng = StdRng::seed_from_u64(10);
-        let sel = run(
+        let sel = run_fresh(
             &n,
             &lib,
             SelectionAlgorithm::Independent,

@@ -16,6 +16,7 @@ use sttlock_benchgen::Profile;
 use sttlock_core::harden::{harden, HardenConfig};
 use sttlock_core::select::{self, SelectionConfig};
 use sttlock_core::{replace, Flow, SelectionAlgorithm};
+use sttlock_exec::Budget;
 use sttlock_netlist::CircuitView;
 use sttlock_sim::Simulator;
 use sttlock_sta::analyze_with;
@@ -130,14 +131,16 @@ proptest! {
         let lib = Library::predictive_90nm();
         let view = CircuitView::new(&netlist);
         let timing = analyze_with(&view, &lib);
-        let selection = select::run_with_view(
+        let selection = select::run(
             &view,
             &lib,
             alg,
             &SelectionConfig::default(),
             &mut StdRng::seed_from_u64(select_seed),
             &timing,
-        );
+            &Budget::unbounded(),
+        )
+        .expect("an unbounded budget never trips");
 
         let legacy = replace::apply(&netlist, &selection);
         let cow = replace::apply_overlay(Arc::new(netlist.clone()), &selection);

@@ -5,10 +5,10 @@
 //! * an optional wall-clock **deadline** — pre-minimised against the
 //!   parent's at derivation time, so a child can only ever tighten it;
 //! * an optional **step budget** — an abstract work limit (the attack
-//!   bills simulated test clocks, the selection bills timing
-//!   probes). [`Budget::charge`] bills the node *and every
-//!   ancestor*, which makes sibling budgets disjoint draws on one
-//!   shared parent pool;
+//!   bills simulated test clocks, activity estimation and repair bill
+//!   simulated vectors, the selection bills timing probes).
+//!   [`Budget::charge`] bills the node *and every ancestor*, which makes
+//!   sibling budgets disjoint draws on one shared parent pool;
 //! * a **cancel flag** — checking walks the ancestor chain, so
 //!   cancelling any node cancels its whole subtree without bookkeeping.
 //!

@@ -10,7 +10,7 @@
 //!   retention flips and stuck-at-0/1 rows of programmed LUTs, plus a
 //!   stuck-at probability for plain CMOS gates.
 //! * [`FaultInjector`] — applies a model to a programmed hybrid through
-//!   a [`HybridOverlay`], so injection never clones the base netlist,
+//!   a [`HybridOverlay`](sttlock_netlist::HybridOverlay), so injection never clones the base netlist,
 //!   and doubles as the [`ProgrammingChannel`] the repair loop writes
 //!   through (stuck cells persist across re-programming; every write
 //!   re-rolls the write-failure dice).

@@ -1,4 +1,6 @@
-//! Graph algorithms over the combinational core of a [`Netlist`].
+//! Graph algorithms over the combinational core of a [`Netlist`]: the
+//! workers behind [`CircuitView`](crate::view::CircuitView), which
+//! memoizes their answers and is the only way to reach them.
 //!
 //! The sequential netlist is treated as a DAG whose sources are primary
 //! inputs, constants and flip-flop outputs, and whose sinks are primary
@@ -12,7 +14,8 @@ use crate::id::NodeId;
 use crate::netlist::Netlist;
 
 /// A topological order of the combinational nodes (gates and LUTs) such
-/// that every node appears after all of its combinational fan-ins.
+/// that every node appears after all of its combinational fan-ins, given
+/// the fan-out map.
 ///
 /// Sources (inputs, constants, flip-flops) are not included; they may be
 /// treated as level 0.
@@ -21,14 +24,6 @@ use crate::netlist::Netlist;
 ///
 /// Panics if the netlist contains a combinational cycle, which a validated
 /// [`Netlist`] cannot.
-pub fn topo_order(netlist: &Netlist) -> Vec<NodeId> {
-    topo_order_with(netlist, &fanout_map(netlist))
-}
-
-/// [`topo_order`] against a precomputed fan-out map — the shared
-/// implementation behind the free function and
-/// [`CircuitView`](crate::view::CircuitView), guaranteeing both produce
-/// the same order.
 pub(crate) fn topo_order_with(netlist: &Netlist, fanout: &[Vec<NodeId>]) -> Vec<NodeId> {
     let n = netlist.len();
     let mut indeg = vec![0u32; n];
@@ -66,7 +61,7 @@ pub(crate) fn topo_order_with(netlist: &Netlist, fanout: &[Vec<NodeId>]) -> Vec<
 
 /// The fan-out map: `fanout[i]` lists every node that reads node `i`
 /// (combinational readers *and* flip-flop D pins).
-pub fn fanout_map(netlist: &Netlist) -> Vec<Vec<NodeId>> {
+pub(crate) fn fanout_map(netlist: &Netlist) -> Vec<Vec<NodeId>> {
     let mut fanout: Vec<Vec<NodeId>> = vec![Vec::new(); netlist.len()];
     for (id, node) in netlist.iter() {
         for &f in node.fanin() {
@@ -76,13 +71,9 @@ pub fn fanout_map(netlist: &Netlist) -> Vec<Vec<NodeId>> {
     fanout
 }
 
-/// Logic level of every node: sources are level 0; a combinational node is
-/// one more than its deepest combinational fan-in.
-pub fn levels(netlist: &Netlist) -> Vec<u32> {
-    levels_with(netlist, &topo_order(netlist))
-}
-
-/// [`levels`] against a precomputed topological order.
+/// Logic level of every node, given a topological order: sources are
+/// level 0; a combinational node is one more than its deepest
+/// combinational fan-in.
 pub(crate) fn levels_with(netlist: &Netlist, topo: &[NodeId]) -> Vec<u32> {
     let mut level = vec![0u32; netlist.len()];
     for &id in topo {
@@ -104,14 +95,9 @@ pub(crate) fn levels_with(netlist: &Netlist, topo: &[NodeId]) -> Vec<u32> {
     level
 }
 
-/// The maximum logic level of the netlist (0 for purely sequential wiring).
-pub fn comb_depth(netlist: &Netlist) -> u32 {
-    levels(netlist).into_iter().max().unwrap_or(0)
-}
-
 /// The transitive fan-in cone of `roots`, crossing flip-flops if
 /// `cross_dffs` is set. The result includes the roots themselves.
-pub fn fanin_cone(netlist: &Netlist, roots: &[NodeId], cross_dffs: bool) -> Vec<NodeId> {
+pub(crate) fn fanin_cone(netlist: &Netlist, roots: &[NodeId], cross_dffs: bool) -> Vec<NodeId> {
     let mut seen = vec![false; netlist.len()];
     let mut stack: Vec<NodeId> = roots.to_vec();
     let mut cone = Vec::new();
@@ -131,13 +117,9 @@ pub fn fanin_cone(netlist: &Netlist, roots: &[NodeId], cross_dffs: bool) -> Vec<
     cone
 }
 
-/// The transitive fan-out cone of `roots`, crossing flip-flops if
-/// `cross_dffs` is set. The result includes the roots themselves.
-pub fn fanout_cone(netlist: &Netlist, roots: &[NodeId], cross_dffs: bool) -> Vec<NodeId> {
-    fanout_cone_with(netlist, &fanout_map(netlist), roots, cross_dffs)
-}
-
-/// [`fanout_cone`] against a precomputed fan-out map.
+/// The transitive fan-out cone of `roots` over the fan-out map, crossing
+/// flip-flops if `cross_dffs` is set. The result includes the roots
+/// themselves.
 pub(crate) fn fanout_cone_with(
     netlist: &Netlist,
     fanout: &[Vec<NodeId>],
@@ -169,14 +151,10 @@ pub(crate) fn fanout_cone_with(
     cone
 }
 
-/// Whether `target` is combinationally reachable from `from` (never
-/// crossing flip-flops). Used to check the "dependent" property: a missing
-/// gate drives another missing gate through pure logic.
-pub fn comb_reachable(netlist: &Netlist, from: NodeId, target: NodeId) -> bool {
-    comb_reachable_with(netlist, &fanout_map(netlist), from, target)
-}
-
-/// [`comb_reachable`] against a precomputed fan-out map.
+/// Whether `target` is combinationally reachable from `from` over the
+/// fan-out map (never crossing flip-flops). Used to check the "dependent"
+/// property: a missing gate drives another missing gate through pure
+/// logic.
 pub(crate) fn comb_reachable_with(
     netlist: &Netlist,
     fanout: &[Vec<NodeId>],
@@ -210,6 +188,7 @@ mod tests {
     use super::*;
     use crate::netlist::NetlistBuilder;
     use crate::node::GateKind;
+    use crate::view::CircuitView;
 
     /// a ─┬─ g1(NOT) ── g2(AND) ── q(DFF) ── g3(OR) ── out
     ///    └────────────────┘                    │
@@ -229,7 +208,8 @@ mod tests {
     #[test]
     fn topo_respects_dependencies() {
         let n = chain();
-        let order = topo_order(&n);
+        let view = CircuitView::new(&n);
+        let order = view.topo_order();
         assert_eq!(order.len(), 3);
         let pos = |name: &str| order.iter().position(|&x| x == n.find(name).unwrap());
         assert!(pos("g1").unwrap() < pos("g2").unwrap());
@@ -240,11 +220,12 @@ mod tests {
     #[test]
     fn levels_count_comb_depth() {
         let n = chain();
-        let lv = levels(&n);
+        let view = CircuitView::new(&n);
+        let lv = view.levels();
         assert_eq!(lv[n.find("g1").unwrap().index()], 1);
         assert_eq!(lv[n.find("g2").unwrap().index()], 2);
         assert_eq!(lv[n.find("g3").unwrap().index()], 1); // restarts after DFF
-        assert_eq!(comb_depth(&n), 2);
+        assert_eq!(view.comb_depth(), 2);
     }
 
     #[test]
@@ -274,10 +255,11 @@ mod tests {
     fn fanout_cone_boundary() {
         let n = chain();
         let g2 = n.find("g2").unwrap();
-        let cone = fanout_cone(&n, &[g2], false);
+        let view = CircuitView::new(&n);
+        let cone = view.fanout_cone(&[g2], false);
         assert!(cone.contains(&n.find("q").unwrap())); // boundary recorded
         assert!(!cone.contains(&n.find("g3").unwrap())); // not crossed
-        let cone_cross = fanout_cone(&n, &[g2], true);
+        let cone_cross = view.fanout_cone(&[g2], true);
         assert!(cone_cross.contains(&n.find("g3").unwrap()));
     }
 
@@ -287,8 +269,9 @@ mod tests {
         let g1 = n.find("g1").unwrap();
         let g2 = n.find("g2").unwrap();
         let g3 = n.find("g3").unwrap();
-        assert!(comb_reachable(&n, g1, g2));
-        assert!(!comb_reachable(&n, g1, g3)); // blocked by the DFF
-        assert!(comb_reachable(&n, g3, g3)); // trivially
+        let view = CircuitView::new(&n);
+        assert!(view.comb_reachable(g1, g2));
+        assert!(!view.comb_reachable(g1, g3)); // blocked by the DFF
+        assert!(view.comb_reachable(g3, g3)); // trivially
     }
 }

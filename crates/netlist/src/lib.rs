@@ -11,11 +11,11 @@
 //!   references and flip-flop feedback loops.
 //! * [`TruthTable`] — up-to-6-input truth tables with the pairwise
 //!   *similarity* measure the paper uses to derive the α attack constants.
-//! * [`graph`] — topological ordering, logic levels, fan-out maps and cone
-//!   extraction over the combinational core.
-//! * [`view::CircuitView`] — the shared analysis layer: each graph fact
-//!   is computed at most once per circuit and every consumer (simulation,
-//!   timing, SAT encoding, selection, attacks) reads the same memo.
+//! * [`view::CircuitView`] — the shared analysis layer over the
+//!   combinational core: topological order, logic levels, fan-out maps
+//!   and cones. Each graph fact is computed at most once per circuit and
+//!   every consumer (simulation, timing, SAT encoding, selection,
+//!   attacks) reads the same memo.
 //! * [`overlay::HybridOverlay`] — copy-on-write hybrid variants: one
 //!   immutable base netlist plus sparse LUT-replacement edits, with a
 //!   [`materialize`](overlay::HybridOverlay::materialize) path that is
@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod graph;
 mod id;
 mod netlist;
 mod node;
@@ -56,7 +57,6 @@ mod set;
 mod truth;
 
 pub mod bench_format;
-pub mod graph;
 pub mod overlay;
 pub mod paths;
 pub mod verilog;

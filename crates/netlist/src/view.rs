@@ -66,8 +66,7 @@ impl<'a> CircuitView<'a> {
     }
 
     /// The fan-out map: `fanout()[i]` lists every reader of node `i`
-    /// (combinational readers *and* flip-flop D pins), identical to
-    /// [`graph::fanout_map`].
+    /// (combinational readers *and* flip-flop D pins).
     pub fn fanout(&self) -> &[Vec<NodeId>] {
         self.fanout_handle()
     }
@@ -110,8 +109,9 @@ impl<'a> CircuitView<'a> {
             .get_or_init(|| Arc::new(graph::topo_order_with(self.netlist, self.fanout())))
     }
 
-    /// A topological order of the combinational nodes, identical to
-    /// [`graph::topo_order`].
+    /// A topological order of the combinational nodes (gates and LUTs):
+    /// every node appears after all of its combinational fan-ins.
+    /// Sources (inputs, constants, flip-flops) are not included.
     pub fn topo_order(&self) -> &[NodeId] {
         self.topo_handle()
     }
@@ -121,13 +121,14 @@ impl<'a> CircuitView<'a> {
         Arc::clone(self.topo_handle())
     }
 
-    /// Logic level per node, identical to [`graph::levels`].
+    /// Logic level per node: sources are level 0; a combinational node
+    /// is one more than its deepest combinational fan-in.
     pub fn levels(&self) -> &[u32] {
         self.levels
             .get_or_init(|| Arc::new(graph::levels_with(self.netlist, self.topo_order())))
     }
 
-    /// The maximum logic level, identical to [`graph::comb_depth`].
+    /// The maximum logic level (0 for purely sequential wiring).
     pub fn comb_depth(&self) -> u32 {
         self.levels().iter().copied().max().unwrap_or(0)
     }
@@ -138,22 +139,22 @@ impl<'a> CircuitView<'a> {
             .get_or_init(|| Arc::new(self.netlist.outputs().iter().copied().collect()))
     }
 
-    /// The transitive fan-in cone of `roots`, identical to
-    /// [`graph::fanin_cone`]. (Fan-in walks need no memoized map; this is
-    /// here so consumers never reach around the view.)
+    /// The transitive fan-in cone of `roots`, crossing flip-flops if
+    /// `cross_dffs` is set; the roots included. (Fan-in walks need no
+    /// memoized map.)
     pub fn fanin_cone(&self, roots: &[NodeId], cross_dffs: bool) -> Vec<NodeId> {
         graph::fanin_cone(self.netlist, roots, cross_dffs)
     }
 
-    /// The transitive fan-out cone of `roots`, identical to
-    /// [`graph::fanout_cone`] but reusing the memoized fan-out map.
+    /// The transitive fan-out cone of `roots`, crossing flip-flops if
+    /// `cross_dffs` is set; the roots included, and uncrossed flip-flops
+    /// recorded as the boundary.
     pub fn fanout_cone(&self, roots: &[NodeId], cross_dffs: bool) -> Vec<NodeId> {
         graph::fanout_cone_with(self.netlist, self.fanout(), roots, cross_dffs)
     }
 
-    /// Whether `target` is combinationally reachable from `from`,
-    /// identical to [`graph::comb_reachable`] but reusing the memoized
-    /// fan-out map.
+    /// Whether `target` is combinationally reachable from `from` (never
+    /// crossing flip-flops).
     pub fn comb_reachable(&self, from: NodeId, target: NodeId) -> bool {
         graph::comb_reachable_with(self.netlist, self.fanout(), from, target)
     }
@@ -175,27 +176,6 @@ mod tests {
         b.gate("g3", GateKind::Or, &["q", "b"]);
         b.output("g3");
         b.finish().unwrap()
-    }
-
-    #[test]
-    fn answers_match_free_functions() {
-        let n = chain();
-        let v = CircuitView::new(&n);
-        assert_eq!(v.topo_order(), graph::topo_order(&n).as_slice());
-        assert_eq!(v.fanout(), graph::fanout_map(&n).as_slice());
-        assert_eq!(v.levels(), graph::levels(&n).as_slice());
-        assert_eq!(v.comb_depth(), graph::comb_depth(&n));
-        let g2 = n.find("g2").unwrap();
-        let g3 = n.find("g3").unwrap();
-        assert_eq!(
-            v.fanout_cone(&[g2], false),
-            graph::fanout_cone(&n, &[g2], false)
-        );
-        assert_eq!(
-            v.fanin_cone(&[g3], true),
-            graph::fanin_cone(&n, &[g3], true)
-        );
-        assert_eq!(v.comb_reachable(g2, g3), graph::comb_reachable(&n, g2, g3));
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use sttlock_netlist::{
-    bench_format, graph, verilog, CircuitView, GateKind, HybridOverlay, NetlistBuilder,
-    NetlistError, TruthTable,
+    bench_format, verilog, CircuitView, GateKind, HybridOverlay, NetlistBuilder, NetlistError,
+    TruthTable,
 };
 
 fn arb_table(inputs: usize) -> impl Strategy<Value = TruthTable> {
@@ -116,11 +116,12 @@ proptest! {
     #[test]
     fn random_circuits_validate_and_level(n in arb_circuit()) {
         prop_assert!(n.check_acyclic().is_ok());
-        let order = graph::topo_order(&n);
+        let view = CircuitView::new(&n);
+        let order = view.topo_order();
         prop_assert_eq!(order.len(), n.gate_count());
         // Levels respect the topological order.
-        let levels = graph::levels(&n);
-        for &id in &order {
+        let levels = view.levels();
+        for &id in order {
             for &f in n.node(id).fanin() {
                 if n.node(f).is_combinational() {
                     prop_assert!(levels[f.index()] < levels[id.index()]);
@@ -285,9 +286,9 @@ proptest! {
         prop_assert_eq!(untouched, (*base).clone());
     }
 
-    /// After any run of overlay edits, a fresh view over the
-    /// materialized variant answers exactly like the free `graph::*`
-    /// recomputations — and, because LUT swaps preserve wiring, exactly
+    /// After any run of overlay edits, a view over the materialized
+    /// variant answers exactly like a second fresh view queried in the
+    /// opposite order — and, because LUT swaps preserve wiring, exactly
     /// like the memoized view of the shared base.
     #[test]
     fn view_matches_fresh_recomputation_after_overlay_edits(
@@ -312,22 +313,17 @@ proptest! {
             }
             let mat = overlay.materialize();
             let view = CircuitView::new(&mat);
-            let fresh_topo = graph::topo_order(&mat);
-            let fresh_fanout = graph::fanout_map(&mat);
-            let fresh_levels = graph::levels(&mat);
-            prop_assert_eq!(view.topo_order(), fresh_topo.as_slice());
-            prop_assert_eq!(view.fanout(), fresh_fanout.as_slice());
-            prop_assert_eq!(view.levels(), fresh_levels.as_slice());
-            prop_assert_eq!(view.comb_depth(), graph::comb_depth(&mat));
+            let fresh = CircuitView::new(&mat);
             let roots = [gates[0]];
-            prop_assert_eq!(
-                view.fanin_cone(&roots, true),
-                graph::fanin_cone(&mat, &roots, true)
-            );
-            prop_assert_eq!(
-                view.fanout_cone(&roots, false),
-                graph::fanout_cone(&mat, &roots, false)
-            );
+            let fresh_cone_out = fresh.fanout_cone(&roots, false);
+            let fresh_cone_in = fresh.fanin_cone(&roots, true);
+            let fresh_depth = fresh.comb_depth();
+            prop_assert_eq!(view.topo_order(), fresh.topo_order());
+            prop_assert_eq!(view.fanout(), fresh.fanout());
+            prop_assert_eq!(view.levels(), fresh.levels());
+            prop_assert_eq!(view.comb_depth(), fresh_depth);
+            prop_assert_eq!(view.fanin_cone(&roots, true), fresh_cone_in);
+            prop_assert_eq!(view.fanout_cone(&roots, false), fresh_cone_out);
             // LUT swaps never rewire fan-ins, so the *base* view's facts
             // remain valid for every materialized variant.
             prop_assert_eq!(base_view.topo_order(), view.topo_order());

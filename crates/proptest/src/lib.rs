@@ -2,9 +2,10 @@
 //! sttlock's property tests use.
 //!
 //! The build environment has no access to crates.io, so this crate
-//! re-creates the pieces the workspace imports: the [`Strategy`] trait
-//! with `prop_map`/`prop_flat_map`, `any::<T>()`, `Just`, integer-range
-//! strategies, `prop::collection::vec`, `prop::sample::select`,
+//! re-creates the pieces the workspace imports: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`/`prop_flat_map`,
+//! `any::<T>()`, `Just`, integer-range strategies,
+//! `prop::collection::vec`, `prop::sample::select`,
 //! `prop::bool::ANY`, the `proptest!`/`prop_assert!`/`prop_assert_eq!`
 //! macros, `ProptestConfig` and `TestCaseError`.
 //!

@@ -14,7 +14,6 @@
 //!   Redacted LUTs contribute *key variables* (one per truth-table row),
 //!   so a model of the CNF is a consistent hypothesis about the missing
 //!   gates.
-//! * [`dimacs`] — DIMACS CNF reading/writing for interop and tests.
 //!
 //! # Example
 //!
@@ -33,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dimacs;
 pub mod encode;
 pub mod equiv;
 pub mod unroll;

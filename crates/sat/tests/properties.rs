@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use sttlock_benchgen::Profile;
 use sttlock_sat::encode::encode;
-use sttlock_sat::{dimacs, Lit, SatResult, Solver, Var};
+use sttlock_sat::{Lit, SatResult, Solver, Var};
 use sttlock_sim::Simulator;
 
 /// Random small CNF: up to 12 variables, up to 40 3-ish-literal clauses.
@@ -86,24 +86,6 @@ proptest! {
         }
         // The solver is still reusable afterwards.
         prop_assert_eq!(s.solve(), base);
-    }
-
-    #[test]
-    fn dimacs_round_trip_preserves_satisfiability((nvars, clauses) in arb_cnf()) {
-        let cnf = dimacs::Cnf {
-            num_vars: nvars,
-            clauses: clauses
-                .iter()
-                .map(|c| {
-                    c.iter()
-                        .map(|&(v, neg)| Lit::new(Var::from_index(v), neg))
-                        .collect()
-                })
-                .collect(),
-        };
-        let text = dimacs::write(&cnf);
-        let back = dimacs::parse(&text).expect("own output parses");
-        prop_assert_eq!(back.into_solver().solve(), cnf.into_solver().solve());
     }
 }
 

@@ -10,8 +10,8 @@ use rand::Rng;
 
 use sttlock_netlist::{CircuitView, Netlist, NodeId};
 
-use crate::bitpar::Simulator;
 use crate::error::SimError;
+use crate::Simulator;
 
 /// Per-net switching activity measured by simulation.
 #[derive(Debug, Clone, PartialEq)]

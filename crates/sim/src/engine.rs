@@ -1,65 +1,116 @@
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use sttlock_netlist::{CircuitView, Netlist, Node, NodeId};
+use sttlock_netlist::{CircuitView, GateKind, Netlist, Node, NodeId, TruthTable};
 
 use crate::error::SimError;
+use crate::tri::PartialLut;
 
-/// A 64-lane bit-parallel two-valued cycle simulator.
+/// A 64-lane value domain the [`Engine`] evaluates in: what differs
+/// between two-valued (`u64`) and three-valued
+/// ([`TriWord`](crate::tri::TriWord)) simulation.
+pub trait Logic: Copy + PartialEq + std::fmt::Debug {
+    /// The value every net and flip-flop holds after [`Engine::reset`].
+    const POWER_UP: Self;
+    /// Whether redacted LUTs (unknown functions) can be simulated.
+    const REDACTED_LUTS: bool;
+
+    /// A fully known word: primary inputs, constants and scan state.
+    fn known(word: u64) -> Self;
+
+    /// A standard cell over its fan-in values, in one pass.
+    fn gate(kind: GateKind, fanin: impl Iterator<Item = Self>) -> Self;
+
+    /// A programmed LUT over its fan-in values.
+    fn lut(table: &TruthTable, fanin: &[Self]) -> Self;
+
+    /// A redacted LUT over its fan-in values, given what is known of
+    /// its truth table. Only reached when [`REDACTED_LUTS`](Logic::REDACTED_LUTS)
+    /// holds.
+    fn redacted(partial: Option<&PartialLut>, fanin: &[Self]) -> Self;
+}
+
+impl Logic for u64 {
+    const POWER_UP: u64 = 0;
+    const REDACTED_LUTS: bool = false;
+
+    #[inline]
+    fn known(word: u64) -> u64 {
+        word
+    }
+
+    #[inline]
+    fn gate(kind: GateKind, mut it: impl Iterator<Item = u64>) -> u64 {
+        use GateKind::*;
+        match kind {
+            Buf => it.next().unwrap_or(0),
+            Not => !it.next().unwrap_or(0),
+            And => it.fold(u64::MAX, |a, b| a & b),
+            Nand => !it.fold(u64::MAX, |a, b| a & b),
+            Or => it.fold(0, |a, b| a | b),
+            Nor => !it.fold(0, |a, b| a | b),
+            Xor => it.fold(0, |a, b| a ^ b),
+            Xnor => !it.fold(0, |a, b| a ^ b),
+        }
+    }
+
+    #[inline]
+    fn lut(table: &TruthTable, fanin: &[u64]) -> u64 {
+        table.eval_parallel(fanin)
+    }
+
+    fn redacted(_: Option<&PartialLut>, _: &[u64]) -> u64 {
+        unreachable!("the two-valued engine rejects redacted LUTs at construction")
+    }
+}
+
+/// A 64-lane bit-parallel cycle simulator over the value domain `V`.
 ///
-/// Bit `l` of every word belongs to lane `l`: the simulator advances 64
-/// independent pattern streams per [`step`](Simulator::step). Flip-flops
-/// power up at 0 (all lanes), matching the usual reset assumption of the
-/// ISCAS '89 benchmarks.
+/// Bit `l` of every word belongs to lane `l`: the engine advances 64
+/// independent pattern streams per [`step`](Engine::step). Use it
+/// through [`Simulator`](crate::Simulator) (two-valued, flip-flops power
+/// up at 0) or [`TriSimulator`](crate::tri::TriSimulator) (0/1/X,
+/// flip-flops power up at X).
 #[derive(Debug, Clone)]
-pub struct Simulator<'a> {
+pub struct Engine<'a, V: Logic> {
     netlist: &'a Netlist,
     order: Arc<Vec<NodeId>>,
     /// Current net values, one word per node.
-    values: Vec<u64>,
-    /// Registered state for DFF nodes (indexed like `values`, unused
-    /// entries stay 0).
-    state: Vec<u64>,
-    /// Stuck-at overrides, sorted by node id: the node's value word is
-    /// pinned to the given word in every evaluation (all 64 lanes
-    /// independently, so a lane mask can model per-lane faults).
-    forces: Vec<(NodeId, u64)>,
+    values: Vec<V>,
+    /// Registered state for DFF nodes (indexed like `values`; other
+    /// entries are unused).
+    state: Vec<V>,
+    /// Overrides sorted by node id: the node's value is pinned to the
+    /// given word in every evaluation (all 64 lanes independently, so a
+    /// lane mask can model per-lane faults).
+    forces: Vec<(NodeId, V)>,
+    /// Partial truth-table knowledge of redacted LUTs.
+    partial: HashMap<NodeId, PartialLut>,
 }
 
-impl<'a> Simulator<'a> {
-    /// Prepares a simulator for `netlist`.
+impl<'a, V: Logic> Engine<'a, V> {
+    /// Prepares an engine for `netlist`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnprogrammedLut`] if the netlist contains a
-    /// redacted LUT — the two-valued engine needs every function defined.
+    /// redacted LUT and the domain cannot represent an unknown function
+    /// (two-valued simulation needs every function defined).
     pub fn new(netlist: &'a Netlist) -> Result<Self, SimError> {
         Self::with_view(&CircuitView::new(netlist))
     }
 
-    /// Prepares a simulator against a shared [`CircuitView`], reusing
-    /// its memoized topological order instead of recomputing one.
+    /// Prepares an engine against a shared [`CircuitView`], reusing its
+    /// memoized topological order instead of recomputing one.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnprogrammedLut`] if the netlist contains a
-    /// redacted LUT — the two-valued engine needs every function defined.
+    /// As [`new`](Engine::new).
     pub fn with_view(view: &CircuitView<'a>) -> Result<Self, SimError> {
-        let netlist = view.netlist();
-        if let Some(id) = netlist.first_unprogrammed_lut() {
-            return Err(SimError::UnprogrammedLut {
-                name: netlist.node_name(id).to_owned(),
-            });
-        }
-        Ok(Simulator {
-            netlist,
-            order: view.topo_order_arc(),
-            values: vec![0; netlist.len()],
-            state: vec![0; netlist.len()],
-            forces: Vec::new(),
-        })
+        Self::with_order(view.netlist(), view.topo_order_arc())
     }
 
-    /// Prepares a simulator from an explicit topological order — for
+    /// Prepares an engine from an explicit topological order — for
     /// callers holding many structure-identical netlist variants (e.g.
     /// the attack's hypothesis candidates) that share one order.
     ///
@@ -69,20 +120,22 @@ impl<'a> Simulator<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnprogrammedLut`] if the netlist contains a
-    /// redacted LUT.
+    /// As [`new`](Engine::new).
     pub fn with_order(netlist: &'a Netlist, order: Arc<Vec<NodeId>>) -> Result<Self, SimError> {
-        if let Some(id) = netlist.first_unprogrammed_lut() {
-            return Err(SimError::UnprogrammedLut {
-                name: netlist.node_name(id).to_owned(),
-            });
+        if !V::REDACTED_LUTS {
+            if let Some(id) = netlist.first_unprogrammed_lut() {
+                return Err(SimError::UnprogrammedLut {
+                    name: netlist.node_name(id).to_owned(),
+                });
+            }
         }
-        Ok(Simulator {
+        Ok(Engine {
             netlist,
             order,
-            values: vec![0; netlist.len()],
-            state: vec![0; netlist.len()],
+            values: vec![V::POWER_UP; netlist.len()],
+            state: vec![V::POWER_UP; netlist.len()],
             forces: Vec::new(),
+            partial: HashMap::new(),
         })
     }
 
@@ -91,23 +144,24 @@ impl<'a> Simulator<'a> {
         self.netlist
     }
 
-    /// Clears all flip-flops and net values to 0.
+    /// Returns every net and flip-flop to the domain's power-up value.
     pub fn reset(&mut self) {
-        self.values.fill(0);
-        self.state.fill(0);
+        self.values.fill(V::POWER_UP);
+        self.state.fill(V::POWER_UP);
     }
 
     /// Current value word of a net.
-    pub fn value(&self, id: NodeId) -> u64 {
+    pub fn value(&self, id: NodeId) -> V {
         self.values[id.index()]
     }
 
     /// Pins the node's value to `word` in every subsequent evaluation —
-    /// masked (faulty) evaluation of stuck-at nodes without editing the
-    /// netlist. Bit `l` applies to lane `l`, so a partial mask models a
-    /// fault present in only some pattern streams. Replaces any earlier
-    /// force on the same node.
-    pub fn force(&mut self, id: NodeId, word: u64) {
+    /// masked (faulty) evaluation of stuck-at nodes, or an attack's
+    /// hypothesis for a missing gate, without editing the netlist. Bit
+    /// `l` applies to lane `l`, so a partial mask models a fault present
+    /// in only some pattern streams. Replaces any earlier force on the
+    /// same node.
+    pub fn force(&mut self, id: NodeId, word: V) {
         match self.forces.binary_search_by_key(&id, |&(n, _)| n) {
             Ok(k) => self.forces[k].1 = word,
             Err(k) => self.forces.insert(k, (id, word)),
@@ -126,12 +180,19 @@ impl<'a> Simulator<'a> {
         self.forces.clear();
     }
 
-    /// The stuck-at override for `id`, if one is active.
-    fn forced(&self, id: NodeId) -> Option<u64> {
+    /// The override for `id`, if one is active.
+    fn forced(&self, id: NodeId) -> Option<V> {
         self.forces
             .binary_search_by_key(&id, |&(n, _)| n)
             .ok()
             .map(|k| self.forces[k].1)
+    }
+
+    /// Registers partial truth-table knowledge for a redacted LUT; its
+    /// output becomes known on lanes whose (fully known) input row is
+    /// resolved. Ignored for programmed LUTs.
+    pub fn set_partial_lut(&mut self, id: NodeId, partial: PartialLut) {
+        self.partial.insert(id, partial);
     }
 
     /// Evaluates the combinational logic for the given primary-input
@@ -151,11 +212,11 @@ impl<'a> Simulator<'a> {
             });
         }
         for (&pi, &word) in pis.iter().zip(inputs) {
-            self.values[pi.index()] = word;
+            self.values[pi.index()] = V::known(word);
         }
         for (id, node) in self.netlist.iter() {
             match node {
-                Node::Const(v) => self.values[id.index()] = if *v { u64::MAX } else { 0 },
+                Node::Const(v) => self.values[id.index()] = V::known(if *v { u64::MAX } else { 0 }),
                 Node::Dff { .. } => self.values[id.index()] = self.state[id.index()],
                 _ => {}
             }
@@ -165,28 +226,19 @@ impl<'a> Simulator<'a> {
                 self.values[id.index()] = word;
             }
         }
-        let mut scratch: Vec<u64> = Vec::with_capacity(8);
+        let mut scratch: Vec<V> = Vec::with_capacity(8);
         for &id in self.order.iter() {
             let mut out = match self.netlist.node(id) {
                 Node::Gate { kind, fanin } => {
-                    use sttlock_netlist::GateKind::*;
-                    let mut it = fanin.iter().map(|f| self.values[f.index()]);
-                    match kind {
-                        Buf => it.next().unwrap_or(0),
-                        Not => !it.next().unwrap_or(0),
-                        And => it.fold(u64::MAX, |a, b| a & b),
-                        Nand => !it.fold(u64::MAX, |a, b| a & b),
-                        Or => it.fold(0, |a, b| a | b),
-                        Nor => !it.fold(0, |a, b| a | b),
-                        Xor => it.fold(0, |a, b| a ^ b),
-                        Xnor => !it.fold(0, |a, b| a ^ b),
-                    }
+                    V::gate(*kind, fanin.iter().map(|f| self.values[f.index()]))
                 }
                 Node::Lut { fanin, config } => {
-                    let table = config.expect("checked at construction");
                     scratch.clear();
                     scratch.extend(fanin.iter().map(|f| self.values[f.index()]));
-                    table.eval_parallel(&scratch)
+                    match config {
+                        Some(table) => V::lut(table, &scratch),
+                        None => V::redacted(self.partial.get(&id), &scratch),
+                    }
                 }
                 _ => continue,
             };
@@ -201,7 +253,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// Clocks every flip-flop: the D values computed by the last
-    /// [`eval_comb`](Simulator::eval_comb) become the new state.
+    /// [`eval_comb`](Engine::eval_comb) become the new state.
     pub fn clock(&mut self) {
         for (id, node) in self.netlist.iter() {
             if let Node::Dff { d } = node {
@@ -217,7 +269,7 @@ impl<'a> Simulator<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::InputCountMismatch`] on an input arity mismatch.
-    pub fn step(&mut self, inputs: &[u64]) -> Result<Vec<u64>, SimError> {
+    pub fn step(&mut self, inputs: &[u64]) -> Result<Vec<V>, SimError> {
         self.eval_comb(inputs)?;
         let outs = self
             .netlist
@@ -229,19 +281,19 @@ impl<'a> Simulator<'a> {
         Ok(outs)
     }
 
-    /// Runs `inputs_per_cycle` through [`step`](Simulator::step) from
+    /// Runs `inputs_per_cycle` through [`step`](Engine::step) from
     /// reset and returns the output words of every cycle.
     ///
     /// # Errors
     ///
     /// Propagates input arity mismatches.
-    pub fn run(&mut self, inputs_per_cycle: &[Vec<u64>]) -> Result<Vec<Vec<u64>>, SimError> {
+    pub fn run(&mut self, inputs_per_cycle: &[Vec<u64>]) -> Result<Vec<Vec<V>>, SimError> {
         self.reset();
         inputs_per_cycle.iter().map(|i| self.step(i)).collect()
     }
 
     /// Flip-flop ids in arena order — the state vector layout used by
-    /// [`eval_frame`](Simulator::eval_frame).
+    /// [`eval_frame`](Engine::eval_frame).
     pub fn dff_ids(&self) -> Vec<NodeId> {
         self.netlist
             .iter()
@@ -250,14 +302,14 @@ impl<'a> Simulator<'a> {
             .collect()
     }
 
-    /// Single-frame (full-scan) evaluation: flip-flop outputs are forced
-    /// to `state` (one word per flip-flop, arena order) and the
-    /// combinational logic is evaluated without clocking.
+    /// Single-frame (full-scan) evaluation: flip-flop outputs are set to
+    /// the fully known `state` (one word per flip-flop, arena order) and
+    /// the combinational logic is evaluated without clocking.
     ///
     /// This is the oracle model of the scan-assumed attacks: primary
     /// inputs *and* state are controllable; primary outputs *and*
     /// next-state (D pins) are observable via
-    /// [`observation`](Simulator::observation).
+    /// [`observation`](Engine::observation).
     ///
     /// # Errors
     ///
@@ -272,33 +324,40 @@ impl<'a> Simulator<'a> {
             });
         }
         for (&ff, &w) in dffs.iter().zip(state) {
-            self.state[ff.index()] = w;
+            self.state[ff.index()] = V::known(w);
         }
         self.eval_comb(inputs)
     }
 
+    /// The nets the full-scan model observes, in
+    /// [`observation`](Engine::observation) order: primary-output
+    /// drivers, then flip-flop D drivers (arena order).
+    fn observed(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let d_pins = self.netlist.iter().filter_map(|(_, node)| match node {
+            Node::Dff { d } => Some(*d),
+            _ => None,
+        });
+        self.netlist.outputs().iter().copied().chain(d_pins)
+    }
+
+    /// The node observed at each index of
+    /// [`observation`](Engine::observation).
+    pub fn observation_points(&self) -> Vec<NodeId> {
+        self.observed().collect()
+    }
+
     /// The observation vector of the full-scan model: primary-output
     /// words followed by flip-flop D-pin words (arena order).
-    pub fn observation(&self) -> Vec<u64> {
-        let mut obs: Vec<u64> = self
-            .netlist
-            .outputs()
-            .iter()
-            .map(|&o| self.values[o.index()])
-            .collect();
-        for (_, node) in self.netlist.iter() {
-            if let Node::Dff { d } = node {
-                obs.push(self.values[d.index()]);
-            }
-        }
-        obs
+    pub fn observation(&self) -> Vec<V> {
+        self.observed().map(|id| self.values[id.index()]).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sttlock_netlist::{GateKind, NetlistBuilder, TruthTable};
+    use crate::Simulator;
+    use sttlock_netlist::NetlistBuilder;
 
     fn comb() -> Netlist {
         let mut b = NetlistBuilder::new("comb");

@@ -1,16 +1,19 @@
 //! Logic simulation for the `sttlock` toolkit.
 //!
-//! Three engines, all operating on a validated
-//! [`Netlist`](sttlock_netlist::Netlist):
+//! One engine, operating on a validated
+//! [`Netlist`](sttlock_netlist::Netlist) in two value domains:
 //!
-//! * [`Simulator`] — a 64-lane bit-parallel two-valued cycle simulator.
-//!   Each `u64` word carries 64 independent pattern streams, so one pass
-//!   over the netlist evaluates 64 test vectors. This is the oracle the
-//!   attacks query and the engine behind activity estimation.
-//! * [`tri::TriSimulator`] — a three-valued (0/1/X) simulator in which
-//!   *redacted* LUTs (missing gates seen by the foundry) evaluate to X.
-//!   The sensitization attack uses it to decide which LUT outputs are
-//!   observable at which observation points.
+//! * [`Engine`] — a 64-lane bit-parallel cycle simulator, generic over
+//!   its [`Logic`] domain. Each word carries 64 independent pattern
+//!   streams, so one pass over the netlist evaluates 64 test vectors.
+//!   It owns the evaluation loop, clocking, full-scan frames, the
+//!   observation layout and per-node forces for both domains:
+//!   * [`Simulator`] — two-valued (`u64`). This is the oracle the
+//!     attacks query and the engine behind activity estimation.
+//!   * [`tri::TriSimulator`] — three-valued (0/1/X, [`tri::TriWord`]),
+//!     in which *redacted* LUTs (missing gates seen by the foundry)
+//!     evaluate to X. The sensitization attack uses it to decide which
+//!     LUT outputs are observable at which observation points.
 //! * [`activity`] / [`probability`] — dynamic (simulation-based) and
 //!   static (probabilistic) switching-activity estimation, feeding the
 //!   power analysis. The paper's Figure 1 power columns are parameterized
@@ -46,8 +49,13 @@ pub mod activity;
 pub mod probability;
 pub mod tri;
 
-mod bitpar;
+mod engine;
 mod error;
 
-pub use bitpar::Simulator;
+pub use engine::{Engine, Logic};
 pub use error::SimError;
+
+/// The two-valued [`Engine`]: flip-flops power up at 0 (all lanes),
+/// matching the usual reset assumption of the ISCAS '89 benchmarks, and
+/// every LUT must be programmed.
+pub type Simulator<'a> = Engine<'a, u64>;

@@ -9,11 +9,9 @@
 //! Values are encoded as (value, known) word pairs per lane: `known=0`
 //! means X; when `known=1`, `value` holds the binary value.
 
-use std::sync::Arc;
+use sttlock_netlist::{GateKind, TruthTable, MAX_LUT_INPUTS};
 
-use sttlock_netlist::{CircuitView, GateKind, Netlist, Node, NodeId};
-
-use crate::error::SimError;
+use crate::engine::{Engine, Logic};
 
 /// A 64-lane three-valued word: bit `l` of `known` says whether lane `l`
 /// carries a binary value (in `value`) or X.
@@ -39,27 +37,25 @@ impl TriWord {
         TriWord { value: 0, known: 0 }
     }
 
+    /// `value` on the lanes in `known`, X elsewhere.
+    fn known_on(value: u64, known: u64) -> Self {
+        TriWord {
+            value: value & known,
+            known,
+        }
+    }
+
     /// Lanes where `self` and `other` are both known and differ.
     pub fn known_difference(self, other: TriWord) -> u64 {
         (self.value ^ other.value) & self.known & other.known
     }
 }
 
-/// Per-node override applied during evaluation — the attack uses it to
-/// force a redacted LUT output to a hypothesis value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Forced {
-    /// Node whose output is forced.
-    pub node: NodeId,
-    /// The forced 64-lane value (fully known).
-    pub value: u64,
-}
-
 /// Partial knowledge of a redacted LUT's truth table: rows in `resolved`
 /// evaluate to the corresponding bit of `bits`; other rows stay X.
 ///
 /// The sensitization attack registers what it has learned so far via
-/// [`TriSimulator::set_partial_lut`] — a half-known missing gate then
+/// [`Engine::set_partial_lut`] — a half-known missing gate then
 /// only poisons the cone for the input combinations that are still open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PartialLut {
@@ -69,298 +65,84 @@ pub struct PartialLut {
     pub bits: u64,
 }
 
-/// Three-valued cycle simulator. Flip-flops power up at X, the most
-/// conservative assumption for an attacker without reset control.
-#[derive(Debug, Clone)]
-pub struct TriSimulator<'a> {
-    netlist: &'a Netlist,
-    order: Arc<Vec<NodeId>>,
-    values: Vec<TriWord>,
-    state: Vec<TriWord>,
-    partial: std::collections::HashMap<NodeId, PartialLut>,
-}
+/// Three-valued cycle simulator: the [`Engine`] over [`TriWord`].
+/// Flip-flops power up at X, the most conservative assumption for an
+/// attacker without reset control, and redacted LUTs are legal.
+pub type TriSimulator<'a> = Engine<'a, TriWord>;
 
-impl<'a> TriSimulator<'a> {
-    /// Prepares a three-valued simulator. Redacted LUTs are legal here.
-    pub fn new(netlist: &'a Netlist) -> Self {
-        Self::with_view(&CircuitView::new(netlist))
+impl Logic for TriWord {
+    const POWER_UP: TriWord = TriWord { value: 0, known: 0 };
+    const REDACTED_LUTS: bool = true;
+
+    fn known(word: u64) -> TriWord {
+        TriWord::known(word)
     }
 
-    /// Prepares a three-valued simulator against a shared
-    /// [`CircuitView`], reusing its memoized topological order. The
-    /// attack loop evaluates many hypotheses per round over one working
-    /// netlist; sharing the view amortizes the order across all of them.
-    pub fn with_view(view: &CircuitView<'a>) -> Self {
-        let netlist = view.netlist();
-        TriSimulator {
-            netlist,
-            order: view.topo_order_arc(),
-            values: vec![TriWord::all_x(); netlist.len()],
-            state: vec![TriWord::all_x(); netlist.len()],
-            partial: std::collections::HashMap::new(),
-        }
-    }
-
-    /// Registers partial truth-table knowledge for a redacted LUT; its
-    /// output becomes known on lanes whose (fully known) input row is
-    /// resolved. Ignored for programmed LUTs.
-    pub fn set_partial_lut(&mut self, id: NodeId, partial: PartialLut) {
-        self.partial.insert(id, partial);
-    }
-
-    /// Resets every flip-flop to X.
-    pub fn reset_to_x(&mut self) {
-        self.state.fill(TriWord::all_x());
-        self.values.fill(TriWord::all_x());
-    }
-
-    /// Resets every flip-flop to known 0 (the design-house reset).
-    pub fn reset_to_zero(&mut self) {
-        self.state.fill(TriWord::known(0));
-        self.values.fill(TriWord::known(0));
-    }
-
-    /// Current value of a net.
-    pub fn value(&self, id: NodeId) -> TriWord {
-        self.values[id.index()]
-    }
-
-    /// Evaluates combinational logic for fully known primary inputs, with
-    /// optional per-node output overrides.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InputCountMismatch`] on an arity mismatch.
-    pub fn eval_comb(&mut self, inputs: &[u64], forced: &[Forced]) -> Result<(), SimError> {
-        let pis = self.netlist.inputs();
-        if inputs.len() != pis.len() {
-            return Err(SimError::InputCountMismatch {
-                expected: pis.len(),
-                got: inputs.len(),
-            });
-        }
-        for (&pi, &w) in pis.iter().zip(inputs) {
-            self.values[pi.index()] = TriWord::known(w);
-        }
-        for (id, node) in self.netlist.iter() {
-            match node {
-                Node::Const(v) => {
-                    self.values[id.index()] = TriWord::known(if *v { u64::MAX } else { 0 })
-                }
-                Node::Dff { .. } => self.values[id.index()] = self.state[id.index()],
-                _ => {}
+    /// Three-valued gate evaluation with controlling-value shortcuts: an
+    /// AND with any known-0 input is known-0 even if other inputs are X.
+    fn gate(kind: GateKind, mut it: impl Iterator<Item = TriWord>) -> TriWord {
+        use GateKind::*;
+        let w = match kind {
+            Buf | Not => it.next().unwrap_or(TriWord::known(0)),
+            And | Nand => {
+                let (any_zero, all_one) = it.fold((0, u64::MAX), |(z, o), w| {
+                    (z | (!w.value & w.known), o & w.value & w.known)
+                });
+                TriWord::known_on(all_one, any_zero | all_one)
             }
-        }
-        for &id in self.order.iter() {
-            let out = if let Some(f) = forced.iter().find(|f| f.node == id) {
-                TriWord::known(f.value)
-            } else {
-                self.eval_node(id)
-            };
-            self.values[id.index()] = out;
-        }
-        Ok(())
-    }
-
-    fn eval_node(&self, id: NodeId) -> TriWord {
-        match self.netlist.node(id) {
-            Node::Gate { kind, fanin } => {
-                let words: Vec<TriWord> = fanin.iter().map(|f| self.values[f.index()]).collect();
-                eval_gate_tri(*kind, &words)
+            Or | Nor => {
+                let (any_one, all_zero) = it.fold((0, u64::MAX), |(o, z), w| {
+                    (o | (w.value & w.known), z & !w.value & w.known)
+                });
+                TriWord::known_on(any_one, any_one | all_zero)
             }
-            Node::Lut { fanin, config } => match config {
-                None => {
-                    let Some(partial) = self.partial.get(&id) else {
-                        return TriWord::all_x();
-                    };
-                    // Lanes are known where every input is known and the
-                    // resulting row has been resolved.
-                    let words: Vec<TriWord> =
-                        fanin.iter().map(|f| self.values[f.index()]).collect();
-                    let inputs_known = words.iter().fold(u64::MAX, |a, w| a & w.known);
-                    let mut known = 0u64;
-                    let mut value = 0u64;
-                    for row in 0..(1usize << fanin.len().min(6)) {
-                        if partial.resolved & (1 << row) == 0 {
-                            continue;
-                        }
-                        let mut lanes = inputs_known;
-                        for (i, w) in words.iter().enumerate() {
-                            let want_one = (row >> i) & 1 == 1;
-                            lanes &= if want_one { w.value } else { !w.value };
-                            if lanes == 0 {
-                                break;
-                            }
-                        }
-                        known |= lanes;
-                        if partial.bits & (1 << row) != 0 {
-                            value |= lanes;
-                        }
-                    }
-                    TriWord { value, known }
-                }
-                Some(table) => {
-                    let words: Vec<TriWord> =
-                        fanin.iter().map(|f| self.values[f.index()]).collect();
-                    // Known only where all inputs are known.
-                    let known = words.iter().fold(u64::MAX, |a, w| a & w.known);
-                    let ins: Vec<u64> = words.iter().map(|w| w.value).collect();
-                    TriWord {
-                        value: table.eval_parallel(&ins) & known,
-                        known,
-                    }
-                }
-            },
-            _ => unreachable!("only combinational nodes are in topo order"),
-        }
-    }
-
-    /// Clocks every flip-flop.
-    pub fn clock(&mut self) {
-        for (id, node) in self.netlist.iter() {
-            if let Node::Dff { d } = node {
-                self.state[id.index()] = self.values[d.index()];
+            Xor | Xnor => {
+                // Parity is known only when every input is known.
+                let (known, parity) =
+                    it.fold((u64::MAX, 0), |(k, p), w| (k & w.known, p ^ w.value));
+                TriWord::known_on(parity, known)
             }
+        };
+        if kind.is_inverting() {
+            TriWord::known_on(!w.value, w.known)
+        } else {
+            w
         }
     }
 
-    /// Flip-flop ids in arena order — the state vector layout used by
-    /// [`eval_frame`](TriSimulator::eval_frame).
-    pub fn dff_ids(&self) -> Vec<NodeId> {
-        self.netlist
-            .iter()
-            .filter(|(_, n)| n.is_dff())
-            .map(|(id, _)| id)
-            .collect()
+    /// Known only where every input is known.
+    fn lut(table: &TruthTable, fanin: &[TriWord]) -> TriWord {
+        let (values, known) = split(fanin);
+        TriWord::known_on(table.eval_parallel(&values[..fanin.len()]), known)
     }
 
-    /// Single-frame (full-scan) evaluation with fully known state words
-    /// and per-node output overrides; no clocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InputCountMismatch`] if `inputs` or `state`
-    /// have the wrong length.
-    pub fn eval_frame(
-        &mut self,
-        inputs: &[u64],
-        state: &[u64],
-        forced: &[Forced],
-    ) -> Result<(), SimError> {
-        let dffs = self.dff_ids();
-        if state.len() != dffs.len() {
-            return Err(SimError::InputCountMismatch {
-                expected: dffs.len(),
-                got: state.len(),
-            });
-        }
-        for (&ff, &w) in dffs.iter().zip(state) {
-            self.state[ff.index()] = TriWord::known(w);
-        }
-        self.eval_comb(inputs, forced)
-    }
-
-    /// The observation vector of the full-scan model: primary outputs
-    /// followed by flip-flop D-pin values (arena order).
-    pub fn observation(&self) -> Vec<TriWord> {
-        let mut obs: Vec<TriWord> = self
-            .netlist
-            .outputs()
-            .iter()
-            .map(|&o| self.values[o.index()])
-            .collect();
-        for (_, node) in self.netlist.iter() {
-            if let Node::Dff { d } = node {
-                obs.push(self.values[d.index()]);
-            }
-        }
-        obs
-    }
-
-    /// One full cycle with overrides; returns the primary output words.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InputCountMismatch`] on an arity mismatch.
-    pub fn step(&mut self, inputs: &[u64], forced: &[Forced]) -> Result<Vec<TriWord>, SimError> {
-        self.eval_comb(inputs, forced)?;
-        let outs = self
-            .netlist
-            .outputs()
-            .iter()
-            .map(|&o| self.values[o.index()])
-            .collect();
-        self.clock();
-        Ok(outs)
+    /// Known where every input is known and the resulting row has been
+    /// resolved; all X without partial knowledge.
+    fn redacted(partial: Option<&PartialLut>, fanin: &[TriWord]) -> TriWord {
+        let Some(partial) = partial else {
+            return TriWord::all_x();
+        };
+        let (values, inputs_known) = split(fanin);
+        let rows = |bits| TruthTable::new(fanin.len(), bits).eval_parallel(&values[..fanin.len()]);
+        let known = rows(partial.resolved) & inputs_known;
+        TriWord::known_on(rows(partial.resolved & partial.bits), known)
     }
 }
 
-/// Three-valued gate evaluation with controlling-value shortcuts: an AND
-/// with any known-0 input is known-0 even if other inputs are X.
-fn eval_gate_tri(kind: GateKind, words: &[TriWord]) -> TriWord {
-    use GateKind::*;
-    match kind {
-        Buf => words[0],
-        Not => TriWord {
-            value: !words[0].value & words[0].known,
-            known: words[0].known,
-        },
-        And | Nand => {
-            let any_zero = words.iter().fold(0u64, |a, w| a | (!w.value & w.known));
-            let all_one = words.iter().fold(u64::MAX, |a, w| a & w.value & w.known);
-            let known = any_zero | all_one;
-            let value = all_one;
-            invert_if(
-                kind == Nand,
-                TriWord {
-                    value: value & known,
-                    known,
-                },
-            )
-        }
-        Or | Nor => {
-            let any_one = words.iter().fold(0u64, |a, w| a | (w.value & w.known));
-            let all_zero = words.iter().fold(u64::MAX, |a, w| a & (!w.value & w.known));
-            let known = any_one | all_zero;
-            let value = any_one;
-            invert_if(
-                kind == Nor,
-                TriWord {
-                    value: value & known,
-                    known,
-                },
-            )
-        }
-        Xor | Xnor => {
-            // Parity is known only when every input is known.
-            let known = words.iter().fold(u64::MAX, |a, w| a & w.known);
-            let value = words.iter().fold(0u64, |a, w| a ^ w.value);
-            invert_if(
-                kind == Xnor,
-                TriWord {
-                    value: value & known,
-                    known,
-                },
-            )
-        }
+/// A LUT's fan-in value words and the lanes on which all of them are
+/// known. LUT fan-in never exceeds [`MAX_LUT_INPUTS`] in a valid netlist.
+fn split(fanin: &[TriWord]) -> ([u64; MAX_LUT_INPUTS], u64) {
+    let mut values = [0u64; MAX_LUT_INPUTS];
+    for (v, w) in values.iter_mut().zip(fanin) {
+        *v = w.value;
     }
-}
-
-fn invert_if(invert: bool, w: TriWord) -> TriWord {
-    if invert {
-        TriWord {
-            value: !w.value & w.known,
-            known: w.known,
-        }
-    } else {
-        w
-    }
+    (values, fanin.iter().fold(u64::MAX, |k, w| k & w.known))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sttlock_netlist::NetlistBuilder;
+    use sttlock_netlist::{Netlist, NetlistBuilder, NodeId};
 
     fn tri(v: Option<bool>) -> TriWord {
         match v {
@@ -375,25 +157,21 @@ mod tests {
         let x = tri(None);
         let zero = tri(Some(false));
         let one = tri(Some(true));
+        let gate = |kind, ins: &[TriWord]| TriWord::gate(kind, ins.iter().copied());
         // 0 AND X = 0
-        let w = eval_gate_tri(GateKind::And, &[zero, x]);
-        assert_eq!(w, tri(Some(false)));
+        assert_eq!(gate(GateKind::And, &[zero, x]), tri(Some(false)));
         // 1 OR X = 1
-        let w = eval_gate_tri(GateKind::Or, &[one, x]);
-        assert_eq!(w, tri(Some(true)));
+        assert_eq!(gate(GateKind::Or, &[one, x]), tri(Some(true)));
         // 1 AND X = X
-        let w = eval_gate_tri(GateKind::And, &[one, x]);
-        assert_eq!(w.known, 0);
+        assert_eq!(gate(GateKind::And, &[one, x]).known, 0);
         // X XOR 1 = X
-        let w = eval_gate_tri(GateKind::Xor, &[x, one]);
-        assert_eq!(w.known, 0);
+        assert_eq!(gate(GateKind::Xor, &[x, one]).known, 0);
         // NOT X = X
-        let w = eval_gate_tri(GateKind::Not, &[x]);
-        assert_eq!(w.known, 0);
+        assert_eq!(gate(GateKind::Not, &[x]).known, 0);
     }
 
-    #[test]
-    fn redacted_lut_produces_x_and_forcing_resolves_it() {
+    /// `g = AND(a, b)` turned into a LUT and redacted.
+    fn redacted_and() -> (Netlist, NodeId) {
         let mut b = NetlistBuilder::new("m");
         b.input("a");
         b.input("b");
@@ -402,23 +180,23 @@ mod tests {
         let mut n = b.finish().unwrap();
         let g = n.find("g").unwrap();
         n.replace_gate_with_lut(g).unwrap();
-        let (stripped, _) = n.redact();
+        (n.redact().0, g)
+    }
 
-        let mut sim = TriSimulator::new(&stripped);
-        let outs = sim.step(&[u64::MAX, u64::MAX], &[]).unwrap();
+    #[test]
+    fn redacted_lut_produces_x_and_forcing_resolves_it() {
+        let (stripped, g) = redacted_and();
+        let mut sim = TriSimulator::new(&stripped).unwrap();
+        let outs = sim.step(&[u64::MAX, u64::MAX]).unwrap();
         assert_eq!(outs[0].known, 0, "missing gate must be X");
 
-        let mut sim = TriSimulator::new(&stripped);
-        let outs = sim
-            .step(
-                &[u64::MAX, u64::MAX],
-                &[Forced {
-                    node: g,
-                    value: u64::MAX,
-                }],
-            )
-            .unwrap();
+        sim.force(g, TriWord::known(u64::MAX));
+        let outs = sim.step(&[u64::MAX, u64::MAX]).unwrap();
         assert_eq!(outs[0], TriWord::known(u64::MAX));
+
+        sim.unforce(g);
+        let outs = sim.step(&[u64::MAX, u64::MAX]).unwrap();
+        assert_eq!(outs[0].known, 0, "unforcing restores the X");
     }
 
     #[test]
@@ -436,8 +214,9 @@ mod tests {
         let (stripped, _) = n.redact();
 
         let run = |c: u64, v: u64| {
-            let mut sim = TriSimulator::new(&stripped);
-            sim.step(&[c, 0], &[Forced { node: x, value: v }]).unwrap()[0]
+            let mut sim = TriSimulator::new(&stripped).unwrap();
+            sim.force(x, TriWord::known(v));
+            sim.step(&[c, 0]).unwrap()[0]
         };
         // c = 1: observable
         assert_eq!(
@@ -460,7 +239,7 @@ mod tests {
         let n = b.finish().unwrap();
         let y = n.find("y").unwrap();
 
-        let mut sim = TriSimulator::new(&n);
+        let mut sim = TriSimulator::new(&n).unwrap();
         sim.set_partial_lut(
             y,
             PartialLut {
@@ -470,13 +249,13 @@ mod tests {
         );
         // Lane pattern: a = 1 everywhere, c = 1 on the low 32 lanes only.
         let c = 0x0000_0000_FFFF_FFFFu64;
-        let outs = sim.step(&[u64::MAX, c], &[]).unwrap();
+        let outs = sim.step(&[u64::MAX, c]).unwrap();
         assert_eq!(outs[0].known, c, "known only where the resolved row hits");
         assert_eq!(outs[0].value, c);
 
         // Without partial knowledge, everything is X.
-        let mut plain = TriSimulator::new(&n);
-        let outs = plain.step(&[u64::MAX, c], &[]).unwrap();
+        let mut plain = TriSimulator::new(&n).unwrap();
+        let outs = plain.step(&[u64::MAX, c]).unwrap();
         assert_eq!(outs[0].known, 0);
     }
 
@@ -487,23 +266,13 @@ mod tests {
         b.dff("q", "d");
         b.output("q");
         let n = b.finish().unwrap();
-        let mut sim = TriSimulator::new(&n);
-        let outs = sim.step(&[u64::MAX], &[]).unwrap();
+        let mut sim = TriSimulator::new(&n).unwrap();
+        let outs = sim.step(&[u64::MAX]).unwrap();
         assert_eq!(outs[0].known, 0, "uninitialized flop reads X");
-        let outs = sim.step(&[0], &[]).unwrap();
+        let outs = sim.step(&[0]).unwrap();
         assert_eq!(outs[0], TriWord::known(u64::MAX), "captured known value");
-    }
-
-    #[test]
-    fn zero_reset_matches_two_valued_convention() {
-        let mut b = NetlistBuilder::new("m");
-        b.input("d");
-        b.dff("q", "d");
-        b.output("q");
-        let n = b.finish().unwrap();
-        let mut sim = TriSimulator::new(&n);
-        sim.reset_to_zero();
-        let outs = sim.step(&[u64::MAX], &[]).unwrap();
-        assert_eq!(outs[0], TriWord::known(0));
+        sim.reset();
+        let outs = sim.step(&[0]).unwrap();
+        assert_eq!(outs[0].known, 0, "reset returns the flop to X");
     }
 }
