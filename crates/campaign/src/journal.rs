@@ -1,6 +1,8 @@
 //! The campaign resume journal: [`RunRecord`]s wrapped in a
 //! schema-versioned envelope, stored on the framed, checksummed
-//! [`sttlock_store::RecordLog`].
+//! [`sttlock_store::RecordLog`]. It has two writers, single-node
+//! `--journal` runs and the cluster coordinator, and either can resume
+//! a journal the other wrote.
 //!
 //! Each payload is JSON — `{"schema":N,"record":{...}}` — inside the
 //! store's CRC-checked frame, so a crash mid-append costs exactly the
@@ -126,11 +128,24 @@ pub fn journal_key(
     format!("{circuit}|{algorithm}|{seed}|{attack}|{config}|{fault}")
 }
 
-/// The replay rule, shared by `--resume` and the cluster coordinator's
-/// dispatch journal: a journaled row stands in for a fresh run only if
-/// it was written under this build's [`JOURNAL_SCHEMA_VERSION`], is
-/// `ok`, and carries the flow metrics every consumer of `ok` rows
-/// expects. Each caller decides what a rejected row costs.
+/// The key a record is journaled under: [`journal_key`] over its own
+/// fields, equal to [`crate::cell_journal_key`] of the cell it ran.
+pub fn record_key(r: &RunRecord) -> String {
+    journal_key(
+        &r.circuit,
+        &r.algorithm,
+        r.seed,
+        &r.attack,
+        &r.config,
+        &r.fault,
+    )
+}
+
+/// The replay rule, shared by `--resume` and the cluster coordinator:
+/// a journaled row stands in for a fresh run only if it was written
+/// under this build's [`JOURNAL_SCHEMA_VERSION`], is `ok`, and carries
+/// the flow metrics every consumer of `ok` rows expects. Each caller
+/// decides what a rejected row costs.
 pub fn replayable(schema: u32, record: &RunRecord) -> bool {
     schema == JOURNAL_SCHEMA_VERSION && record.status.is_ok() && record.flow.is_some()
 }
@@ -139,20 +154,10 @@ pub fn replayable(schema: u32, record: &RunRecord) -> bool {
 /// a resumed campaign appends fresh results after the stale ones, so
 /// re-resuming from the same journal sees the newest outcome.
 pub fn replay_map(entries: Vec<JournalEntry>) -> HashMap<String, JournalEntry> {
-    let mut out = HashMap::new();
-    for entry in entries {
-        let r = &entry.record;
-        let key = journal_key(
-            &r.circuit,
-            &r.algorithm,
-            r.seed,
-            &r.attack,
-            &r.config,
-            &r.fault,
-        );
-        out.insert(key, entry);
-    }
-    out
+    entries
+        .into_iter()
+        .map(|entry| (record_key(&entry.record), entry))
+        .collect()
 }
 
 /// Detects and migrates a pre-store bare-JSONL journal: every

@@ -167,7 +167,9 @@ impl SelectionOverrides {
 /// The declarative run grid plus its execution budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
-    /// Circuits, in presentation order.
+    /// Circuits, in presentation order. Names must be unique: a cell's
+    /// journal key carries the circuit's name, not its shape, so two
+    /// circuits with one name would share journal entries.
     pub circuits: Vec<CircuitSpec>,
     /// Selection algorithms per circuit.
     pub algorithms: Vec<SelectionAlgorithm>,

@@ -369,7 +369,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The cell's identity under [`journal::journal_key`] — the key the
-/// resume journal, and the cluster's dispatch journal, index cells by.
+/// resume journal indexes cells by, for single-node and cluster runs.
 pub fn cell_journal_key(cell: &Cell) -> String {
     journal::journal_key(
         cell.circuit.name(),

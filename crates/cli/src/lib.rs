@@ -97,28 +97,35 @@ impl From<NetlistError> for CliError {
     }
 }
 
-/// Minimal flag parser: `--flag value`, `-x value`, plus boolean flags.
+/// Minimal flag parser: `--flag value`, `-x value`, plus switches.
+/// Each command names the flags it takes (space-separated `values`
+/// that take a value, `switches` that do not), so a misspelled flag is
+/// a usage error instead of being silently ignored.
 struct Args {
     pairs: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse(args: &[String], boolean_flags: &[&str]) -> Result<Args, CliError> {
+    fn parse(args: &[String], values: &str, switches: &str) -> Result<Args, CliError> {
+        let names = |list: &str, key: &str| list.split_whitespace().any(|name| name == key);
         let mut pairs = Vec::new();
-        let mut it = args.iter().peekable();
+        let mut it = args.iter();
         while let Some(flag) = it.next() {
             if !flag.starts_with('-') {
                 return Err(CliError::Usage(format!("unexpected token `{flag}`")));
             }
             let key = flag.trim_start_matches('-').to_owned();
-            if boolean_flags.contains(&key.as_str()) {
-                pairs.push((key, None));
-            } else {
+            let value = if names(switches, &key) {
+                None
+            } else if names(values, &key) {
                 let value = it
                     .next()
                     .ok_or_else(|| CliError::Usage(format!("`{flag}` needs a value")))?;
-                pairs.push((key, Some(value.clone())));
-            }
+                Some(value.clone())
+            } else {
+                return Err(CliError::Usage(format!("unknown flag `{flag}`")));
+            };
+            pairs.push((key, value));
         }
         Ok(Args { pairs })
     }
@@ -250,12 +257,17 @@ commands:
                                            run a parallel experiment grid
   cluster coordinate [--listen HOST:PORT] [--min-workers N]
            [--heartbeat-timeout-ms N] [--dispatch-margin-secs N]
-           [--run-timeout-secs N] [--journal <file>] [--resume]
-           + the campaign grid flags     shard a campaign across the
-                                         registered workers and merge
+           [--run-timeout-secs N]
+           + the campaign flags but --trace-summary
+                                         shard a campaign across the
+                                         heartbeating workers and merge
                                          the records in grid order;
-                                         also fans POST /v1/harden out
-                                         to the least-loaded worker
+                                         --journal is a campaign journal
+                                         (`campaign --resume` resumes
+                                         it, and `--resume` here resumes
+                                         one `campaign` wrote); also
+                                         fans POST /v1/harden out to
+                                         the least-loaded worker
   cluster work --join HOST:PORT [--listen HOST:PORT]
            [--advertise HOST:PORT] [--id NAME] [--cache-dir <dir>]
            [--heartbeat-ms N] [--request-timeout-ms N]
@@ -327,7 +339,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_gen(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, "profile gates dffs inputs outputs seed o", "")?;
     let seed = args.get_u64("seed", 42)?;
     let profile = if let Some(name) = args.get("profile") {
         profiles::by_name(name).ok_or_else(|| {
@@ -359,7 +371,7 @@ fn cmd_gen(argv: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_optimize(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, "i o", "")?;
     let input = args.require("i")?;
     let output = args.require("o")?;
     let netlist = load_netlist(input)?;
@@ -381,7 +393,11 @@ fn parse_algorithm(s: &str) -> Result<SelectionAlgorithm, CliError> {
 }
 
 fn cmd_lock(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &["redact", "harden"])?;
+    let args = Args::parse(
+        argv,
+        "i o algorithm seed library bitstream",
+        "redact harden",
+    )?;
     let input = args.require("i")?;
     let output = args.require("o")?;
     let algorithm = parse_algorithm(args.require("algorithm")?)?;
@@ -430,7 +446,7 @@ fn cmd_lock(argv: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_program(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, "i o bitstream", "")?;
     let input = args.require("i")?;
     let output = args.require("o")?;
     let bits_path = args.require("bitstream")?;
@@ -446,7 +462,7 @@ fn cmd_program(argv: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_report(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, "i library", "")?;
     let input = args.require("i")?;
     let netlist = load_netlist(input)?;
     let lib = load_library(&args)?;
@@ -502,7 +518,7 @@ fn cmd_report(argv: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_library(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, "o", "")?;
     let out = args.require("o")?;
     let text = sttlock_techlib::textfmt::write_library(&Library::predictive_90nm());
     write_artifact(out, text)?;
@@ -512,7 +528,7 @@ fn cmd_library(argv: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_convert(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, "i o", "")?;
     let input = args.require("i")?;
     let output = args.require("o")?;
     let netlist = load_netlist(input)?;
@@ -521,7 +537,7 @@ fn cmd_convert(argv: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_equiv(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, "a b", "")?;
     let a = load_netlist(args.require("a")?)?;
     let b = load_netlist(args.require("b")?)?;
     match check_equivalence(&a, &b).map_err(|e| CliError::Step(e.to_string()))? {
@@ -534,7 +550,7 @@ fn cmd_equiv(argv: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_attack(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, "i oracle mode seed frames", "")?;
     let redacted = load_netlist(args.require("i")?)?;
     let oracle = load_netlist(args.require("oracle")?)?;
     let mode = args.require("mode")?;
@@ -652,7 +668,12 @@ impl Drop for Trace {
 }
 
 fn cmd_faults(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &["no-sat-proof", "trace-summary"])?;
+    let args = Args::parse(
+        argv,
+        "i profile algorithm seed library write-p retention-p stuck0-p stuck1-p cmos-p \
+         retries batches backoff-ms max-backoff-ms trace",
+        "no-sat-proof trace-summary",
+    )?;
     let trace = Trace::start(&args);
     let seed = args.get_u64("seed", 42)?;
     let model = FaultModel {
@@ -820,6 +841,15 @@ fn parse_circuit(item: &str) -> Result<CircuitSpec, CliError> {
     })
 }
 
+/// The flags `campaign` and `cluster coordinate` share: the ones
+/// [`parse_campaign_spec`] and [`parse_table`] read, plus `--out` and
+/// `--trace`.
+const GRID_FLAGS: &str = "circuits max-gates algorithms seeds attacks frames max-dips \
+    indep-gates paths fault-p jobs timeout-secs cache journal table out trace";
+
+/// The switches [`parse_campaign_spec`] reads.
+const GRID_SWITCHES: &str = "inject-panic inject-timeout resume";
+
 /// Parses the campaign grid flags shared by `campaign` and
 /// `cluster coordinate` — circuits, algorithms, seeds, attacks, the
 /// override/fault axes and the execution knobs — into a spec.
@@ -838,6 +868,18 @@ fn parse_campaign_spec(args: &Args) -> Result<CampaignSpec, CliError> {
     }
     if args.has("inject-timeout") {
         circuits.push(CircuitSpec::InjectTimeout);
+    }
+    // A cell's journal key carries the circuit's name: two circuits of
+    // one name would share journal entries.
+    let mut names = std::collections::HashSet::new();
+    if let Some(twice) = circuits
+        .iter()
+        .map(CircuitSpec::name)
+        .find(|n| !names.insert(*n))
+    {
+        return Err(CliError::Usage(format!(
+            "`--circuits` names `{twice}` twice; circuit names must be unique"
+        )));
     }
 
     let algorithms = match args.get("algorithms") {
@@ -968,10 +1010,7 @@ fn parse_table(args: &Args) -> Result<&str, CliError> {
 }
 
 fn cmd_campaign(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(
-        argv,
-        &["inject-panic", "inject-timeout", "resume", "trace-summary"],
-    )?;
+    let args = Args::parse(argv, GRID_FLAGS, &format!("{GRID_SWITCHES} trace-summary"))?;
     let spec = parse_campaign_spec(&args)?;
     let table = parse_table(&args)?;
 
@@ -1062,18 +1101,17 @@ fn cmd_cluster(argv: &[String]) -> Result<String, CliError> {
 fn cmd_cluster_coordinate(argv: &[String]) -> Result<String, CliError> {
     let args = Args::parse(
         argv,
-        &["inject-panic", "inject-timeout", "resume", "trace-summary"],
+        &format!(
+            "{GRID_FLAGS} listen min-workers heartbeat-timeout-ms dispatch-margin-secs \
+             run-timeout-secs"
+        ),
+        GRID_SWITCHES,
     )?;
-    let mut spec = parse_campaign_spec(&args)?;
+    let spec = parse_campaign_spec(&args)?;
     let table = parse_table(&args)?;
-    // `--journal` here is the coordinator's dispatch journal (it
-    // records dispatches and completions for crash resume). Cells
-    // execute on the workers, so the single-node campaign journal and
-    // cache have no role in this process.
-    spec.journal = None;
-    spec.resume = false;
-    spec.cache_dir = None;
 
+    // Cells execute on the workers, uncached; the coordinator appends
+    // every record it merges to the campaign journal.
     let cfg = sttlock_cluster::CoordinatorConfig {
         listen: args.get("listen").unwrap_or("127.0.0.1:7879").to_owned(),
         min_workers: args.get_u64("min-workers", 1)?.max(1) as usize,
@@ -1081,8 +1119,8 @@ fn cmd_cluster_coordinate(argv: &[String]) -> Result<String, CliError> {
             args.get_u64("heartbeat-timeout-ms", 5_000)?,
         ),
         dispatch_margin: std::time::Duration::from_secs(args.get_u64("dispatch-margin-secs", 30)?),
-        journal: args.get("journal").map(Into::into),
-        resume: args.has("resume"),
+        journal: spec.journal.clone(),
+        resume: spec.resume,
         trace_path: args.get("trace").map(Into::into),
         ..sttlock_cluster::CoordinatorConfig::default()
     };
@@ -1112,7 +1150,11 @@ fn cmd_cluster_coordinate(argv: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_cluster_work(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(
+        argv,
+        "join listen advertise id cache-dir heartbeat-ms request-timeout-ms",
+        "",
+    )?;
     let join = args.require("join")?.to_owned();
     let cfg = sttlock_cluster::WorkerConfig {
         coordinator: join.clone(),
@@ -1147,7 +1189,11 @@ fn cmd_cluster_work(argv: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_serve(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, &["debug-endpoints"])?;
+    let args = Args::parse(
+        argv,
+        "addr workers queue-depth request-timeout-ms cache-dir max-body-bytes trace",
+        "debug-endpoints",
+    )?;
     let mut limits = sttlock_serve::http::Limits::default();
     limits.max_body_bytes = args.get_u64("max-body-bytes", limits.max_body_bytes as u64)? as usize;
     let cfg = sttlock_serve::ServeConfig {
@@ -1933,6 +1979,47 @@ mod tests {
             run(&argv(&["campaign", "--table", "table9"])),
             Err(CliError::Usage(_))
         ));
+        // Two circuits of one name would share journal entries.
+        let e = run(&argv(&[
+            "campaign",
+            "--circuits",
+            "a:100:4:6:4,a:200:4:6:4",
+            "--algorithms",
+            "indep",
+        ]))
+        .unwrap_err();
+        assert!(
+            matches!(&e, CliError::Usage(m) if m.contains("`a` twice")),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn misspelled_flags_are_usage_errors_that_name_the_flag() {
+        let cases: [&[&str]; 3] = [
+            &[
+                "campaign",
+                "--circuits",
+                "s641",
+                "--algorithms",
+                "indep",
+                "--seed",
+                "5",
+            ],
+            &["gen", "--profile", "s641", "--sed", "3", "-o", "g.bench"],
+            &["cluster", "coordinate", "--circuits", "s641", "--seed", "5"],
+        ];
+        for case in cases {
+            let e = run(&argv(case)).unwrap_err();
+            let flag = case
+                .iter()
+                .find(|a| ["--seed", "--sed"].contains(a))
+                .unwrap();
+            assert!(
+                matches!(&e, CliError::Usage(m) if m.contains(&format!("unknown flag `{flag}`"))),
+                "{case:?}: {e}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The cluster coordinator: worker registry, campaign sharding with
-//! redispatch-on-failure, dispatch journaling, and `/v1/harden`
-//! fan-out.
+//! redispatch-on-failure, journaling, and `/v1/harden` fan-out.
 //!
 //! # Sharding and merge
 //!
@@ -15,38 +14,42 @@
 //! # Failure handling
 //!
 //! A dispatch that fails — connection refused/dropped, a non-200, a
-//! response that does not decode under the current protocol version —
-//! evicts the worker from the registry and leaves the cell pending;
-//! the next round re-shards pending cells over the survivors, with a
-//! capped exponential backoff between barren rounds. A worker that was
-//! only transiently slow re-registers on its next heartbeat (the
-//! coordinator answers `known: false`) and rejoins the pool.
+//! response that does not decode under the current protocol version,
+//! a record for some other cell — evicts the worker from the registry
+//! and leaves the cell pending; the next round re-shards pending cells
+//! over the survivors, with a capped exponential backoff between barren
+//! rounds. A worker that was only transiently slow rejoins the pool
+//! with its next heartbeat.
 //!
 //! # Crash recovery
 //!
-//! With a journal configured, every dispatch and completion is a
-//! durable [`crate::journal::DispatchEntry`]. Reopening with `resume`
-//! replays clean completions and re-dispatches only the cells without
-//! one — the distributed analogue of the campaign runner's `--resume`.
+//! With a journal configured, every record a worker returns is appended
+//! to a campaign [`Journal`] — the file `campaign --journal` writes.
+//! Reopening with `resume` replays the entries the campaign's
+//! [`replayable`] rule accepts and re-dispatches only the other cells;
+//! a single-node run can resume the journal too, and vice versa.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use sttlock_campaign::journal::{record_key, replay_map, replayable};
 use sttlock_campaign::json::Json;
 use sttlock_campaign::{
-    cell_journal_key, CampaignResult, CampaignSpec, Cell, RunRecord, RunStatus,
+    cell_journal_key, CampaignResult, CampaignSpec, Cell, Journal, RunRecord, RunStatus,
 };
 use sttlock_exec::{Backoff, Budget, KeyBuilder};
 use sttlock_serve::http::Response;
 use sttlock_serve::{client, ServeConfig, Server, StopHandle};
 
-use crate::journal::{completed_map, DispatchEntry, DispatchJournal};
-use crate::protocol::{
-    CellRequest, CellResponse, Heartbeat, HeartbeatReply, Register, PROTOCOL_VERSION,
-};
+use crate::protocol::{CellRequest, CellResponse, Heartbeat};
+
+/// Salt of the shard-assignment hash. It is protocol version 1's, kept
+/// when the protocol moved on so that which worker gets which cell
+/// does not change with the message shapes.
+const SHARD_SALT: u32 = 1;
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -63,10 +66,12 @@ pub struct CoordinatorConfig {
     /// Slack added to the campaign's per-cell timeout for each
     /// dispatch round trip (serialization, transfer, queueing).
     pub dispatch_margin: Duration,
-    /// Dispatch journal path (`None` disables journaling).
+    /// Campaign journal path (`None` disables journaling): the file
+    /// `campaign --journal` writes, appended with every record a worker
+    /// returns.
     pub journal: Option<PathBuf>,
-    /// Replay clean completions from the journal instead of
-    /// re-dispatching them.
+    /// Replay the journal's clean entries instead of re-dispatching
+    /// their cells.
     pub resume: bool,
     /// Backoff schedule between barren dispatch rounds.
     pub backoff: Backoff,
@@ -93,13 +98,12 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// One registered worker, as the coordinator sees it.
+/// One registered worker, as its last heartbeat described it.
 #[derive(Debug, Clone)]
 struct WorkerInfo {
     addr: String,
     last_seen: Instant,
     load: u64,
-    queue_depth: u64,
 }
 
 /// The live worker registry. BTreeMap: snapshots iterate in worker-id
@@ -120,8 +124,8 @@ pub struct Coordinator {
     cfg: CoordinatorConfig,
 }
 
-/// Starts the coordinator's HTTP server (registration, heartbeats,
-/// harden fan-out). Campaign dispatch is driven by the caller through
+/// Starts the coordinator's HTTP server (heartbeats, harden fan-out).
+/// Campaign dispatch is driven by the caller through
 /// [`Coordinator::run_campaign`].
 pub fn start_coordinator(cfg: CoordinatorConfig) -> io::Result<Coordinator> {
     let registry: Arc<Mutex<Registry>> = Arc::new(Mutex::new(Registry::default()));
@@ -177,21 +181,30 @@ impl Coordinator {
         let start = Instant::now();
         let cells = spec.cells();
         let keys: Vec<String> = cells.iter().map(cell_journal_key).collect();
-        let key_set: HashSet<&str> = keys.iter().map(String::as_str).collect();
 
         let mut journal_recovery = None;
-        let mut done: HashMap<String, RunRecord> = HashMap::new();
-        let journal: Option<Mutex<DispatchJournal>> = match &self.cfg.journal {
-            Some(path) => match DispatchJournal::open(path) {
+        let mut done: Vec<Option<RunRecord>> = vec![None; cells.len()];
+        let journal: Option<Mutex<Journal>> = match &self.cfg.journal {
+            Some(path) => match Journal::open(path) {
                 Ok(opened) => {
                     journal_recovery = Some(opened.recovery.clone());
                     if self.cfg.resume {
-                        done = completed_map(&opened.entries);
-                        // Completions for cells outside this grid (a
-                        // different spec against the same journal) must
-                        // not leak into the merge.
-                        done.retain(|k, _| key_set.contains(k.as_str()));
-                        sttlock_obs::counter("cluster.replayed", done.len() as u64);
+                        // Entries for cells outside this grid (a
+                        // different spec against the same journal) are
+                        // never looked up, so they cannot leak into the
+                        // merge.
+                        let mut replay = replay_map(opened.entries);
+                        for (slot, key) in done.iter_mut().zip(&keys) {
+                            match replay.remove(key) {
+                                Some(e) if replayable(e.schema, &e.record) => {
+                                    *slot = Some(e.record);
+                                }
+                                Some(_) => sttlock_obs::counter("cluster.skewed_replays", 1),
+                                None => {}
+                            }
+                        }
+                        let replayed = done.iter().flatten().count();
+                        sttlock_obs::counter("cluster.replayed", replayed as u64);
                     }
                     Some(Mutex::new(opened.journal))
                 }
@@ -225,9 +238,7 @@ impl Coordinator {
         }
 
         loop {
-            let pending: Vec<usize> = (0..cells.len())
-                .filter(|&i| !done.contains_key(&keys[i]))
-                .collect();
+            let pending: Vec<usize> = (0..cells.len()).filter(|&i| done[i].is_none()).collect();
             if pending.is_empty() || budget.exhausted() {
                 break;
             }
@@ -269,12 +280,6 @@ impl Coordinator {
                             if budget.exhausted() {
                                 return;
                             }
-                            if let Some(j) = journal {
-                                let _ = lock_journal(j).append(&DispatchEntry::Dispatched {
-                                    key: keys[i].clone(),
-                                    worker: worker_id.clone(),
-                                });
-                            }
                             sttlock_obs::counter("cluster.dispatch", 1);
                             if dispatched_once.contains(&i) {
                                 sttlock_obs::counter("cluster.redispatch", 1);
@@ -282,13 +287,17 @@ impl Coordinator {
                             match dispatch_cell(
                                 addr,
                                 &cells[i],
+                                &keys[i],
                                 timeout_ms,
                                 dispatch_timeout,
                                 budget,
                             ) {
                                 Some(record) => {
                                     if let Some(j) = journal {
-                                        let _ = lock_journal(j).complete(&keys[i], &record);
+                                        let _ = j
+                                            .lock()
+                                            .unwrap_or_else(PoisonError::into_inner)
+                                            .append(&record);
                                     }
                                     results
                                         .lock()
@@ -318,7 +327,7 @@ impl Coordinator {
             let fresh = results.into_inner().unwrap_or_else(PoisonError::into_inner);
             let progressed = !fresh.is_empty();
             for (i, record) in fresh {
-                done.insert(keys[i].clone(), record);
+                done[i] = Some(record);
             }
             for worker_id in failed.into_inner().unwrap_or_else(PoisonError::into_inner) {
                 if lock(&self.registry).workers.remove(&worker_id).is_some() {
@@ -340,9 +349,9 @@ impl Coordinator {
         // structured failure rows, the grid invariant holds.
         let records: Vec<RunRecord> = cells
             .iter()
-            .zip(&keys)
-            .map(|(cell, key)| {
-                done.get(key).cloned().unwrap_or_else(|| {
+            .zip(done)
+            .map(|(cell, record)| {
+                record.unwrap_or_else(|| {
                     sttlock_obs::counter("cluster.lost_records", 1);
                     RunRecord::for_cell(
                         cell,
@@ -375,14 +384,10 @@ impl Coordinator {
     }
 }
 
-fn lock_journal<'a>(j: &'a Mutex<DispatchJournal>) -> MutexGuard<'a, DispatchJournal> {
-    j.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The shard assignment hash: the cache-key scheme over the cell's
 /// journal key, folded to the first 64 bits.
 fn shard_hash(key: &str) -> u64 {
-    let hex = KeyBuilder::new(PROTOCOL_VERSION)
+    let hex = KeyBuilder::new(SHARD_SALT)
         .field("cell", &key)
         .finish()
         .hex();
@@ -390,11 +395,14 @@ fn shard_hash(key: &str) -> u64 {
 }
 
 /// Ships one cell to a worker and decodes the record. `None` covers
-/// every redispatch trigger: transport failure, non-200, undecodable
-/// or version-skewed response, and a tripped per-dispatch budget.
+/// every redispatch trigger: transport failure, non-200, a response
+/// that is undecodable, version-skewed or carries a record whose
+/// journal key is not `key` (another cell's), and a tripped
+/// per-dispatch budget.
 fn dispatch_cell(
     addr: &str,
     cell: &Cell,
+    key: &str,
     timeout_ms: u64,
     dispatch_timeout: Duration,
     budget: &Budget,
@@ -417,52 +425,37 @@ fn dispatch_cell(
     if resp.status != 200 {
         return None;
     }
-    let decoded = Json::parse(&resp.body_text())
+    // The journal files a record under its own identity, so a record
+    // for any other cell must not be accepted for this one.
+    let record = Json::parse(&resp.body_text())
         .ok()
-        .and_then(|v| CellResponse::from_json(&v));
-    if decoded.is_none() {
+        .and_then(|v| CellResponse::from_json(&v))
+        .map(|d| d.record)
+        .filter(|r| record_key(r) == key);
+    if record.is_none() {
         sttlock_obs::counter("cluster.skewed_responses", 1);
     }
-    decoded.map(|d| d.record)
+    record
 }
 
-/// The coordinator's overlay routes: registration, heartbeats, and
-/// harden fan-out. Everything else falls through to the built-in serve
-/// routes (health, metrics, admin shutdown).
+/// The coordinator's overlay routes: heartbeats and harden fan-out.
+/// Everything else falls through to the built-in serve routes (health,
+/// metrics, admin shutdown).
 fn route(
     registry: &Mutex<Registry>,
     req: &sttlock_serve::http::Request,
     budget: &Budget,
 ) -> Option<Response> {
     match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/cluster/register") => Some(register(registry, &req.body)),
         ("POST", "/cluster/heartbeat") => Some(heartbeat(registry, &req.body)),
         ("POST", "/v1/harden") => Some(fan_out(registry, &req.body, budget)),
         _ => None,
     }
 }
 
-fn register(registry: &Mutex<Registry>, body: &[u8]) -> Response {
-    let text = String::from_utf8_lossy(body);
-    let Some(msg) = Json::parse(&text)
-        .ok()
-        .and_then(|v| Register::from_json(&v))
-    else {
-        return Response::error(400, "malformed or version-skewed register payload");
-    };
-    sttlock_obs::counter("cluster.registrations", 1);
-    lock(registry).workers.insert(
-        msg.worker,
-        WorkerInfo {
-            addr: msg.addr,
-            last_seen: Instant::now(),
-            load: 0,
-            queue_depth: 0,
-        },
-    );
-    Response::json(200, "{\"ok\":true}".to_owned())
-}
-
+/// Inserts or refreshes the heartbeating worker: a heartbeat from an
+/// unknown worker (first contact, after an eviction or a coordinator
+/// restart) registers it.
 fn heartbeat(registry: &Mutex<Registry>, body: &[u8]) -> Response {
     let text = String::from_utf8_lossy(body);
     let Some(msg) = Json::parse(&text)
@@ -471,19 +464,15 @@ fn heartbeat(registry: &Mutex<Registry>, body: &[u8]) -> Response {
     else {
         return Response::error(400, "malformed or version-skewed heartbeat payload");
     };
-    let known = {
-        let mut reg = lock(registry);
-        match reg.workers.get_mut(&msg.worker) {
-            Some(info) => {
-                info.last_seen = Instant::now();
-                info.load = msg.load;
-                info.queue_depth = msg.queue_depth;
-                true
-            }
-            None => false,
-        }
+    let info = WorkerInfo {
+        addr: msg.addr,
+        last_seen: Instant::now(),
+        load: msg.load,
     };
-    Response::json(200, HeartbeatReply { known }.to_json().to_string())
+    if lock(registry).workers.insert(msg.worker, info).is_none() {
+        sttlock_obs::counter("cluster.registrations", 1);
+    }
+    Response::json(200, "{\"ok\":true}".to_owned())
 }
 
 /// Routes one `/v1/harden` request to the least-loaded worker. The
@@ -494,7 +483,7 @@ fn fan_out(registry: &Mutex<Registry>, body: &[u8], budget: &Budget) -> Response
         let reg = lock(registry);
         reg.workers
             .iter()
-            .min_by_key(|(id, w)| (w.load, w.queue_depth, (*id).clone()))
+            .min_by_key(|(id, w)| (w.load, (*id).clone()))
             .map(|(_, w)| w.addr.clone())
     };
     let Some(addr) = target else {

@@ -2,31 +2,31 @@
 //! serve HTTP stack.
 //!
 //! One coordinator process owns the campaign grid; any number of
-//! worker processes join it over HTTP (`POST /cluster/register`, then
-//! periodic heartbeats). The coordinator shards cells across workers
-//! by content hash, ships each cell as a [`protocol::CellRequest`],
-//! journals every dispatch and completion in a
-//! [`journal::DispatchJournal`], and merges the records back in grid
-//! order — the merged JSONL is byte-identical to a single-node
-//! [`sttlock_campaign::execute`] run (modulo wall-clock fields), which
-//! the integration tests assert byte for byte.
+//! worker processes join it by heartbeating it over HTTP
+//! (`POST /cluster/heartbeat`, which doubles as registration). The
+//! coordinator shards cells across workers by content hash, ships each
+//! cell as a [`protocol::CellRequest`], appends every returned record
+//! to the campaign journal ([`sttlock_campaign::Journal`]), and merges
+//! the records back in grid order — the merged JSONL is byte-identical
+//! to a single-node [`sttlock_campaign::execute`] run (modulo
+//! wall-clock fields), which the integration tests assert byte for
+//! byte.
 //!
 //! Failure is the normal case the design is built around: a worker
-//! that dies, hangs, or answers under a skewed protocol version is
-//! evicted and its in-flight cells re-dispatched with capped
-//! exponential backoff; a coordinator that crashes re-opens its
-//! dispatch journal with `resume` and re-dispatches only the cells
-//! without a durable clean completion.
+//! that dies, hangs, answers under a skewed protocol version or with
+//! another cell's record is evicted and its in-flight cells
+//! re-dispatched with capped exponential backoff; a coordinator that
+//! crashes re-opens its journal with `resume` and re-dispatches only
+//! the cells without a replayable entry. The journal is the one
+//! `campaign --journal` writes, so either command resumes the other's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coordinator;
-pub mod journal;
 pub mod protocol;
 pub mod worker;
 
 pub use coordinator::{start_coordinator, Coordinator, CoordinatorConfig};
-pub use journal::{completed_map, DispatchEntry, DispatchJournal, OpenedDispatchJournal};
 pub use protocol::PROTOCOL_VERSION;
 pub use worker::{start_worker, Worker, WorkerConfig};

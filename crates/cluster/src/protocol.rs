@@ -9,12 +9,10 @@
 //!
 //! Routes:
 //!
-//! * `POST /cluster/register` (coordinator) — a worker announces its
-//!   id and dial-back address; re-registering refreshes the entry.
-//! * `POST /cluster/heartbeat` (coordinator) — periodic liveness plus
-//!   load/queue-depth; the reply says whether the coordinator knows the
-//!   worker (a restarted coordinator answers `known: false`, which
-//!   tells the worker to re-register).
+//! * `POST /cluster/heartbeat` (coordinator) — a worker's periodic
+//!   `{worker, addr, load}`. A heartbeat is also the registration: it
+//!   inserts the worker if the coordinator does not know it (first
+//!   contact, eviction, coordinator restart) and refreshes it if it does.
 //! * `POST /v1/cell` (worker) — one campaign cell; the response body
 //!   is the executed [`RunRecord`].
 
@@ -23,7 +21,7 @@ use sttlock_campaign::{Cell, RunRecord};
 
 /// Version of this wire protocol. Bump on any incompatible change to
 /// the message shapes or cell/record encodings.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 fn versioned(pairs: Vec<(&'static str, Json)>) -> Json {
     let mut all = vec![("proto", Json::from(u64::from(PROTOCOL_VERSION)))];
@@ -36,43 +34,15 @@ fn check_proto(v: &Json) -> Option<()> {
     (v.get("proto")?.as_u64()? as u32 == PROTOCOL_VERSION).then_some(())
 }
 
-/// `POST /cluster/register` body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Register {
-    /// Stable worker identity (survives re-registration).
-    pub worker: String,
-    /// Address the coordinator dials back on (`host:port`).
-    pub addr: String,
-}
-
-impl Register {
-    /// Serializes for the wire.
-    pub fn to_json(&self) -> Json {
-        versioned(vec![
-            ("worker", Json::from(self.worker.as_str())),
-            ("addr", Json::from(self.addr.as_str())),
-        ])
-    }
-
-    /// Decodes; `None` on malformed or version-skewed payloads.
-    pub fn from_json(v: &Json) -> Option<Register> {
-        check_proto(v)?;
-        Some(Register {
-            worker: v.get("worker")?.as_str()?.to_owned(),
-            addr: v.get("addr")?.as_str()?.to_owned(),
-        })
-    }
-}
-
 /// `POST /cluster/heartbeat` body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Heartbeat {
-    /// The worker's identity.
+    /// Stable worker identity.
     pub worker: String,
+    /// Address the coordinator dials back on (`host:port`).
+    pub addr: String,
     /// Cells currently executing on the worker.
     pub load: u64,
-    /// Requests admitted but not yet executing.
-    pub queue_depth: u64,
 }
 
 impl Heartbeat {
@@ -80,8 +50,8 @@ impl Heartbeat {
     pub fn to_json(&self) -> Json {
         versioned(vec![
             ("worker", Json::from(self.worker.as_str())),
+            ("addr", Json::from(self.addr.as_str())),
             ("load", Json::from(self.load)),
-            ("queue_depth", Json::from(self.queue_depth)),
         ])
     }
 
@@ -90,31 +60,8 @@ impl Heartbeat {
         check_proto(v)?;
         Some(Heartbeat {
             worker: v.get("worker")?.as_str()?.to_owned(),
+            addr: v.get("addr")?.as_str()?.to_owned(),
             load: v.get("load")?.as_u64()?,
-            queue_depth: v.get("queue_depth")?.as_u64()?,
-        })
-    }
-}
-
-/// The coordinator's reply to a heartbeat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatReply {
-    /// Whether the coordinator has this worker registered. `false`
-    /// after a coordinator restart — the worker must re-register.
-    pub known: bool,
-}
-
-impl HeartbeatReply {
-    /// Serializes for the wire.
-    pub fn to_json(&self) -> Json {
-        versioned(vec![("known", Json::from(self.known))])
-    }
-
-    /// Decodes; `None` on malformed or version-skewed payloads.
-    pub fn from_json(v: &Json) -> Option<HeartbeatReply> {
-        check_proto(v)?;
-        Some(HeartbeatReply {
-            known: v.get("known")?.as_bool()?,
         })
     }
 }
@@ -174,35 +121,14 @@ mod tests {
     use super::*;
     use sttlock_campaign::{AttackKind, CircuitSpec, RunStatus, SelectionOverrides};
 
-    #[test]
-    fn every_message_round_trips() {
-        let reg = Register {
+    /// One of each message, as the wire carries them.
+    fn messages() -> (Heartbeat, CellRequest, CellResponse) {
+        let heartbeat = Heartbeat {
             worker: "w-1".into(),
             addr: "127.0.0.1:4000".into(),
-        };
-        assert_eq!(
-            Register::from_json(&Json::parse(&reg.to_json().to_string()).unwrap()),
-            Some(reg)
-        );
-
-        let hb = Heartbeat {
-            worker: "w-1".into(),
             load: 3,
-            queue_depth: 7,
         };
-        assert_eq!(
-            Heartbeat::from_json(&Json::parse(&hb.to_json().to_string()).unwrap()),
-            Some(hb)
-        );
-        for known in [true, false] {
-            let reply = HeartbeatReply { known };
-            assert_eq!(
-                HeartbeatReply::from_json(&Json::parse(&reply.to_json().to_string()).unwrap()),
-                Some(reply)
-            );
-        }
-
-        let req = CellRequest {
+        let request = CellRequest {
             cell: Cell {
                 circuit: CircuitSpec::Profile("s27".into()),
                 algorithm: sttlock_core::SelectionAlgorithm::Dependent,
@@ -213,34 +139,46 @@ mod tests {
             },
             timeout_ms: 30_000,
         };
-        assert_eq!(
-            CellRequest::from_json(&Json::parse(&req.to_json().to_string()).unwrap()),
-            Some(req.clone())
-        );
-
-        let resp = CellResponse {
+        let response = CellResponse {
             record: RunRecord::failure("s27", "dependent", 9, "sat", RunStatus::TimedOut),
         };
+        (heartbeat, request, response)
+    }
+
+    /// Sends `v` over the wire, optionally relabelled with a foreign
+    /// protocol version.
+    fn wire(mut v: Json, foreign: bool) -> Json {
+        if let (true, Json::Obj(map)) = (foreign, &mut v) {
+            map.insert("proto".into(), Json::from(u64::from(PROTOCOL_VERSION) + 1));
+        }
+        Json::parse(&v.to_string()).unwrap()
+    }
+
+    #[test]
+    fn every_message_round_trips() {
+        let (heartbeat, request, response) = messages();
         assert_eq!(
-            CellResponse::from_json(&Json::parse(&resp.to_json().to_string()).unwrap()),
-            Some(resp)
+            Heartbeat::from_json(&wire(heartbeat.to_json(), false)),
+            Some(heartbeat)
+        );
+        assert_eq!(
+            CellRequest::from_json(&wire(request.to_json(), false)),
+            Some(request)
+        );
+        assert_eq!(
+            CellResponse::from_json(&wire(response.to_json(), false)),
+            Some(response)
         );
     }
 
     #[test]
     fn a_foreign_protocol_version_is_rejected_by_every_decoder() {
-        let mut skewed = Register {
-            worker: "w".into(),
-            addr: "a".into(),
-        }
-        .to_json();
-        if let Json::Obj(map) = &mut skewed {
-            map.insert("proto".into(), Json::from(u64::from(PROTOCOL_VERSION) + 1));
-        }
-        assert_eq!(Register::from_json(&skewed), None);
-        assert_eq!(Heartbeat::from_json(&skewed), None);
-        assert_eq!(HeartbeatReply::from_json(&skewed), None);
-        assert_eq!(CellRequest::from_json(&skewed), None);
-        assert_eq!(CellResponse::from_json(&skewed), None);
+        let (heartbeat, request, response) = messages();
+        assert_eq!(Heartbeat::from_json(&wire(heartbeat.to_json(), true)), None);
+        assert_eq!(CellRequest::from_json(&wire(request.to_json(), true)), None);
+        assert_eq!(
+            CellResponse::from_json(&wire(response.to_json(), true)),
+            None
+        );
     }
 }

@@ -1,15 +1,15 @@
 //! The cluster worker: a serve-based HTTP server that executes
-//! dispatched campaign cells, plus a background loop that registers
-//! with the coordinator and heartbeats load.
+//! dispatched campaign cells, plus a background loop that heartbeats
+//! the coordinator.
 //!
-//! The worker is deliberately coordinator-agnostic about lifetime: it
-//! retries registration with capped exponential backoff while the
-//! coordinator is down, and re-registers the moment a heartbeat reply
-//! says `known: false` (a restarted/resumed coordinator forgets its
-//! workers; the worker is the durable side of that handshake). Cell
-//! execution rides on [`sttlock_campaign::CellExecutor`], so a cell
-//! that panics or hangs becomes a structured failure record — the
-//! worker process survives everything a local campaign run would.
+//! A heartbeat is the worker's registration: the coordinator inserts
+//! any worker it does not know, so a worker needs no handshake to join,
+//! to rejoin after an eviction, or to survive a coordinator restart.
+//! While the coordinator is unreachable the loop backs off with capped
+//! exponential delays. Cell execution rides on
+//! [`sttlock_campaign::CellExecutor`], so a cell that panics or hangs
+//! becomes a structured failure record — the worker process survives
+//! everything a local campaign run would.
 
 use std::io;
 use std::path::PathBuf;
@@ -23,10 +23,9 @@ use sttlock_exec::{Backoff, Budget, CancelToken};
 use sttlock_serve::http::Response;
 use sttlock_serve::{client, ServeConfig, Server, StopHandle};
 
-use crate::protocol::{CellRequest, CellResponse, Heartbeat, HeartbeatReply, Register};
+use crate::protocol::{CellRequest, CellResponse, Heartbeat};
 
-/// How long a worker waits for a coordinator reply to a register or
-/// heartbeat request.
+/// How long a worker waits for the coordinator to answer a heartbeat.
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Worker configuration.
@@ -82,7 +81,7 @@ pub struct Worker {
     control: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Starts the worker server and its registration/heartbeat loop.
+/// Starts the worker server and its heartbeat loop.
 pub fn start_worker(cfg: WorkerConfig) -> io::Result<Worker> {
     let executor = Arc::new(CellExecutor::new(None));
     let active = Arc::new(AtomicU64::new(0));
@@ -119,19 +118,14 @@ pub fn start_worker(cfg: WorkerConfig) -> io::Result<Worker> {
     let control = {
         let server_stop = server.stop_handle();
         let coordinator = cfg.coordinator.clone();
-        let heartbeat = cfg.heartbeat;
-        let id = id.clone();
-        let addr = addr.clone();
+        let period = cfg.heartbeat;
+        let beat = Heartbeat {
+            worker: id.clone(),
+            addr: addr.clone(),
+            load: 0,
+        };
         std::thread::spawn(move || {
-            control_loop(
-                &coordinator,
-                &id,
-                &addr,
-                heartbeat,
-                &active,
-                &clock,
-                &server_stop,
-            );
+            control_loop(&coordinator, beat, period, &active, &clock, &server_stop);
         })
     };
 
@@ -150,7 +144,7 @@ impl Worker {
         &self.addr
     }
 
-    /// The worker's identity as registered with the coordinator.
+    /// The worker's identity in its heartbeats.
     pub fn id(&self) -> &str {
         &self.id
     }
@@ -214,81 +208,39 @@ fn route_cell(
     Some(Response::json(200, response.to_json().to_string()))
 }
 
-/// Registers with the coordinator (retrying with capped exponential
-/// backoff while it is unreachable), then heartbeats until stopped.
-/// A heartbeat answered with `known: false` — a restarted coordinator —
-/// drops back to the registration phase.
+/// Heartbeats the coordinator every `period` until stopped. A
+/// heartbeat that goes unanswered (`cluster.register_retries`) backs
+/// off instead, so a worker outlives its coordinator and rejoins the
+/// moment one answers again.
 fn control_loop(
     coordinator: &str,
-    id: &str,
-    addr: &str,
-    heartbeat: Duration,
+    mut beat: Heartbeat,
+    period: Duration,
     active: &AtomicU64,
     clock: &Budget,
     server_stop: &StopHandle,
 ) {
     let backoff = Backoff::default();
-    'life: while !clock.is_cancelled() {
-        // Phase 1: register, backing off while the coordinator is down.
-        let mut attempt = 0u32;
-        loop {
-            if clock.is_cancelled() || server_stop.is_stopped() {
-                break 'life;
+    let mut misses = 0u32;
+    while !clock.is_cancelled() && !server_stop.is_stopped() {
+        beat.load = active.load(Ordering::SeqCst);
+        let body = beat.to_json().to_string();
+        match client::request(
+            coordinator,
+            "POST",
+            "/cluster/heartbeat",
+            Some(&body),
+            CONTROL_TIMEOUT,
+        ) {
+            Ok(resp) if resp.status == 200 => {
+                misses = 0;
+                clock.sleep(period);
             }
-            let body = Register {
-                worker: id.to_owned(),
-                addr: addr.to_owned(),
+            _ => {
+                sttlock_obs::counter("cluster.register_retries", 1);
+                clock.sleep(backoff.delay(misses));
+                misses = misses.saturating_add(1);
             }
-            .to_json()
-            .to_string();
-            match client::request(
-                coordinator,
-                "POST",
-                "/cluster/register",
-                Some(&body),
-                CONTROL_TIMEOUT,
-            ) {
-                Ok(resp) if resp.status == 200 => break,
-                _ => {
-                    sttlock_obs::counter("cluster.register_retries", 1);
-                    clock.sleep(backoff.delay(attempt));
-                    attempt = attempt.saturating_add(1);
-                }
-            }
-        }
-        // Phase 2: heartbeat until stopped or forgotten.
-        loop {
-            if clock.is_cancelled() || server_stop.is_stopped() {
-                break 'life;
-            }
-            let body = Heartbeat {
-                worker: id.to_owned(),
-                load: active.load(Ordering::SeqCst),
-                queue_depth: 0,
-            }
-            .to_json()
-            .to_string();
-            let known = client::request(
-                coordinator,
-                "POST",
-                "/cluster/heartbeat",
-                Some(&body),
-                CONTROL_TIMEOUT,
-            )
-            .ok()
-            .filter(|resp| resp.status == 200)
-            .and_then(|resp| Json::parse(&resp.body_text()).ok())
-            .and_then(|v| HeartbeatReply::from_json(&v))
-            .map(|reply| reply.known);
-            match known {
-                Some(true) => {}
-                // Forgotten (coordinator restarted) or unreachable:
-                // fall back to the registration phase, which has the
-                // backoff. Either way the worker outlives its
-                // coordinator.
-                Some(false) | None => continue 'life,
-            }
-            clock.sleep(heartbeat);
         }
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end cluster tests: a real coordinator and real workers over
 //! real sockets, asserting the headline guarantees — merged output
 //! byte-identical to a single-node run, eviction + redispatch around
-//! dead and version-skewed workers, and journal-driven resume.
+//! dead, version-skewed and wrong-cell workers, and journal-driven
+//! resume from campaign journals of either writer.
 //!
 //! The obs collector registry is process-global, so every test takes
 //! `SERIAL` first and every server runs with `install_obs: false`
@@ -16,9 +17,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sttlock_benchgen::Profile;
-use sttlock_campaign::{execute, CampaignResult, CampaignSpec, CircuitSpec};
-use sttlock_cluster::journal::DispatchJournal;
-use sttlock_cluster::protocol::Register;
+use sttlock_campaign::json::Json;
+use sttlock_campaign::{
+    cell_journal_key, execute, CampaignResult, CampaignSpec, CircuitSpec, JournalEntry, RunRecord,
+    RunStatus, JOURNAL_SCHEMA_VERSION,
+};
+use sttlock_cluster::protocol::{CellResponse, Heartbeat};
 use sttlock_cluster::{
     start_coordinator, start_worker, Coordinator, CoordinatorConfig, Worker, WorkerConfig,
 };
@@ -135,22 +139,24 @@ fn wait_for_workers(coordinator: &Coordinator, n: usize) {
 }
 
 /// Registers a worker id with the coordinator without running one —
-/// the address points wherever the test wants dispatches to land.
+/// one heartbeat, whose address points wherever the test wants
+/// dispatches to land.
 fn register_fake(coordinator: &Coordinator, id: &str, addr: &str) {
-    let body = Register {
+    let body = Heartbeat {
         worker: id.to_owned(),
         addr: addr.to_owned(),
+        load: 0,
     }
     .to_json()
     .to_string();
     let resp = client::request(
         &coordinator.addr().to_string(),
         "POST",
-        "/cluster/register",
+        "/cluster/heartbeat",
         Some(&body),
         TIMEOUT,
     )
-    .expect("register should get a response");
+    .expect("heartbeat should get a response");
     assert_eq!(resp.status, 200);
 }
 
@@ -158,6 +164,82 @@ fn register_fake(coordinator: &Coordinator, id: &str, addr: &str) {
 fn dead_addr() -> String {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     listener.local_addr().unwrap().to_string()
+}
+
+/// A fake worker that answers every request 200 with `body`. It reads
+/// the whole request (head and body) before replying: closing a socket
+/// with unread bytes sends an RST, which would turn the reply into a
+/// transport error. The thread parks on accept; it dies with the test
+/// process.
+fn fake_worker(body: String) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let _ = read_request(&mut BufReader::new(&stream), &Limits::default());
+            let _ = write!(
+                stream,
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+                body.len(),
+                body
+            );
+        }
+    });
+    addr
+}
+
+/// Runs `spec` on a coordinator whose only worker is the fake at
+/// `fake_addr`; a real worker joins once the fake has had its chance
+/// to fail. Returns the merged result.
+fn run_past_a_fake(spec: &CampaignSpec, fake_addr: &str) -> CampaignResult {
+    let coordinator = start_coordinator(coordinator_cfg()).unwrap();
+    register_fake(&coordinator, "fake", fake_addr);
+    wait_for_workers(&coordinator, 1);
+    let result = std::thread::scope(|s| {
+        let run = s.spawn(|| coordinator.run_campaign(spec, &Budget::with_timeout(TIMEOUT)));
+        std::thread::sleep(Duration::from_millis(300));
+        let worker = join_worker(&coordinator);
+        let result = run.join().expect("campaign thread should not panic");
+        worker.shutdown();
+        result
+    });
+    coordinator.shutdown();
+    result
+}
+
+/// Starts a coordinator resuming from `journal` with one real worker,
+/// runs `spec`, and returns the merged result.
+fn resume_from(journal: std::path::PathBuf, spec: &CampaignSpec) -> CampaignResult {
+    let coordinator = start_coordinator(CoordinatorConfig {
+        journal: Some(journal),
+        resume: true,
+        ..coordinator_cfg()
+    })
+    .unwrap();
+    let worker = join_worker(&coordinator);
+    wait_for_workers(&coordinator, 1);
+    let result = coordinator.run_campaign(spec, &Budget::with_timeout(TIMEOUT));
+    worker.shutdown();
+    coordinator.shutdown();
+    result
+}
+
+/// Writes `payloads` to `path` as the frames a record log appends.
+fn write_frames(path: &std::path::Path, payloads: &[Json]) {
+    let mut bytes = Vec::new();
+    for payload in payloads {
+        bytes.extend(sttlock_store::frame::encode(payload.to_string().as_bytes()));
+    }
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// A campaign journal payload for `record` under `schema`.
+fn entry(schema: u32, record: &RunRecord) -> Json {
+    Json::obj([
+        ("schema", Json::from(u64::from(schema))),
+        ("record", record.to_json()),
+    ])
 }
 
 #[test]
@@ -237,38 +319,8 @@ fn a_version_skewed_worker_is_treated_like_a_dead_one() {
     let baseline = zeroed(execute(&spec));
 
     // A fake worker that answers 200 with a payload from a different
-    // protocol version. It reads the whole request (head and body)
-    // before replying: closing a socket with unread bytes sends an RST,
-    // which would turn the skewed reply into a transport error. The
-    // thread parks on accept; it dies with the test process.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let skewed_addr = listener.local_addr().unwrap().to_string();
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            let _ = read_request(&mut BufReader::new(&stream), &Limits::default());
-            let body = "{\"proto\":999}";
-            let _ = write!(
-                stream,
-                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-                body.len(),
-                body
-            );
-        }
-    });
-
-    let coordinator = start_coordinator(coordinator_cfg()).unwrap();
-    register_fake(&coordinator, "fake-skewed", &skewed_addr);
-    wait_for_workers(&coordinator, 1);
-
-    let result = std::thread::scope(|s| {
-        let run = s.spawn(|| coordinator.run_campaign(&spec, &Budget::with_timeout(TIMEOUT)));
-        std::thread::sleep(Duration::from_millis(300));
-        let worker = join_worker(&coordinator);
-        let result = run.join().expect("campaign thread should not panic");
-        worker.shutdown();
-        result
-    });
+    // protocol version.
+    let result = run_past_a_fake(&spec, &fake_worker("{\"proto\":999}".to_owned()));
 
     assert_eq!(
         zeroed(result),
@@ -278,7 +330,30 @@ fn a_version_skewed_worker_is_treated_like_a_dead_one() {
     assert!(obs.counter("cluster.skewed_responses") >= 1);
     assert_eq!(obs.counter("cluster.evicted_workers"), 1);
     assert!(obs.counter("cluster.redispatch") >= 1);
-    coordinator.shutdown();
+}
+
+#[test]
+fn a_worker_answering_with_another_cells_record_is_evicted() {
+    let _guard = serial();
+    let obs = Obs::install();
+    let spec = grid_spec();
+    let baseline = execute(&spec);
+
+    // A fake worker that answers every dispatch with a well-formed,
+    // current-protocol record — of a cell outside the grid.
+    let mut foreign = baseline.records[0].clone();
+    foreign.seed = 99;
+    let body = CellResponse { record: foreign }.to_json().to_string();
+    let result = run_past_a_fake(&spec, &fake_worker(body));
+
+    assert_eq!(
+        zeroed(result),
+        zeroed(baseline),
+        "another cell's record must never be merged into this one's slot"
+    );
+    assert!(obs.counter("cluster.skewed_responses") >= 1);
+    assert_eq!(obs.counter("cluster.evicted_workers"), 1);
+    assert!(obs.counter("cluster.redispatch") >= 1);
 }
 
 #[test]
@@ -339,33 +414,19 @@ fn resume_replays_journal_completions_and_dispatches_only_the_rest() {
     let obs = Obs::install();
     let spec = grid_spec();
     let baseline = execute(&spec);
-    let keys: Vec<String> = spec
-        .cells()
-        .iter()
-        .map(sttlock_campaign::cell_journal_key)
-        .collect();
     assert_eq!(baseline.records.len(), 6);
 
-    // Simulate a coordinator that crashed after completing the first
-    // three cells: its journal holds their durable completions.
-    let journal_path = tmp_dir("resume").join("dispatch.log");
-    {
-        let mut opened = DispatchJournal::open(&journal_path).unwrap();
-        for (key, record) in keys.iter().zip(&baseline.records).take(3) {
-            opened.journal.complete(key, record).unwrap();
-        }
-    }
+    // A single-node campaign over the grid's first circuit leaves three
+    // durable entries in its journal, as a run killed half-way would.
+    let journal = tmp_dir("resume").join("campaign.log");
+    let first = execute(&CampaignSpec {
+        circuits: spec.circuits[..1].to_vec(),
+        journal: Some(journal.clone()),
+        ..spec.clone()
+    });
+    assert_eq!(first.records.len(), 3);
 
-    let coordinator = start_coordinator(CoordinatorConfig {
-        journal: Some(journal_path),
-        resume: true,
-        ..coordinator_cfg()
-    })
-    .unwrap();
-    let worker = join_worker(&coordinator);
-    wait_for_workers(&coordinator, 1);
-
-    let result = coordinator.run_campaign(&spec, &Budget::with_timeout(TIMEOUT));
+    let result = resume_from(journal.clone(), &spec);
     assert_eq!(
         obs.counter("cluster.replayed"),
         3,
@@ -381,9 +442,93 @@ fn resume_replays_journal_completions_and_dispatches_only_the_rest() {
         zeroed(baseline),
         "replayed + fresh records must merge byte-identically"
     );
+    // The coordinator appended the three cells it dispatched.
+    let entries = sttlock_store::read_all::<JournalEntry>(&journal).unwrap().0;
+    assert_eq!(entries.len(), 6);
+}
 
-    worker.shutdown();
-    coordinator.shutdown();
+#[test]
+fn a_dispatch_journal_from_protocol_v1_still_resumes() {
+    let _guard = serial();
+    let obs = Obs::install();
+    let spec = grid_spec();
+    let baseline = execute(&spec);
+    let keys: Vec<String> = spec.cells().iter().map(cell_journal_key).collect();
+
+    // The earlier coordinator journaled a `dispatched` entry before and
+    // a `completed` entry after each cell. It crashed with the first
+    // three cells completed and the fourth in flight.
+    let dispatched = |key: &str| {
+        Json::obj([
+            ("type", Json::from("dispatched")),
+            ("key", Json::from(key)),
+            ("worker", Json::from("worker-a")),
+        ])
+    };
+    let mut payloads = Vec::new();
+    for (key, record) in keys.iter().zip(&baseline.records).take(3) {
+        payloads.push(dispatched(key));
+        payloads.push(Json::obj([
+            ("type", Json::from("completed")),
+            ("key", Json::from(key.as_str())),
+            ("schema", Json::from(u64::from(JOURNAL_SCHEMA_VERSION))),
+            ("record", record.to_json()),
+        ]));
+    }
+    payloads.push(dispatched(&keys[3]));
+    let journal = tmp_dir("v1-journal").join("dispatch.log");
+    write_frames(&journal, &payloads);
+
+    let result = resume_from(journal, &spec);
+    assert_eq!(obs.counter("cluster.replayed"), 3);
+    assert_eq!(obs.counter("cluster.dispatch"), 3);
+    let recovery = result.journal_recovery.clone().unwrap();
+    assert_eq!(
+        recovery.undecodable, 4,
+        "every dispatched marker is an undecodable entry"
+    );
+    assert_eq!(zeroed(result), zeroed(baseline));
+}
+
+#[test]
+fn resume_replays_only_clean_current_schema_entries_of_the_grid() {
+    let _guard = serial();
+    let obs = Obs::install();
+    let spec = grid_spec();
+    let baseline = execute(&spec);
+    let clean = |i: usize| entry(JOURNAL_SCHEMA_VERSION, &baseline.records[i]);
+    let skewed = |i: usize| entry(JOURNAL_SCHEMA_VERSION + 1, &baseline.records[i]);
+    let mut outside = baseline.records[0].clone();
+    outside.circuit = "not-in-this-grid".to_owned();
+    let failed = RunRecord {
+        status: RunStatus::TimedOut,
+        flow: None,
+        ..baseline.records[1].clone()
+    };
+
+    let journal = tmp_dir("replay-rule").join("campaign.log");
+    write_frames(
+        &journal,
+        &[
+            clean(0),                                // replays
+            entry(JOURNAL_SCHEMA_VERSION, &failed),  // cell 1: failed
+            skewed(2),                               // cell 2: other schema
+            clean(3),                                // cell 3: clean, then
+            skewed(3),                               //   a later bad entry
+            clean(4),                                // replays
+            entry(JOURNAL_SCHEMA_VERSION, &outside), // outside the grid
+        ],
+    );
+
+    let result = resume_from(journal, &spec);
+    assert_eq!(obs.counter("cluster.replayed"), 2);
+    assert_eq!(obs.counter("cluster.skewed_replays"), 3);
+    assert_eq!(
+        obs.counter("cluster.dispatch"),
+        4,
+        "the failed, skewed, reopened and unjournaled cells re-run"
+    );
+    assert_eq!(zeroed(result), zeroed(baseline));
 }
 
 #[test]
