@@ -10,6 +10,7 @@
 use std::error::Error;
 use std::fmt;
 
+use sttlock_exec::BudgetError;
 use sttlock_sim::SimError;
 
 use crate::sensitization::SensitizationOutcome;
@@ -48,6 +49,15 @@ pub enum AttackError {
     TimedOut {
         /// The attack state at the moment the budget expired.
         partial: Box<SensitizationOutcome>,
+    },
+    /// The caller's budget tripped during a SAT attack. The attack
+    /// checks it once per DIP iteration; `dips` counts the
+    /// distinguishing inputs found before the check failed.
+    Budget {
+        /// Why the budget refused further work.
+        reason: BudgetError,
+        /// DIPs found before the budget tripped.
+        dips: usize,
     },
     /// The oracle could not be simulated.
     Sim(SimError),
@@ -88,6 +98,9 @@ impl fmt::Display for AttackError {
                 partial.test_clocks,
                 partial.sat_queries
             ),
+            AttackError::Budget { reason, dips } => {
+                write!(f, "SAT attack stopped after {dips} DIPs: {reason}")
+            }
             AttackError::Sim(e) => write!(f, "oracle simulation failed: {e}"),
         }
     }
@@ -97,6 +110,7 @@ impl Error for AttackError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             AttackError::Sim(e) => Some(e),
+            AttackError::Budget { reason, .. } => Some(reason),
             _ => None,
         }
     }

@@ -13,6 +13,7 @@
 //! Criterion benches quantify the growth of [`SatAttackOutcome::dips`]
 //! and solver conflicts as the selection algorithms strengthen.
 
+use sttlock_exec::Budget;
 use sttlock_netlist::{Netlist, NodeId, TruthTable};
 use sttlock_sat::encode::{assert_some_difference_gated, encode, tie_keys, Encoding};
 use sttlock_sat::unroll::encode_unrolled;
@@ -57,9 +58,12 @@ impl SatAttackOutcome {
 /// Runs the oracle-guided SAT attack.
 ///
 /// `redacted` is the foundry view; `oracle` the programmed twin.
+/// `budget` is checked at the top of every DIP iteration.
 ///
 /// # Errors
 ///
+/// * [`AttackError::Budget`] if `budget` trips, with the DIPs found so
+///   far.
 /// * [`AttackError::Sim`] if the oracle is unprogrammed or structurally
 ///   incompatible.
 /// * [`AttackError::DesignMismatch`] if `redacted` and `oracle` are not
@@ -73,6 +77,7 @@ pub fn run(
     redacted: &Netlist,
     oracle: &Netlist,
     cfg: &SatAttackConfig,
+    budget: &Budget,
 ) -> Result<SatAttackOutcome, AttackError> {
     if redacted.len() != oracle.len() {
         return Err(AttackError::DesignMismatch {
@@ -98,6 +103,9 @@ pub fn run(
 
     let mut dips = 0usize;
     loop {
+        if let Err(reason) = budget.check() {
+            return Err(AttackError::Budget { reason, dips });
+        }
         if cfg.max_dips != 0 && dips >= cfg.max_dips {
             return Ok(SatAttackOutcome {
                 bitstream: None,
@@ -193,8 +201,12 @@ pub struct SequentialAttackOutcome {
 /// unroll may still distinguish keys). Both effects are what the paper
 /// counts on when it instructs designers to disable scan.
 ///
+/// `budget` is checked at the top of every DIP iteration, as in [`run`].
+///
 /// # Errors
 ///
+/// * [`AttackError::Budget`] if `budget` trips, with the DIP sequences
+///   found so far.
 /// * [`AttackError::Sim`] if the oracle is unprogrammed or incompatible.
 /// * [`AttackError::DesignMismatch`] / [`AttackError::ZeroFrames`] on a
 ///   mismatched netlist pair or a zero unroll bound (formerly panics).
@@ -205,6 +217,7 @@ pub fn run_sequential(
     redacted: &Netlist,
     oracle: &Netlist,
     cfg: &SequentialAttackConfig,
+    budget: &Budget,
 ) -> Result<SequentialAttackOutcome, AttackError> {
     if redacted.len() != oracle.len() {
         return Err(AttackError::DesignMismatch {
@@ -241,6 +254,9 @@ pub fn run_sequential(
 
     let mut dips = 0usize;
     loop {
+        if let Err(reason) = budget.check() {
+            return Err(AttackError::Budget { reason, dips });
+        }
         if cfg.max_dips != 0 && dips >= cfg.max_dips {
             return Ok(SequentialAttackOutcome {
                 bitstream: None,
@@ -405,6 +421,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use sttlock_exec::BudgetError;
     use sttlock_netlist::{GateKind, NetlistBuilder};
 
     fn lockable() -> Netlist {
@@ -434,7 +451,13 @@ mod tests {
     #[test]
     fn recovers_single_missing_gate() {
         let (redacted, programmed) = lock(&["g2"]);
-        let out = run(&redacted, &programmed, &SatAttackConfig::default()).unwrap();
+        let out = run(
+            &redacted,
+            &programmed,
+            &SatAttackConfig::default(),
+            &Budget::unbounded(),
+        )
+        .unwrap();
         assert!(out.succeeded());
         let bits = out.bitstream.unwrap();
         let mut rng = StdRng::seed_from_u64(1);
@@ -447,7 +470,13 @@ mod tests {
         // With full scan even the dependent chain falls — which is why
         // the paper insists scan is locked in fielded parts.
         let (redacted, programmed) = lock(&["g1", "g2", "g3"]);
-        let out = run(&redacted, &programmed, &SatAttackConfig::default()).unwrap();
+        let out = run(
+            &redacted,
+            &programmed,
+            &SatAttackConfig::default(),
+            &Budget::unbounded(),
+        )
+        .unwrap();
         assert!(out.succeeded());
         let bits = out.bitstream.unwrap();
         let mut rng = StdRng::seed_from_u64(2);
@@ -459,7 +488,7 @@ mod tests {
     fn dip_limit_aborts_gracefully() {
         let (redacted, programmed) = lock(&["g1", "g2", "g3"]);
         let cfg = SatAttackConfig { max_dips: 1 };
-        let out = run(&redacted, &programmed, &cfg).unwrap();
+        let out = run(&redacted, &programmed, &cfg, &Budget::unbounded()).unwrap();
         if !out.succeeded() {
             assert_eq!(out.dips, 1);
         }
@@ -472,7 +501,7 @@ mod tests {
             frames: 4,
             max_dips: 10_000,
         };
-        let out = run_sequential(&redacted, &programmed, &cfg).unwrap();
+        let out = run_sequential(&redacted, &programmed, &cfg, &Budget::unbounded()).unwrap();
         let bits = out.bitstream.expect("attack converges on a small design");
         // Bounded guarantee: replay random sequences of <= `frames`
         // cycles from reset and compare primary outputs.
@@ -494,12 +523,18 @@ mod tests {
         // Losing scan access makes each query a k-frame formula; the
         // solver works strictly harder for the same key material.
         let (redacted, programmed) = lock(&["g1", "g2", "g3"]);
-        let scan = run(&redacted, &programmed, &SatAttackConfig::default()).unwrap();
+        let scan = run(
+            &redacted,
+            &programmed,
+            &SatAttackConfig::default(),
+            &Budget::unbounded(),
+        )
+        .unwrap();
         let cfg = SequentialAttackConfig {
             frames: 6,
             max_dips: 10_000,
         };
-        let noscan = run_sequential(&redacted, &programmed, &cfg).unwrap();
+        let noscan = run_sequential(&redacted, &programmed, &cfg, &Budget::unbounded()).unwrap();
         assert!(noscan.bitstream.is_some());
         assert!(
             noscan.solver_stats.propagations >= scan.solver_stats.propagations,
@@ -507,6 +542,22 @@ mod tests {
             noscan.solver_stats.propagations,
             scan.solver_stats.propagations
         );
+    }
+
+    #[test]
+    fn a_cancelled_budget_stops_both_attacks_before_the_first_dip() {
+        let (redacted, programmed) = lock(&["g1", "g2", "g3"]);
+        let budget = Budget::unbounded();
+        budget.cancel();
+        let stopped = AttackError::Budget {
+            reason: BudgetError::Cancelled,
+            dips: 0,
+        };
+        let scan = run(&redacted, &programmed, &SatAttackConfig::default(), &budget);
+        assert_eq!(scan.unwrap_err(), stopped);
+        let cfg = SequentialAttackConfig::default();
+        let noscan = run_sequential(&redacted, &programmed, &cfg, &budget);
+        assert_eq!(noscan.unwrap_err(), stopped);
     }
 
     #[test]
@@ -553,7 +604,12 @@ mod tests {
         other.gate("y", GateKind::Not, &["x"]);
         other.output("y");
         let other = other.finish().unwrap();
-        match run(&redacted, &other, &SatAttackConfig::default()) {
+        match run(
+            &redacted,
+            &other,
+            &SatAttackConfig::default(),
+            &Budget::unbounded(),
+        ) {
             Err(AttackError::DesignMismatch {
                 redacted: r,
                 oracle: o,
@@ -562,7 +618,7 @@ mod tests {
         }
         let cfg = SequentialAttackConfig::default();
         assert!(matches!(
-            run_sequential(&redacted, &other, &cfg),
+            run_sequential(&redacted, &other, &cfg, &Budget::unbounded()),
             Err(AttackError::DesignMismatch { .. })
         ));
     }
@@ -586,7 +642,12 @@ mod tests {
         let mut tampered = b.finish().unwrap();
         let id = tampered.find("g2").unwrap();
         tampered.replace_gate_with_lut(id).unwrap();
-        let out = run(&redacted, &tampered, &SatAttackConfig::default());
+        let out = run(
+            &redacted,
+            &tampered,
+            &SatAttackConfig::default(),
+            &Budget::unbounded(),
+        );
         assert!(
             matches!(
                 out,
@@ -604,7 +665,7 @@ mod tests {
             max_dips: 10,
         };
         assert_eq!(
-            run_sequential(&redacted, &programmed, &cfg),
+            run_sequential(&redacted, &programmed, &cfg, &Budget::unbounded()),
             Err(AttackError::ZeroFrames)
         );
     }
@@ -612,7 +673,7 @@ mod tests {
     #[test]
     fn no_missing_gates_needs_no_dips() {
         let n = lockable();
-        let out = run(&n, &n, &SatAttackConfig::default()).unwrap();
+        let out = run(&n, &n, &SatAttackConfig::default(), &Budget::unbounded()).unwrap();
         assert!(out.succeeded());
         assert_eq!(out.dips, 0);
         assert!(out.bitstream.unwrap().is_empty());
@@ -622,8 +683,8 @@ mod tests {
     fn more_missing_gates_need_at_least_as_many_dips() {
         let (r1, p1) = lock(&["g2"]);
         let (r3, p3) = lock(&["g1", "g2", "g3"]);
-        let o1 = run(&r1, &p1, &SatAttackConfig::default()).unwrap();
-        let o3 = run(&r3, &p3, &SatAttackConfig::default()).unwrap();
+        let o1 = run(&r1, &p1, &SatAttackConfig::default(), &Budget::unbounded()).unwrap();
+        let o3 = run(&r3, &p3, &SatAttackConfig::default(), &Budget::unbounded()).unwrap();
         assert!(o3.dips >= o1.dips, "{} vs {}", o3.dips, o1.dips);
     }
 }

@@ -47,7 +47,7 @@ fn loop_n() -> u64 {
 struct NullCollector;
 
 impl Collector for NullCollector {
-    fn span_close(&self, span: &SpanData) {
+    fn span_close(&self, span: SpanData) {
         black_box(span.duration_us);
     }
     fn counter_add(&self, name: &'static str, delta: u64) {

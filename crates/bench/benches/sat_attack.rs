@@ -10,6 +10,7 @@ use rand::SeedableRng;
 use sttlock_attack::sat_attack::{self, SatAttackConfig};
 use sttlock_benchgen::Profile;
 use sttlock_core::{Flow, SelectionAlgorithm};
+use sttlock_exec::Budget;
 use sttlock_netlist::Netlist;
 use sttlock_techlib::Library;
 
@@ -35,8 +36,9 @@ fn bench_sat_attack(c: &mut Criterion) {
             &(redacted, oracle),
             |b, (r, o)| {
                 b.iter(|| {
+                    let cfg = SatAttackConfig::default();
                     let out =
-                        sat_attack::run(r, o, &SatAttackConfig::default()).expect("attack runs");
+                        sat_attack::run(r, o, &cfg, &Budget::unbounded()).expect("attack runs");
                     assert!(out.succeeded());
                     out.dips
                 })

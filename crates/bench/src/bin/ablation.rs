@@ -168,6 +168,7 @@ fn main() {
         &redacted,
         &locked.hybrid,
         &sttlock_attack::sat_attack::SatAttackConfig::default(),
+        &sttlock_exec::Budget::unbounded(),
     )
     .expect("attack runs");
     println!(

@@ -17,8 +17,8 @@
 //!   `campaign.poison_recovered`;
 //! * a cell that exceeds the budget becomes [`RunStatus::TimedOut`];
 //!   the runner abandons its detached thread but cancels the cell's
-//!   [`Budget`], checked between stages (and inside every timing-oracle
-//!   and repair loop), so the thread winds down promptly instead of
+//!   [`Budget`], checked between stages (and inside every timing-oracle,
+//!   repair and attack loop), so the thread winds down promptly instead of
 //!   burning CPU until process exit. Live abandoned threads are visible
 //!   as the `campaign.abandoned_cells` gauge.
 //!
@@ -42,7 +42,7 @@ use sttlock_attack::sat_attack::{self, SatAttackConfig, SequentialAttackConfig};
 use sttlock_attack::sensitization::{self, SensitizationConfig};
 use sttlock_benchgen::{profiles, Profile};
 use sttlock_core::{verify_and_repair_budgeted, Flow, FlowError, FlowOutcome, RepairConfig};
-use sttlock_exec::Budget;
+use sttlock_exec::{panic_message, Budget};
 use sttlock_fault::FaultInjector;
 use sttlock_netlist::{bench_format, Netlist};
 use sttlock_store::Cache;
@@ -343,7 +343,7 @@ fn run_cell_isolated(
             sttlock_obs::counter("campaign.panic", 1);
             RunRecord {
                 wall_ms: start.elapsed().as_millis() as u64,
-                ..RunRecord::for_cell(cell, RunStatus::Panicked(panic_message(payload)))
+                ..RunRecord::for_cell(cell, RunStatus::Panicked(panic_message(&*payload)))
             }
         }
         Err(_) => {
@@ -355,16 +355,6 @@ fn run_cell_isolated(
                 ..RunRecord::for_cell(cell, RunStatus::TimedOut)
             }
         }
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
     }
 }
 
@@ -642,8 +632,8 @@ fn run_attack(
         }
         AttackKind::Sat { max_dips } => {
             let foundry = hybrid.redact().0;
-            let out =
-                sat_attack::run(&foundry, hybrid, &SatAttackConfig { max_dips }).map_err(err)?;
+            let out = sat_attack::run(&foundry, hybrid, &SatAttackConfig { max_dips }, budget)
+                .map_err(err)?;
             let s = out.solver_stats;
             Ok(Some(AttackMetrics {
                 broke: out.succeeded(),
@@ -659,7 +649,7 @@ fn run_attack(
         AttackKind::SequentialSat { frames, max_dips } => {
             let foundry = hybrid.redact().0;
             let cfg = SequentialAttackConfig { frames, max_dips };
-            let out = sat_attack::run_sequential(&foundry, hybrid, &cfg).map_err(err)?;
+            let out = sat_attack::run_sequential(&foundry, hybrid, &cfg, budget).map_err(err)?;
             let s = out.solver_stats;
             Ok(Some(AttackMetrics {
                 broke: out.bitstream.is_some(),
@@ -892,7 +882,7 @@ mod tests {
         // campaign with "every cell produces a record".
         struct Bomb;
         impl sttlock_obs::Collector for Bomb {
-            fn span_close(&self, span: &sttlock_obs::SpanData) {
+            fn span_close(&self, span: sttlock_obs::SpanData) {
                 if span.name == "campaign.cell"
                     && span.fields.iter().any(|(k, v)| {
                         *k == "circuit"

@@ -578,7 +578,8 @@ fn cmd_attack(argv: &[String]) -> Result<String, CliError> {
             ))
         }
         "sat" => {
-            let out = sat_attack::run(&redacted, &oracle, &SatAttackConfig::default())
+            let budget = sttlock_exec::Budget::unbounded();
+            let out = sat_attack::run(&redacted, &oracle, &SatAttackConfig::default(), &budget)
                 .map_err(|e| CliError::Step(format!("attack failed: {e}")))?;
             Ok(format!(
                 "sat attack (full scan): {}, {} DIPs, {} conflicts\n",
@@ -597,7 +598,8 @@ fn cmd_attack(argv: &[String]) -> Result<String, CliError> {
                 frames,
                 max_dips: 10_000,
             };
-            let out = sat_attack::run_sequential(&redacted, &oracle, &cfg)
+            let budget = sttlock_exec::Budget::unbounded();
+            let out = sat_attack::run_sequential(&redacted, &oracle, &cfg, &budget)
                 .map_err(|e| CliError::Step(format!("attack failed: {e}")))?;
             Ok(format!(
                 "sat attack (no scan, {} frames): {}, {} DIP sequences, {} conflicts\n",

@@ -75,7 +75,7 @@ pub struct CoordinatorConfig {
     pub resume: bool,
     /// Backoff schedule between barren dispatch rounds.
     pub backoff: Backoff,
-    /// Install this server's metrics sink as the process-global obs
+    /// Install this server's collector as the process-global obs
     /// collector (off for in-process cluster tests).
     pub install_obs: bool,
     /// Record a full span trace, written on shutdown.

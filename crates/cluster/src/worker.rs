@@ -52,7 +52,7 @@ pub struct WorkerConfig {
     /// timeout must outlast the campaign timeout the coordinator
     /// forwards per cell).
     pub request_timeout: Duration,
-    /// Install this worker's metrics sink as the process-global obs
+    /// Install this worker's collector as the process-global obs
     /// collector (off for in-process cluster tests).
     pub install_obs: bool,
 }

@@ -6,7 +6,7 @@
 //!
 //! The obs collector registry is process-global, so every test takes
 //! `SERIAL` first and every server runs with `install_obs: false`
-//! under one ambient [`MetricsCollector`] per test.
+//! under one ambient span-less [`TraceCollector`] per test.
 
 use std::io::{BufReader, Write};
 use std::net::TcpListener;
@@ -28,7 +28,7 @@ use sttlock_cluster::{
 };
 use sttlock_exec::{Backoff, Budget};
 use sttlock_netlist::bench_format;
-use sttlock_obs::MetricsCollector;
+use sttlock_obs::TraceCollector;
 use sttlock_serve::client;
 use sttlock_serve::http::{read_request, Limits};
 
@@ -43,12 +43,12 @@ const TIMEOUT: Duration = Duration::from_secs(60);
 /// Installs a fresh ambient collector; uninstalls on drop so a failing
 /// test does not poison the next one.
 struct Obs {
-    collector: Arc<MetricsCollector>,
+    collector: Arc<TraceCollector>,
 }
 
 impl Obs {
     fn install() -> Obs {
-        let collector = MetricsCollector::new();
+        let collector = TraceCollector::without_spans();
         sttlock_obs::install(collector.clone());
         Obs { collector }
     }

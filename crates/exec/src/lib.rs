@@ -19,7 +19,8 @@
 //!   work without bounding it.
 //! * [`Pool`] — a bounded job pool with `catch_unwind` panic isolation
 //!   and queue-wait accounting, plus [`scoped_map`], its borrow-friendly
-//!   work-stealing sibling for fork/join parallelism over in-scope data.
+//!   work-stealing sibling for fork/join parallelism over in-scope data,
+//!   and [`panic_message`], which every caught panic is reported through.
 //! * [`KeyBuilder`]/[`CacheKey`] — the typed 128-bit content-hash key
 //!   scheme shared by the campaign result cache and serve's response
 //!   cache, over the workspace's one [`fnv1a`].
@@ -41,4 +42,4 @@ mod pool;
 pub use backoff::Backoff;
 pub use budget::{Budget, BudgetError, CancelToken};
 pub use key::{fnv1a, CacheKey, KeyBuilder, FNV_OFFSET_BASIS};
-pub use pool::{scoped_map, Pool, PoolFull};
+pub use pool::{panic_message, scoped_map, Pool, PoolFull};

@@ -130,6 +130,19 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>) {
     }
 }
 
+/// The text of a caught panic payload: the message of a `panic!` with
+/// a literal or formatted string, else a fixed placeholder. The one
+/// formatter for every `catch_unwind` site that reports what panicked.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
+
 /// Runs `f(i)` for every `i in 0..n` on up to `workers` scoped threads
 /// pulling indices from a shared work-stealing counter, and returns the
 /// results in index order.
@@ -182,6 +195,20 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
+
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        let caught = |f: fn()| catch_unwind(f).expect_err("the closure panics");
+        assert_eq!(panic_message(&*caught(|| panic!("literal"))), "literal");
+        assert_eq!(
+            panic_message(&*caught(|| panic!("formatted {}", 7))),
+            "formatted 7"
+        );
+        assert_eq!(
+            panic_message(&*caught(|| std::panic::panic_any(7u8))),
+            "non-string panic payload"
+        );
+    }
 
     #[test]
     fn pool_runs_jobs_and_drains_on_shutdown() {

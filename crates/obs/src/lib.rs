@@ -18,20 +18,21 @@
 //!   no allocation, no locking, and no field evaluation — the
 //!   `obs_overhead` criterion bench pins the disabled cost in the noise.
 //!
-//! [`TraceCollector`] is the batteries-included sink: it aggregates
-//! counters/gauges/histograms, keeps every closed span, and renders
-//! either a JSONL trace (one event per line, reconstructable into the
-//! span tree through the `id`/`parent` fields) or a human `summary()`
-//! table. The CLI exposes it as `--trace <path>` / `--trace-summary` on
-//! the `campaign` and `faults` subcommands.
+//! [`TraceCollector`] is the one sink: it aggregates
+//! counters/gauges/histograms, keeps every closed span unless built by
+//! [`TraceCollector::without_spans`], and renders a JSONL trace (one
+//! event per line, reconstructable into the span tree through the
+//! `id`/`parent` fields), a human `summary()` table or the `/metrics`
+//! text export. The CLI exposes it as `--trace <path>` /
+//! `--trace-summary` on the `campaign` and `faults` subcommands; the
+//! server renders `/metrics` from it and keeps spans only when asked
+//! for a trace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod metrics;
 mod trace;
 
-pub use metrics::{Fanout, MetricsCollector};
 pub use trace::{write_json_str, TraceCollector};
 
 use std::cell::RefCell;
@@ -130,7 +131,7 @@ pub trait Collector: Send + Sync {
     /// A span closed (its guard dropped). `span` carries start, duration
     /// and parent, which is enough to rebuild the tree — open events are
     /// deliberately not delivered.
-    fn span_close(&self, span: &SpanData);
+    fn span_close(&self, span: SpanData);
     /// Monotonic counter increment.
     fn counter_add(&self, name: &'static str, delta: u64);
     /// Gauge delta (may be negative; the current value is the running
@@ -350,7 +351,7 @@ impl Drop for SpanGuard {
             start_us: info.start_us,
             duration_us: info.started.elapsed().as_micros() as u64,
         };
-        with_collector(|c| c.span_close(&data));
+        with_collector(|c| c.span_close(data));
     }
 }
 

@@ -1,5 +1,6 @@
-//! The batteries-included [`Collector`]: span recorder, metric
-//! aggregator, JSONL trace exporter and text summary renderer.
+//! The workspace's one [`Collector`]: metric aggregator, span
+//! recorder, and the JSONL trace, text summary and `/metrics` text
+//! exporters.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -11,19 +12,18 @@ use crate::{Collector, FieldValue, SpanData};
 /// microseconds (bucket 0 is `< 1 µs`).
 const BUCKETS: usize = 40;
 
-/// A log₂-bucketed duration histogram (shared with the aggregate-only
-/// [`MetricsCollector`](crate::MetricsCollector)).
+/// A log₂-bucketed duration histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Hist {
-    pub(crate) count: u64,
-    pub(crate) sum_us: u64,
-    pub(crate) min_us: u64,
-    pub(crate) max_us: u64,
+struct Hist {
+    count: u64,
+    sum_us: u64,
+    min_us: u64,
+    max_us: u64,
     buckets: [u64; BUCKETS],
 }
 
 impl Hist {
-    pub(crate) fn new() -> Hist {
+    fn new() -> Hist {
         Hist {
             count: 0,
             sum_us: 0,
@@ -33,7 +33,7 @@ impl Hist {
         }
     }
 
-    pub(crate) fn observe(&mut self, us: u64) {
+    fn observe(&mut self, us: u64) {
         self.count += 1;
         self.sum_us = self.sum_us.saturating_add(us);
         self.min_us = self.min_us.min(us);
@@ -45,7 +45,7 @@ impl Hist {
     /// Upper bound of the bucket holding the `q`-quantile observation —
     /// an approximation within a factor of two, which is what a
     /// where-did-the-time-go summary needs.
-    pub(crate) fn quantile_us(&self, q: f64) -> u64 {
+    fn quantile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -60,7 +60,7 @@ impl Hist {
         self.max_us
     }
 
-    pub(crate) fn mean_us(&self) -> u64 {
+    fn mean_us(&self) -> u64 {
         self.sum_us.checked_div(self.count).unwrap_or(0)
     }
 }
@@ -70,22 +70,49 @@ struct State {
     spans: Vec<SpanData>,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, (i64, i64)>, // (current, peak)
-    hists: BTreeMap<String, Hist>,
+    hists: BTreeMap<&'static str, Hist>,
 }
 
-/// In-memory collector: keeps every closed span, aggregates counters,
-/// gauges (with peaks) and duration histograms (per span name plus
-/// every [`observe_us`](crate::observe_us) stream), and renders the lot
-/// as a JSONL trace or a text summary.
-#[derive(Debug, Default)]
+impl State {
+    fn observe(&mut self, name: &'static str, us: u64) {
+        self.hists.entry(name).or_insert_with(Hist::new).observe(us);
+    }
+}
+
+/// In-memory collector: aggregates counters, gauges (with peaks) and
+/// duration histograms (per span name plus every
+/// [`observe_us`](crate::observe_us) stream), and renders the lot as a
+/// JSONL trace, a text summary or the `/metrics` text export.
+///
+/// Built by [`TraceCollector::new`] it also keeps every closed span,
+/// which a bounded run (a campaign, `--trace`) wants. Built by
+/// [`TraceCollector::without_spans`] it keeps none, so its memory is
+/// bounded by the number of distinct metric names and it is safe to
+/// leave installed for the lifetime of a server process.
+#[derive(Debug)]
 pub struct TraceCollector {
+    keep_spans: bool,
     state: Mutex<State>,
 }
 
 impl TraceCollector {
-    /// A fresh collector, ready for [`install`](crate::install).
+    /// A fresh collector that keeps every closed span, ready for
+    /// [`install`](crate::install).
     pub fn new() -> Arc<TraceCollector> {
-        Arc::new(TraceCollector::default())
+        TraceCollector::build(true)
+    }
+
+    /// A fresh collector that aggregates only: [`spans`](Self::spans)
+    /// stays empty and the JSONL trace holds no `span` line.
+    pub fn without_spans() -> Arc<TraceCollector> {
+        TraceCollector::build(false)
+    }
+
+    fn build(keep_spans: bool) -> Arc<TraceCollector> {
+        Arc::new(TraceCollector {
+            keep_spans,
+            state: Mutex::default(),
+        })
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
@@ -107,6 +134,11 @@ impl TraceCollector {
     /// Current value of the gauge `name` (0 when never moved).
     pub fn gauge_value(&self, name: &str) -> i64 {
         self.lock().gauges.get(name).map_or(0, |&(cur, _)| cur)
+    }
+
+    /// Observation count of the histogram `name` (0 when absent).
+    pub fn hist_count(&self, name: &str) -> u64 {
+        self.lock().hists.get(name).map_or(0, |h| h.count)
     }
 
     /// The JSONL trace: one `span` line per closed span (with `id` /
@@ -223,17 +255,72 @@ impl TraceCollector {
         }
         out
     }
+
+    /// The `/metrics` text export, one metric per line:
+    ///
+    /// ```text
+    /// sttlock_counter{name="serve.accepted"} 12
+    /// sttlock_gauge{name="serve.in_flight"} 0
+    /// sttlock_gauge_peak{name="serve.in_flight"} 4
+    /// sttlock_hist_count{name="serve.request"} 12
+    /// sttlock_hist_sum_us{name="serve.request"} 83211
+    /// sttlock_hist_p50_us{name="serve.request"} 4096
+    /// sttlock_hist_p95_us{name="serve.request"} 16384
+    /// sttlock_hist_max_us{name="serve.request"} 15321
+    /// ```
+    ///
+    /// Names are emitted verbatim inside the label; ordering is the
+    /// BTreeMap's, i.e. deterministic, so tests and CI can diff it.
+    pub fn render_text(&self) -> String {
+        let state = self.lock();
+        let mut out = String::new();
+        for (name, value) in &state.counters {
+            let _ = writeln!(out, "sttlock_counter{{name=\"{name}\"}} {value}");
+        }
+        for (name, (current, peak)) in &state.gauges {
+            let _ = writeln!(out, "sttlock_gauge{{name=\"{name}\"}} {current}");
+            let _ = writeln!(out, "sttlock_gauge_peak{{name=\"{name}\"}} {peak}");
+        }
+        for (name, h) in &state.hists {
+            let _ = writeln!(out, "sttlock_hist_count{{name=\"{name}\"}} {}", h.count);
+            let _ = writeln!(out, "sttlock_hist_sum_us{{name=\"{name}\"}} {}", h.sum_us);
+            let _ = writeln!(
+                out,
+                "sttlock_hist_p50_us{{name=\"{name}\"}} {}",
+                h.quantile_us(0.50)
+            );
+            let _ = writeln!(
+                out,
+                "sttlock_hist_p95_us{{name=\"{name}\"}} {}",
+                h.quantile_us(0.95)
+            );
+            let _ = writeln!(out, "sttlock_hist_max_us{{name=\"{name}\"}} {}", h.max_us);
+        }
+        out
+    }
+
+    /// One-line digest for logs: how many metrics of each kind, and the
+    /// total histogram observation count.
+    pub fn digest(&self) -> String {
+        let state = self.lock();
+        let observations: u64 = state.hists.values().map(|h| h.count).sum();
+        format!(
+            "{} counters, {} gauges, {} histograms, {} observations",
+            state.counters.len(),
+            state.gauges.len(),
+            state.hists.len(),
+            observations
+        )
+    }
 }
 
 impl Collector for TraceCollector {
-    fn span_close(&self, span: &SpanData) {
+    fn span_close(&self, span: SpanData) {
         let mut state = self.lock();
-        state
-            .hists
-            .entry(span.name.to_owned())
-            .or_insert_with(Hist::new)
-            .observe(span.duration_us);
-        state.spans.push(span.clone());
+        state.observe(span.name, span.duration_us);
+        if self.keep_spans {
+            state.spans.push(span);
+        }
     }
 
     fn counter_add(&self, name: &'static str, delta: u64) {
@@ -249,12 +336,7 @@ impl Collector for TraceCollector {
     }
 
     fn observe_us(&self, name: &'static str, value_us: u64) {
-        let mut state = self.lock();
-        state
-            .hists
-            .entry(name.to_owned())
-            .or_insert_with(Hist::new)
-            .observe(value_us);
+        self.lock().observe(name, value_us);
     }
 }
 
@@ -367,5 +449,108 @@ mod tests {
         assert_eq!(quoted("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(quoted("\u{1}\r\t\u{1f}"), "\"\\u0001\\r\\t\\u001f\"");
         assert_eq!(quoted("é☃ ok"), "\"é☃ ok\"");
+    }
+
+    #[test]
+    fn render_text_round_trips_as_name_value_lines_without_duplicates() {
+        // The text export is what `/metrics` serves and what the CI
+        // smoke jobs diff; every line must parse as `series{name="X"} N`
+        // and no (series, name) pair may repeat.
+        let _guard = test_lock();
+        let metrics = TraceCollector::without_spans();
+        install(metrics.clone());
+        {
+            let _s = span!("serve.request", endpoint = "harden");
+        }
+        crate::counter("cluster.dispatch", 6);
+        crate::counter("serve.accepted", 1);
+        crate::gauge("serve.in_flight", 2);
+        crate::observe_us("serve.queue_wait", 250);
+        uninstall();
+
+        let text = metrics.render_text();
+        assert!(!text.is_empty());
+        let mut seen = std::collections::HashSet::new();
+        for line in text.lines() {
+            let (series, rest) = line
+                .split_once("{name=\"")
+                .unwrap_or_else(|| panic!("line lacks a name label: `{line}`"));
+            assert!(
+                series.starts_with("sttlock_"),
+                "unprefixed series in `{line}`"
+            );
+            let (name, value) = rest
+                .split_once("\"} ")
+                .unwrap_or_else(|| panic!("line lacks a value: `{line}`"));
+            assert!(!name.is_empty(), "empty metric name in `{line}`");
+            assert!(
+                value.parse::<f64>().is_ok(),
+                "unparseable value `{value}` in `{line}`"
+            );
+            assert!(
+                seen.insert((series.to_owned(), name.to_owned())),
+                "duplicate series `{line}`"
+            );
+        }
+        // Spot-check the lines the exporters above must have produced.
+        for needle in [
+            "sttlock_counter{name=\"cluster.dispatch\"} 6",
+            "sttlock_gauge{name=\"serve.in_flight\"} 2",
+            "sttlock_hist_count{name=\"serve.queue_wait\"} 1",
+        ] {
+            assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn metrics_collector_aggregates_without_retaining_spans() {
+        let _guard = test_lock();
+        let metrics = TraceCollector::without_spans();
+        install(metrics.clone());
+        {
+            let _s = span!("serve.request", endpoint = "harden");
+        }
+        crate::counter("serve.accepted", 2);
+        crate::gauge("serve.in_flight", 3);
+        crate::gauge("serve.in_flight", -3);
+        crate::observe_us("serve.queue_wait", 250);
+        uninstall();
+
+        assert!(metrics.spans().is_empty(), "no span is retained");
+        assert_eq!(metrics.counter_value("serve.accepted"), 2);
+        assert_eq!(metrics.gauge_value("serve.in_flight"), 0);
+        assert_eq!(metrics.hist_count("serve.request"), 1);
+        assert_eq!(metrics.hist_count("serve.queue_wait"), 1);
+
+        let text = metrics.render_text();
+        assert!(
+            text.contains("sttlock_counter{name=\"serve.accepted\"} 2"),
+            "{text}"
+        );
+        assert!(
+            text.contains("sttlock_gauge{name=\"serve.in_flight\"} 0"),
+            "{text}"
+        );
+        assert!(
+            text.contains("sttlock_gauge_peak{name=\"serve.in_flight\"} 3"),
+            "{text}"
+        );
+        assert!(
+            text.contains("sttlock_hist_count{name=\"serve.request\"} 1"),
+            "{text}"
+        );
+        assert!(metrics.digest().contains("2 observations"), "digest");
+    }
+
+    #[test]
+    fn render_text_is_deterministic_and_line_oriented() {
+        let metrics = TraceCollector::without_spans();
+        metrics.counter_add("b.second", 1);
+        metrics.counter_add("a.first", 1);
+        let text = metrics.render_text();
+        let a = text.find("a.first").unwrap();
+        let b = text.find("b.second").unwrap();
+        assert!(a < b, "BTreeMap ordering: {text}");
+        assert!(text.lines().all(|l| l.contains('{') && l.contains("} ")));
     }
 }

@@ -22,6 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sttlock_benchgen::Profile;
+use sttlock_campaign::json::Json;
 use sttlock_netlist::bench_format;
 use sttlock_serve::client;
 
@@ -121,6 +122,7 @@ fn main() -> ExitCode {
     let mut rng = StdRng::seed_from_u64(0x10AD);
     let bench =
         bench_format::write(&Profile::custom("load", opts.gates, 4, 6, 4).generate(&mut rng));
+    let bench = Json::from(bench.as_str());
 
     let before = if opts.check_metrics {
         match fetch_metrics(&opts.addr) {
@@ -153,17 +155,13 @@ fn main() -> ExitCode {
                     (
                         "/v1/attack",
                         format!(
-                            "{{\"bench\":{},\"algorithm\":\"para\",\"seed\":{seed},\"mode\":\"sens\"}}",
-                            json_string(&bench)
+                            "{{\"bench\":{bench},\"algorithm\":\"para\",\"seed\":{seed},\"mode\":\"sens\"}}"
                         ),
                     )
                 } else {
                     (
                         "/v1/harden",
-                        format!(
-                            "{{\"bench\":{},\"algorithm\":\"para\",\"seed\":{seed}}}",
-                            json_string(&bench)
-                        ),
+                        format!("{{\"bench\":{bench},\"algorithm\":\"para\",\"seed\":{seed}}}"),
                     )
                 };
                 // A client thread that panicked mid-push poisons the
@@ -309,16 +307,13 @@ fn probe_speedup(opts: &Options, ok: &mut bool) -> std::io::Result<()> {
     let mut rng = StdRng::seed_from_u64(0x9806E);
     let bench =
         bench_format::write(&Profile::custom("probe", PROBE_GATES, 8, 10, 6).generate(&mut rng));
+    let bench = Json::from(bench.as_str());
     let seed_base = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(u64::MAX / 2, |d| d.as_nanos() as u64)
         | (1 << 63); // never collides with the storm's small seeds
-    let body_for = |seed: u64| {
-        format!(
-            "{{\"bench\":{},\"algorithm\":\"para\",\"seed\":{seed}}}",
-            json_string(&bench),
-        )
-    };
+    let body_for =
+        |seed: u64| format!("{{\"bench\":{bench},\"algorithm\":\"para\",\"seed\":{seed}}}");
 
     let mut colds = Vec::new();
     for i in 0..3u64 {
@@ -382,23 +377,4 @@ fn counter_value(text: &str, name: &str) -> u64 {
         .find_map(|line| line.strip_prefix(&needle))
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0)
-}
-
-/// JSON string literal with the escapes a .bench text needs.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -239,11 +239,12 @@ fn harden(shared: &Shared, req: &Request, budget: &Budget) -> Response {
 }
 
 /// `POST /v1/attack` — harden the submitted netlist, then attack the
-/// resulting hybrid with the requested mode. The request budget is the
-/// parent of the sensitization attack's own budget (min-of-deadlines),
-/// so a long attack comes back as 504 *with* the partial outcome it
-/// reached (test clocks, SAT queries, resolution ratio) rather than an
-/// empty failure.
+/// resulting hybrid with the requested mode. The request budget bounds
+/// every mode: it is the parent of the sensitization attack's own
+/// budget (min-of-deadlines), and the SAT attacks check it once per
+/// DIP. A long attack comes back as 504 *with* the partial outcome it
+/// reached — test clocks, SAT queries and resolution ratio, or the DIP
+/// count — rather than an empty failure.
 fn attack(req: &Request, budget: &Budget) -> Response {
     let start = Instant::now();
     let fr = match parse_flow_request(req) {
@@ -284,54 +285,27 @@ fn attack(req: &Request, budget: &Budget) -> Response {
     }
 
     let wall_ms = || Json::from(start.elapsed().as_millis() as u64);
-    match mode.as_str() {
+    let outcome = match mode.as_str() {
         "sens" => {
             // The attack derives its own limits as a child of the
             // request budget, so the request deadline needs no manual
             // translation into `max_wall_ms`.
             let cfg = SensitizationConfig::default();
             let mut rng = StdRng::seed_from_u64(fr.seed ^ 0xA77A_C4ED);
-            match sensitization::run_with_budget(&foundry, hybrid, &cfg, budget, &mut rng) {
-                Ok(out) => Response::json(
-                    200,
-                    Json::obj([
-                        ("mode", Json::from("sens")),
-                        ("broke", Json::Bool(out.is_full_break())),
-                        ("resolution_ratio", Json::from(out.resolution_ratio())),
-                        ("test_clocks", Json::from(out.test_clocks)),
-                        ("sat_queries", Json::from(out.sat_queries)),
-                        ("wall_ms", wall_ms()),
-                    ])
-                    .to_string(),
-                ),
-                Err(AttackError::TimedOut { partial }) => {
-                    sttlock_obs::counter("serve.deadline_missed", 1);
-                    Response::json(
-                        504,
-                        Json::obj([
-                            (
-                                "error",
-                                Json::from("attack budget exhausted; partial outcome attached"),
-                            ),
-                            (
-                                "partial",
-                                Json::obj([
-                                    ("resolution_ratio", Json::from(partial.resolution_ratio())),
-                                    ("test_clocks", Json::from(partial.test_clocks)),
-                                    ("sat_queries", Json::from(partial.sat_queries)),
-                                ]),
-                            ),
-                            ("wall_ms", wall_ms()),
-                        ])
-                        .to_string(),
-                    )
-                }
-                Err(e) => Response::error(422, &format!("attack failed: {e}")),
-            }
+            sensitization::run_with_budget(&foundry, hybrid, &cfg, budget, &mut rng).map(|out| {
+                Json::obj([
+                    ("mode", Json::from("sens")),
+                    ("broke", Json::Bool(out.is_full_break())),
+                    ("resolution_ratio", Json::from(out.resolution_ratio())),
+                    ("test_clocks", Json::from(out.test_clocks)),
+                    ("sat_queries", Json::from(out.sat_queries)),
+                    ("wall_ms", wall_ms()),
+                ])
+            })
         }
-        "sat" => match sat_attack::run(&foundry, hybrid, &SatAttackConfig { max_dips }) {
-            Ok(out) => Response::json(
-                200,
+        "sat" => {
+            let cfg = SatAttackConfig { max_dips };
+            sat_attack::run(&foundry, hybrid, &cfg, budget).map(|out| {
                 Json::obj([
                     ("mode", Json::from("sat")),
                     ("broke", Json::Bool(out.succeeded())),
@@ -340,33 +314,52 @@ fn attack(req: &Request, budget: &Budget) -> Response {
                     ("decisions", Json::from(out.solver_stats.decisions)),
                     ("wall_ms", wall_ms()),
                 ])
-                .to_string(),
-            ),
-            Err(e) => Response::error(422, &format!("attack failed: {e}")),
-        },
+            })
+        }
         "seq" => {
             let cfg = SequentialAttackConfig { frames, max_dips };
-            match sat_attack::run_sequential(&foundry, hybrid, &cfg) {
-                Ok(out) => Response::json(
-                    200,
-                    Json::obj([
-                        ("mode", Json::from("seq")),
-                        ("broke", Json::Bool(out.bitstream.is_some())),
-                        ("dips", Json::from(out.dips)),
-                        ("frames", Json::from(out.frames)),
-                        ("conflicts", Json::from(out.solver_stats.conflicts)),
-                        ("wall_ms", wall_ms()),
-                    ])
-                    .to_string(),
-                ),
-                Err(e) => Response::error(422, &format!("attack failed: {e}")),
-            }
+            sat_attack::run_sequential(&foundry, hybrid, &cfg, budget).map(|out| {
+                Json::obj([
+                    ("mode", Json::from("seq")),
+                    ("broke", Json::Bool(out.bitstream.is_some())),
+                    ("dips", Json::from(out.dips)),
+                    ("frames", Json::from(out.frames)),
+                    ("conflicts", Json::from(out.solver_stats.conflicts)),
+                    ("wall_ms", wall_ms()),
+                ])
+            })
         }
-        other => Response::error(
-            400,
-            &format!("unknown attack mode `{other}` (sens|sat|seq)"),
-        ),
-    }
+        other => {
+            return Response::error(
+                400,
+                &format!("unknown attack mode `{other}` (sens|sat|seq)"),
+            )
+        }
+    };
+    // A tripped budget is a 504 carrying how far the attack got.
+    let partial = match outcome {
+        Ok(body) => return Response::json(200, body.to_string()),
+        Err(AttackError::TimedOut { partial }) => Json::obj([
+            ("resolution_ratio", Json::from(partial.resolution_ratio())),
+            ("test_clocks", Json::from(partial.test_clocks)),
+            ("sat_queries", Json::from(partial.sat_queries)),
+        ]),
+        Err(AttackError::Budget { dips, .. }) => Json::obj([("dips", Json::from(dips))]),
+        Err(e) => return Response::error(422, &format!("attack failed: {e}")),
+    };
+    sttlock_obs::counter("serve.deadline_missed", 1);
+    Response::json(
+        504,
+        Json::obj([
+            (
+                "error",
+                Json::from("attack budget exhausted; partial outcome attached"),
+            ),
+            ("partial", partial),
+            ("wall_ms", wall_ms()),
+        ])
+        .to_string(),
+    )
 }
 
 /// `POST /debug/sleep` `{"ms": n}` — occupy a worker for `n` ms via a

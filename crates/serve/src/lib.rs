@@ -45,8 +45,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use sttlock_exec::{Budget, CancelToken, Pool, PoolFull};
-use sttlock_obs::{Fanout, MetricsCollector, TraceCollector};
+use sttlock_exec::{panic_message, Budget, CancelToken, Pool, PoolFull};
+use sttlock_obs::TraceCollector;
 use sttlock_store::Cache;
 
 use http::{Limits, Response};
@@ -87,9 +87,10 @@ pub struct ServeConfig {
     /// Expose `POST /debug/sleep` and `POST /debug/panic` (tests/CI
     /// drive backpressure, deadline and panic paths deterministically).
     pub debug_endpoints: bool,
-    /// Also record a full span trace, written here on shutdown.
+    /// Also keep every closed span and write the JSONL trace here on
+    /// shutdown. Without it the server's collector keeps no span.
     pub trace_path: Option<PathBuf>,
-    /// Install this server's metrics sink as the process-global obs
+    /// Install this server's collector as the process-global obs
     /// collector (and uninstall it on shutdown). The default; turn it
     /// off when several servers share one process (the cluster tests
     /// run a coordinator plus workers under one ambient collector).
@@ -125,7 +126,7 @@ pub(crate) struct Shared {
     pub(crate) limits: Limits,
     pub(crate) debug_endpoints: bool,
     pub(crate) cache: Option<Cache>,
-    pub(crate) metrics: Arc<MetricsCollector>,
+    pub(crate) metrics: Arc<TraceCollector>,
     pub(crate) started: Instant,
     pub(crate) workers: usize,
     pub(crate) queue_depth: usize,
@@ -164,13 +165,12 @@ pub struct Server {
     accept: Option<JoinHandle<()>>,
     pool: Option<Arc<Pool>>,
     addr: SocketAddr,
-    metrics: Arc<MetricsCollector>,
-    trace: Option<(Arc<TraceCollector>, PathBuf)>,
+    trace_path: Option<PathBuf>,
     joined: bool,
 }
 
 impl Server {
-    /// Binds, installs the obs metrics sink and starts the pool.
+    /// Binds, installs the server's obs collector and starts the pool.
     ///
     /// Installing is process-global: one server at a time. (Tests
     /// serialize on that, the CLI runs exactly one.) Servers started
@@ -187,16 +187,15 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        let metrics = MetricsCollector::new();
-        let trace = cfg.trace_path.clone().map(|p| (TraceCollector::new(), p));
+        // One collector serves `/metrics`, the shutdown digest and the
+        // trace; it keeps spans only when a trace was asked for, so an
+        // untraced server's memory stays bounded.
+        let metrics = match cfg.trace_path {
+            Some(_) => TraceCollector::new(),
+            None => TraceCollector::without_spans(),
+        };
         if cfg.install_obs {
-            match &trace {
-                Some((t, _)) => sttlock_obs::install(Fanout::new(vec![
-                    metrics.clone() as Arc<dyn sttlock_obs::Collector>,
-                    t.clone() as Arc<dyn sttlock_obs::Collector>,
-                ])),
-                None => sttlock_obs::install(metrics.clone()),
-            }
+            sttlock_obs::install(metrics.clone());
         }
 
         let workers = if cfg.workers > 0 {
@@ -212,7 +211,7 @@ impl Server {
             cache: cfg
                 .cache_dir
                 .and_then(|dir| Cache::open(dir.join("harden-cache.log"), HARDEN_KEY_VERSION).ok()),
-            metrics: metrics.clone(),
+            metrics,
             started: Instant::now(),
             workers,
             queue_depth: cfg.queue_depth,
@@ -232,8 +231,7 @@ impl Server {
             accept: Some(accept),
             pool: Some(pool),
             addr,
-            metrics,
-            trace,
+            trace_path: cfg.trace_path,
             joined: false,
         })
     }
@@ -243,9 +241,11 @@ impl Server {
         self.addr
     }
 
-    /// The aggregate metrics sink (live while the server runs).
-    pub fn metrics(&self) -> &Arc<MetricsCollector> {
-        &self.metrics
+    /// The server's obs collector, which `/metrics` renders (live while
+    /// the server runs). It keeps spans only when
+    /// [`ServeConfig::trace_path`] is set.
+    pub fn metrics(&self) -> &Arc<TraceCollector> {
+        &self.shared.metrics
     }
 
     /// A handle other threads can use to request shutdown.
@@ -283,17 +283,17 @@ impl Server {
             // run under `FsyncPolicy::Never`.
             cache.flush();
         }
-        if let Some((t, path)) = self.trace.take() {
+        if let Some(path) = self.trace_path.take() {
             // Atomic temp+rename: a crash (or armed kill-point) during
             // the export leaves the previous trace intact, never a
             // half-written JSONL file.
-            let _ = sttlock_store::write_atomic(&path, t.to_jsonl());
+            let _ = sttlock_store::write_atomic(&path, self.shared.metrics.to_jsonl());
         }
         if self.shared.installed_obs {
             sttlock_obs::uninstall();
         }
         self.joined = true;
-        self.metrics.digest()
+        self.shared.metrics.digest()
     }
 }
 
@@ -448,14 +448,4 @@ pub(crate) fn count_status(status: u16) {
         },
         1,
     );
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }

@@ -46,18 +46,8 @@ fn bench_body(seed: u64) -> String {
     let bench = bench_format::write(&Profile::custom("t", 40, 3, 5, 3).generate(&mut rng));
     format!(
         "{{\"bench\":{},\"algorithm\":\"para\",\"seed\":{seed}}}",
-        json_string(&bench)
+        Json::from(bench.as_str())
     )
-}
-
-fn json_string(s: &str) -> String {
-    let escaped = s
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-        .replace('\t', "\\t");
-    format!("\"{escaped}\"")
 }
 
 #[test]
@@ -178,6 +168,81 @@ fn restart_warm_loads_the_persistent_cache() {
     server.shutdown();
 }
 
+#[test]
+fn one_collector_serves_metrics_and_keeps_spans_only_when_traced() {
+    let _guard = serial();
+
+    // Untraced: the collector aggregates the request's spans into
+    // histograms but keeps none of them.
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    assert_eq!(post(&addr, "/v1/harden", &bench_body(5)).status, 200);
+    let metrics = server.metrics().clone();
+    server.shutdown();
+    assert_eq!(metrics.hist_count("serve.request"), 1);
+    assert!(
+        metrics.spans().is_empty(),
+        "an untraced server keeps no span"
+    );
+
+    // Traced: the same one collector feeds `/metrics` while the server
+    // runs and writes the span tree at shutdown.
+    let dir = tmp_dir("trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("serve-trace.jsonl");
+    let cfg = ServeConfig {
+        trace_path: Some(trace.clone()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg).unwrap();
+    let addr = server.addr().to_string();
+    assert_eq!(post(&addr, "/v1/harden", &bench_body(5)).status, 200);
+    assert_eq!(server.metrics().counter_value("serve.accepted"), 1);
+    // The scrape is the second accepted connection; its own
+    // `serve.request` span is still open while it renders.
+    let scraped = get(&addr, "/metrics").body_text();
+    for needle in [
+        "sttlock_counter{name=\"serve.accepted\"} 2",
+        "sttlock_hist_count{name=\"serve.request\"} 1",
+    ] {
+        assert!(
+            scraped.contains(needle),
+            "missing `{needle}` in:\n{scraped}"
+        );
+    }
+    server.shutdown();
+
+    let text = std::fs::read_to_string(&trace).expect("the trace is written at shutdown");
+    let spans: Vec<Json> = text
+        .lines()
+        .map(|line| Json::parse(line).expect("every trace line is JSON"))
+        .filter(|rec| rec.get("type").and_then(Json::as_str) == Some("span"))
+        .collect();
+    let named = |name: &str| {
+        spans
+            .iter()
+            .filter(|s| s.get("name").and_then(Json::as_str) == Some(name))
+            .collect::<Vec<_>>()
+    };
+    let harden = named("serve.request")
+        .into_iter()
+        .find(|s| {
+            s.get("fields")
+                .and_then(|f| f.get("path"))
+                .and_then(Json::as_str)
+                == Some("/v1/harden")
+        })
+        .expect("a serve.request span for the harden request");
+    for child in ["request.parse", "request.compute"] {
+        assert!(
+            named(child)
+                .iter()
+                .any(|s| s.get("parent") == harden.get("id")),
+            "no `{child}` span under the harden request in:\n{text}"
+        );
+    }
+}
+
 fn strip_volatile(body: &str) -> String {
     let Ok(Json::Obj(mut map)) = Json::parse(body) else {
         panic!("response body is not a JSON object: {body}");
@@ -197,7 +262,7 @@ fn attack_endpoint_reports_the_break() {
     let bench = bench_format::write(&Profile::custom("a", 30, 2, 5, 3).generate(&mut rng));
     let body = format!(
         "{{\"bench\":{},\"algorithm\":\"indep\",\"seed\":1,\"mode\":\"sens\"}}",
-        json_string(&bench)
+        Json::from(bench.as_str())
     );
     let resp = post(&addr, "/v1/attack", &body);
     assert_eq!(resp.status, 200, "{}", resp.body_text());
@@ -325,7 +390,7 @@ fn blown_deadline_cancels_the_in_flight_flow() {
     let bench = bench_format::write(&Profile::custom("big", 2500, 8, 10, 6).generate(&mut rng));
     let body = format!(
         "{{\"bench\":{},\"algorithm\":\"para\",\"seed\":5}}",
-        json_string(&bench)
+        Json::from(bench.as_str())
     );
     let resp = post(&addr, "/v1/harden", &body);
     assert_eq!(resp.status, 504, "{}", resp.body_text());

@@ -34,7 +34,7 @@ use crate::{node_delay, source_arrival, TimingAnalysis};
 struct ObsStats {
     /// `set_delay` calls whose delay actually changed.
     invalidations: u64,
-    /// Fanout-cone nodes re-evaluated across all propagations.
+    /// Fan-out cone nodes re-evaluated across all propagations.
     node_reevals: u64,
     /// Re-evaluations whose arrival was unchanged (wave stopped there).
     early_terminations: u64,

@@ -20,6 +20,7 @@ use sttlock::attack::sensitization::{self, SensitizationConfig};
 use sttlock::benchgen::Profile;
 use sttlock::core::{Flow, SelectionAlgorithm};
 use sttlock::techlib::Library;
+use sttlock_exec::Budget;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small circuit keeps the SAT attack demo fast; the scaling bench
@@ -54,7 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
 
         // SAT attack under the full-scan assumption.
-        let sat = sat_attack::run(&redacted, &out.hybrid, &SatAttackConfig::default())?;
+        let cfg = SatAttackConfig::default();
+        let sat = sat_attack::run(&redacted, &out.hybrid, &cfg, &Budget::unbounded())?;
 
         let estimate = match alg {
             SelectionAlgorithm::Independent => out.report.security.n_indep,

@@ -10,6 +10,7 @@ use sttlock::attack::sensitization::{self, SensitizationConfig};
 use sttlock::benchgen::Profile;
 use sttlock::core::{Flow, SelectionAlgorithm};
 use sttlock::techlib::Library;
+use sttlock_exec::Budget;
 
 fn locked(
     alg: SelectionAlgorithm,
@@ -73,8 +74,9 @@ fn recovered_bitstreams_reproduce_the_oracle() {
 fn sat_attack_recovers_any_selection_with_scan_access() {
     for alg in SelectionAlgorithm::ALL {
         let (redacted, oracle) = locked(alg, 11);
+        let cfg = SatAttackConfig::default();
         let out =
-            sat_attack::run(&redacted, &oracle, &SatAttackConfig::default()).expect("attack runs");
+            sat_attack::run(&redacted, &oracle, &cfg, &Budget::unbounded()).expect("attack runs");
         assert!(out.succeeded(), "{alg}: SAT attack with scan must succeed");
         let bits = out.bitstream.expect("succeeded");
         let mut rng = StdRng::seed_from_u64(5);
@@ -91,8 +93,9 @@ fn sat_attack_recovers_any_selection_with_scan_access() {
 fn sat_attack_effort_grows_with_dependent_selection() {
     let (ri, oi) = locked(SelectionAlgorithm::Independent, 13);
     let (rd, od) = locked(SelectionAlgorithm::Dependent, 13);
-    let indep = sat_attack::run(&ri, &oi, &SatAttackConfig::default()).unwrap();
-    let dep = sat_attack::run(&rd, &od, &SatAttackConfig::default()).unwrap();
+    let cfg = SatAttackConfig::default();
+    let indep = sat_attack::run(&ri, &oi, &cfg, &Budget::unbounded()).unwrap();
+    let dep = sat_attack::run(&rd, &od, &cfg, &Budget::unbounded()).unwrap();
     assert!(
         dep.solver_stats.conflicts > indep.solver_stats.conflicts,
         "dependent ({} conflicts) should cost more than independent ({})",
