@@ -78,8 +78,7 @@ pub fn restrict_all(
     enc: &Encoding,
     candidates: &HashMap<NodeId, Vec<TruthTable>>,
 ) {
-    let ids: Vec<NodeId> = enc.keys.keys().copied().collect();
-    for id in ids {
+    for &id in enc.keys.keys() {
         if let Some(c) = candidates.get(&id) {
             restrict_keys(solver, enc, id, c);
         }

@@ -11,9 +11,10 @@ use std::error::Error;
 use std::fmt;
 
 use sttlock_exec::BudgetError;
+use sttlock_netlist::Netlist;
 use sttlock_sim::SimError;
 
-use crate::sensitization::SensitizationOutcome;
+use crate::dispatch::AttackOutcome;
 
 /// Why an attack could not run to completion.
 ///
@@ -42,34 +43,31 @@ pub enum AttackError {
     Unsatisfiable,
     /// A sequential attack was configured with a zero unroll bound.
     ZeroFrames,
-    /// A configured test-clock or wall-clock budget ran out before the
-    /// attack converged. Not a hard failure: everything recovered before
-    /// the cutoff travels in `partial`, so campaigns can still record
-    /// the resolution ratio reached within the budget.
-    TimedOut {
-        /// The attack state at the moment the budget expired.
-        partial: Box<SensitizationOutcome>,
-    },
-    /// The caller's budget tripped during a SAT attack. The attack
-    /// checks it once per DIP iteration; `dips` counts the
-    /// distinguishing inputs found before the check failed.
+    /// The caller's budget tripped before the attack converged. Not a
+    /// hard failure: everything the attack reached before the cutoff
+    /// travels in `partial` (the sensitization attack's recovered rows,
+    /// or the DIPs a SAT attack found), so callers can still report it.
     Budget {
         /// Why the budget refused further work.
         reason: BudgetError,
-        /// DIPs found before the budget tripped.
-        dips: usize,
+        /// The attack state at the moment the budget tripped.
+        partial: Box<AttackOutcome>,
     },
     /// The oracle could not be simulated.
     Sim(SimError),
 }
 
 impl AttackError {
-    /// The partial outcome carried by a budget expiry, if any.
-    pub fn partial_outcome(&self) -> Option<&SensitizationOutcome> {
-        match self {
-            AttackError::TimedOut { partial } => Some(partial),
-            _ => None,
+    /// [`DesignMismatch`](AttackError::DesignMismatch) unless `redacted`
+    /// and `oracle` have node arenas of one size.
+    pub(crate) fn check_same_design(redacted: &Netlist, oracle: &Netlist) -> Result<(), Self> {
+        if redacted.len() != oracle.len() {
+            return Err(AttackError::DesignMismatch {
+                redacted: redacted.len(),
+                oracle: oracle.len(),
+            });
         }
+        Ok(())
     }
 }
 
@@ -90,17 +88,21 @@ impl fmt::Display for AttackError {
             AttackError::ZeroFrames => {
                 write!(f, "sequential attack needs at least one unroll frame")
             }
-            AttackError::TimedOut { partial } => write!(
-                f,
-                "attack budget exhausted at resolution ratio {:.3} \
-                 ({} test clocks, {} SAT queries)",
-                partial.resolution_ratio(),
-                partial.test_clocks,
-                partial.sat_queries
-            ),
-            AttackError::Budget { reason, dips } => {
-                write!(f, "SAT attack stopped after {dips} DIPs: {reason}")
-            }
+            AttackError::Budget { reason, partial } => match partial.as_ref() {
+                AttackOutcome::Sensitization(p) => write!(
+                    f,
+                    "attack budget exhausted ({reason}) at resolution ratio {:.3} \
+                     ({} test clocks, {} SAT queries)",
+                    p.resolution_ratio(),
+                    p.test_clocks,
+                    p.sat_queries
+                ),
+                AttackOutcome::Sat(p) => write!(
+                    f,
+                    "attack budget exhausted ({reason}) after {} DIPs",
+                    p.dips
+                ),
+            },
             AttackError::Sim(e) => write!(f, "oracle simulation failed: {e}"),
         }
     }

@@ -25,15 +25,22 @@
 //! Attacks take two netlists: the *redacted* foundry view (structure
 //! only) and the *oracle* (a programmed part bought on the open market
 //! that can be stimulated and observed, but not opened).
+//!
+//! Front ends (campaign cells, `POST /v1/attack`, `sttlock-cli attack`)
+//! run every attack through [`run`]: an [`AttackKind`] names the attack
+//! and its limits, the caller's `exec::Budget` alone stops it, and
+//! [`AttackOutcome::metrics`] gives the counters they record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alpha;
 pub mod camouflage;
+mod dispatch;
 pub mod error;
 pub mod estimate;
 pub mod sat_attack;
 pub mod sensitization;
 
+pub use dispatch::{run, AttackKind, AttackMetrics, AttackOutcome, FRAMES, MAX_DIPS, MAX_FRAMES};
 pub use error::AttackError;

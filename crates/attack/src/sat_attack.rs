@@ -15,35 +15,29 @@
 
 use sttlock_exec::Budget;
 use sttlock_netlist::{Netlist, NodeId, TruthTable};
-use sttlock_sat::encode::{assert_some_difference_gated, encode, tie_keys, Encoding};
+use sttlock_sat::encode::{
+    assert_some_difference_gated, encode, equal, miter_pairs, tie_keys, Encoding,
+};
 use sttlock_sat::unroll::encode_unrolled;
 use sttlock_sat::{Lit, SatResult, Solver, SolverStats, Var};
 use sttlock_sim::{SimError, Simulator};
 
+use crate::dispatch::AttackOutcome;
 use crate::error::AttackError;
 
-/// Attack limits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SatAttackConfig {
-    /// Abort after this many DIP iterations (0 = unlimited).
-    pub max_dips: usize,
-}
-
-impl Default for SatAttackConfig {
-    fn default() -> Self {
-        SatAttackConfig { max_dips: 10_000 }
-    }
-}
-
-/// Attack result.
-#[derive(Debug, Clone, PartialEq)]
+/// Outcome of a SAT attack, full scan or no scan.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SatAttackOutcome {
-    /// Recovered configuration per missing gate (functionally equivalent
-    /// to the oracle on the single-frame model). `None` if the attack hit
-    /// its DIP limit.
+    /// Recovered configuration per missing gate, functionally equivalent
+    /// to the oracle on the single-frame model (full scan) or for all
+    /// input sequences up to `frames` cycles (no scan). `None` if the
+    /// attack hit its DIP limit.
     pub bitstream: Option<Vec<(NodeId, TruthTable)>>,
-    /// Distinguishing input patterns required.
+    /// Distinguishing input patterns (full scan) or sequences (no scan)
+    /// required.
     pub dips: usize,
+    /// The unroll bound the result is valid for; 0 for full scan.
+    pub frames: usize,
     /// Solver counters at the end of the attack.
     pub solver_stats: SolverStats,
 }
@@ -57,13 +51,14 @@ impl SatAttackOutcome {
 
 /// Runs the oracle-guided SAT attack.
 ///
-/// `redacted` is the foundry view; `oracle` the programmed twin.
-/// `budget` is checked at the top of every DIP iteration.
+/// `redacted` is the foundry view; `oracle` the programmed twin. The
+/// attack stops after `max_dips` DIP iterations (0 = unlimited) with no
+/// bitstream. `budget` is checked at the top of every DIP iteration.
 ///
 /// # Errors
 ///
 /// * [`AttackError::Budget`] if `budget` trips, with the DIPs found so
-///   far.
+///   far in the partial outcome.
 /// * [`AttackError::Sim`] if the oracle is unprogrammed or structurally
 ///   incompatible.
 /// * [`AttackError::DesignMismatch`] if `redacted` and `oracle` are not
@@ -76,15 +71,10 @@ impl SatAttackOutcome {
 pub fn run(
     redacted: &Netlist,
     oracle: &Netlist,
-    cfg: &SatAttackConfig,
+    max_dips: usize,
     budget: &Budget,
 ) -> Result<SatAttackOutcome, AttackError> {
-    if redacted.len() != oracle.len() {
-        return Err(AttackError::DesignMismatch {
-            redacted: redacted.len(),
-            oracle: oracle.len(),
-        });
-    }
+    AttackError::check_same_design(redacted, oracle)?;
     let mut oracle_sim = Simulator::new(oracle)?;
 
     let mut solver = Solver::new();
@@ -92,107 +82,40 @@ pub fn run(
     let e2 = encode(redacted, &mut solver);
     // Two key hypotheses over the same circuit: inputs and state shared,
     // keys independent, some observable output must differ.
-    for (&a, &b) in e1.inputs.iter().zip(&e2.inputs) {
-        equal(&mut solver, a, b);
-    }
-    for ((_, a), (_, b)) in e1.state_inputs.iter().zip(&e2.state_inputs) {
-        equal(&mut solver, *a, *b);
-    }
-    let pairs = observation_pairs(&e1, &e2);
+    let pairs = miter_pairs(&mut solver, &e1, &e2);
     let miter_active = assert_some_difference_gated(&mut solver, &pairs);
 
-    let mut dips = 0usize;
-    loop {
-        if let Err(reason) = budget.check() {
-            return Err(AttackError::Budget { reason, dips });
-        }
-        if cfg.max_dips != 0 && dips >= cfg.max_dips {
-            return Ok(SatAttackOutcome {
-                bitstream: None,
-                dips,
-                solver_stats: solver.stats(),
-            });
-        }
-        match solver.solve_with(&[miter_active]) {
-            SatResult::Unsat => break,
-            SatResult::Sat => {
-                dips += 1;
-                // Extract the DIP (inputs + state) from the model.
-                let inputs: Vec<u64> = e1
-                    .inputs
-                    .iter()
-                    .map(|&v| full_word(solver.value(v)))
-                    .collect();
-                let state: Vec<u64> = e1
-                    .state_inputs
-                    .iter()
-                    .map(|(_, v)| full_word(solver.value(*v)))
-                    .collect();
-                oracle_sim.eval_frame(&inputs, &state)?;
-                let response = oracle_sim.observation();
-                // Both key hypotheses must now agree with the oracle on
-                // this frame: constrain each copy with a fresh encoding
-                // whose keys are tied to that copy.
-                for enc in [&e1, &e2] {
-                    if !add_io_constraint(&mut solver, redacted, enc, &inputs, &state, &response) {
-                        return Err(AttackError::OracleContradiction);
-                    }
-                }
+    let learn = |solver: &mut Solver| {
+        // Extract the DIP (inputs + state) from the model.
+        let inputs: Vec<u64> = e1
+            .inputs
+            .iter()
+            .map(|&v| full_word(solver.value(v)))
+            .collect();
+        let state: Vec<u64> = e1
+            .state_inputs
+            .iter()
+            .map(|(_, v)| full_word(solver.value(*v)))
+            .collect();
+        oracle_sim.eval_frame(&inputs, &state)?;
+        let response = oracle_sim.observation();
+        // Both key hypotheses must now agree with the oracle on this
+        // frame: constrain each copy with a fresh encoding whose keys
+        // are tied to that copy.
+        for enc in [&e1, &e2] {
+            if !add_io_constraint(solver, redacted, enc, &inputs, &state, &response) {
+                return Err(AttackError::OracleContradiction);
             }
         }
-    }
-
-    // Key space collapsed: any remaining key is functionally correct.
-    // Solve without the miter to extract one.
-    if solver.solve() != SatResult::Sat {
-        return Err(AttackError::Unsatisfiable);
-    }
-    let bitstream = e1.decode_keys(&solver);
-    Ok(SatAttackOutcome {
-        bitstream: Some(bitstream),
-        dips,
-        solver_stats: solver.stats(),
-    })
-}
-
-/// Limits of the no-scan sequential attack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SequentialAttackConfig {
-    /// Clock cycles to unroll from reset. The attack is only complete up
-    /// to this bound: the recovered keys are guaranteed equivalent for
-    /// input sequences of at most `frames` cycles.
-    pub frames: usize,
-    /// Abort after this many distinguishing sequences (0 = unlimited).
-    pub max_dips: usize,
-}
-
-impl Default for SequentialAttackConfig {
-    fn default() -> Self {
-        SequentialAttackConfig {
-            frames: 8,
-            max_dips: 10_000,
-        }
-    }
-}
-
-/// Outcome of the no-scan attack.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SequentialAttackOutcome {
-    /// Recovered configuration, equivalent to the oracle for all input
-    /// sequences up to the unroll bound. `None` on DIP-limit abort.
-    pub bitstream: Option<Vec<(NodeId, TruthTable)>>,
-    /// Distinguishing input *sequences* required.
-    pub dips: usize,
-    /// The unroll bound the result is valid for.
-    pub frames: usize,
-    /// Solver counters.
-    pub solver_stats: SolverStats,
+        Ok(())
+    };
+    dip_loop(solver, miter_active, &e1, 0, max_dips, budget, learn)
 }
 
 /// The **no-scan** variant of the SAT attack: the scan chain is locked
 /// (the paper's deployment posture), so the oracle can only be driven
 /// with primary-input sequences from reset and observed at its primary
-/// outputs. Key reasoning spans `cfg.frames` unrolled cycles.
+/// outputs. Key reasoning spans `frames` unrolled cycles.
 ///
 /// Compared with [`run`], the search space per query is `2^(I·k)` input
 /// sequences instead of `2^(I+S)` frames and each CNF is `k` copies of
@@ -201,12 +124,12 @@ pub struct SequentialAttackOutcome {
 /// unroll may still distinguish keys). Both effects are what the paper
 /// counts on when it instructs designers to disable scan.
 ///
-/// `budget` is checked at the top of every DIP iteration, as in [`run`].
+/// `max_dips` and `budget` bound the DIP loop as in [`run`].
 ///
 /// # Errors
 ///
 /// * [`AttackError::Budget`] if `budget` trips, with the DIP sequences
-///   found so far.
+///   found so far in the partial outcome.
 /// * [`AttackError::Sim`] if the oracle is unprogrammed or incompatible.
 /// * [`AttackError::DesignMismatch`] / [`AttackError::ZeroFrames`] on a
 ///   mismatched netlist pair or a zero unroll bound (formerly panics).
@@ -216,28 +139,23 @@ pub struct SequentialAttackOutcome {
 pub fn run_sequential(
     redacted: &Netlist,
     oracle: &Netlist,
-    cfg: &SequentialAttackConfig,
+    frames: usize,
+    max_dips: usize,
     budget: &Budget,
-) -> Result<SequentialAttackOutcome, AttackError> {
-    if redacted.len() != oracle.len() {
-        return Err(AttackError::DesignMismatch {
-            redacted: redacted.len(),
-            oracle: oracle.len(),
-        });
-    }
-    if cfg.frames == 0 {
+) -> Result<SatAttackOutcome, AttackError> {
+    AttackError::check_same_design(redacted, oracle)?;
+    if frames == 0 {
         return Err(AttackError::ZeroFrames);
     }
     let mut oracle_sim = Simulator::new(oracle)?;
-    let k = cfg.frames;
 
     let mut solver = Solver::new();
-    let u1 = encode_unrolled(redacted, &mut solver, k);
-    let u2 = encode_unrolled(redacted, &mut solver, k);
+    let u1 = encode_unrolled(redacted, &mut solver, frames);
+    let u2 = encode_unrolled(redacted, &mut solver, frames);
     // Shared input sequence, independent keys, some output at some frame
     // must differ.
     let mut pairs: Vec<(Var, Var)> = Vec::new();
-    for f in 0..k {
+    for f in 0..frames {
         for (&a, &b) in u1.inputs[f].iter().zip(&u2.inputs[f]) {
             equal(&mut solver, a, b);
         }
@@ -250,68 +168,101 @@ pub fn run_sequential(
     }
     // Keys of the two unrolled copies are internally shared per copy;
     // between copies they stay free.
-    let miter_active = sttlock_sat::encode::assert_some_difference_gated(&mut solver, &pairs);
+    let miter_active = assert_some_difference_gated(&mut solver, &pairs);
 
-    let mut dips = 0usize;
+    let learn = |solver: &mut Solver| {
+        // Extract the distinguishing input sequence.
+        let sequence: Vec<Vec<u64>> = (0..frames)
+            .map(|f| {
+                u1.inputs[f]
+                    .iter()
+                    .map(|&v| full_word(solver.value(v)))
+                    .collect()
+            })
+            .collect();
+        // Oracle responses from reset.
+        let responses = oracle_sim.run(&sequence)?;
+        // Constrain both copies to reproduce the oracle on this
+        // sequence: one fresh unrolled copy per key side.
+        for base in [&u1, &u2] {
+            let copy = encode_unrolled(redacted, solver, frames);
+            tie_keys(solver, &base.frames[0], &copy.frames[0]);
+            let mut ok = true;
+            for f in 0..frames {
+                for (&v, &w) in copy.inputs[f].iter().zip(&sequence[f]) {
+                    ok &= solver.add_clause(&[Lit::new(v, w & 1 == 0)]);
+                }
+                for (&v, &w) in copy.outputs[f].iter().zip(&responses[f]) {
+                    ok &= solver.add_clause(&[Lit::new(v, w & 1 == 0)]);
+                }
+            }
+            if !ok {
+                return Err(AttackError::OracleContradiction);
+            }
+        }
+        Ok(())
+    };
+    dip_loop(
+        solver,
+        miter_active,
+        &u1.frames[0],
+        frames,
+        max_dips,
+        budget,
+        learn,
+    )
+}
+
+/// The DIP loop both SAT attacks share. Each iteration checks `budget`,
+/// then the DIP limit, then solves the miter under `miter_active`; a
+/// model is a DIP, and `learn` queries the oracle on it and adds the
+/// constraints that make both key hypotheses agree with the response.
+/// Once the miter is unsatisfiable, one more solve without it extracts a
+/// key from `keys`.
+fn dip_loop(
+    mut solver: Solver,
+    miter_active: Lit,
+    keys: &Encoding,
+    frames: usize,
+    max_dips: usize,
+    budget: &Budget,
+    mut learn: impl FnMut(&mut Solver) -> Result<(), AttackError>,
+) -> Result<SatAttackOutcome, AttackError> {
+    let mut out = SatAttackOutcome {
+        bitstream: None,
+        dips: 0,
+        frames,
+        solver_stats: SolverStats::default(),
+    };
     loop {
         if let Err(reason) = budget.check() {
-            return Err(AttackError::Budget { reason, dips });
-        }
-        if cfg.max_dips != 0 && dips >= cfg.max_dips {
-            return Ok(SequentialAttackOutcome {
-                bitstream: None,
-                dips,
-                frames: k,
-                solver_stats: solver.stats(),
+            out.solver_stats = solver.stats();
+            return Err(AttackError::Budget {
+                reason,
+                partial: Box::new(AttackOutcome::Sat(out)),
             });
+        }
+        if max_dips != 0 && out.dips >= max_dips {
+            out.solver_stats = solver.stats();
+            return Ok(out);
         }
         match solver.solve_with(&[miter_active]) {
             SatResult::Unsat => break,
             SatResult::Sat => {
-                dips += 1;
-                // Extract the distinguishing input sequence.
-                let sequence: Vec<Vec<u64>> = (0..k)
-                    .map(|f| {
-                        u1.inputs[f]
-                            .iter()
-                            .map(|&v| full_word(solver.value(v)))
-                            .collect()
-                    })
-                    .collect();
-                // Oracle responses from reset.
-                let responses = oracle_sim.run(&sequence)?;
-                // Constrain both copies to reproduce the oracle on this
-                // sequence: one fresh unrolled copy per key side.
-                for base in [&u1, &u2] {
-                    let copy = encode_unrolled(redacted, &mut solver, k);
-                    sttlock_sat::encode::tie_keys(&mut solver, &base.frames[0], &copy.frames[0]);
-                    let mut ok = true;
-                    for f in 0..k {
-                        for (&v, &w) in copy.inputs[f].iter().zip(&sequence[f]) {
-                            ok &= solver.add_clause(&[Lit::new(v, w & 1 == 0)]);
-                        }
-                        for (&v, &w) in copy.outputs[f].iter().zip(&responses[f]) {
-                            ok &= solver.add_clause(&[Lit::new(v, w & 1 == 0)]);
-                        }
-                    }
-                    if !ok {
-                        return Err(AttackError::OracleContradiction);
-                    }
-                }
+                out.dips += 1;
+                learn(&mut solver)?;
             }
         }
     }
 
+    // Key space collapsed: any remaining key is functionally correct.
+    // Solve without the miter to extract one.
     if solver.solve() != SatResult::Sat {
         return Err(AttackError::Unsatisfiable);
     }
-    let bitstream = u1.frames[0].decode_keys(&solver);
-    Ok(SequentialAttackOutcome {
-        bitstream: Some(bitstream),
-        dips,
-        frames: k,
-        solver_stats: solver.stats(),
-    })
+    out.bitstream = Some(keys.decode_keys(&solver));
+    out.solver_stats = solver.stats();
+    Ok(out)
 }
 
 /// Verifies a recovered bitstream against the oracle by random
@@ -346,27 +297,6 @@ pub fn verify_bitstream<R: rand::Rng + ?Sized>(
         }
     }
     Ok(mismatches)
-}
-
-fn observation_pairs(e1: &Encoding, e2: &Encoding) -> Vec<(Var, Var)> {
-    let mut pairs: Vec<(Var, Var)> = e1
-        .outputs
-        .iter()
-        .copied()
-        .zip(e2.outputs.iter().copied())
-        .collect();
-    pairs.extend(
-        e1.next_state
-            .iter()
-            .map(|(_, v)| *v)
-            .zip(e2.next_state.iter().map(|(_, v)| *v)),
-    );
-    pairs
-}
-
-fn equal(solver: &mut Solver, a: Var, b: Var) {
-    solver.add_clause(&[Lit::pos(a), Lit::neg(b)]);
-    solver.add_clause(&[Lit::neg(a), Lit::pos(b)]);
 }
 
 /// Widens one model bit to the simulator's 64-bit word.
@@ -419,6 +349,7 @@ fn add_io_constraint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_DIPS;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sttlock_exec::BudgetError;
@@ -451,13 +382,7 @@ mod tests {
     #[test]
     fn recovers_single_missing_gate() {
         let (redacted, programmed) = lock(&["g2"]);
-        let out = run(
-            &redacted,
-            &programmed,
-            &SatAttackConfig::default(),
-            &Budget::unbounded(),
-        )
-        .unwrap();
+        let out = run(&redacted, &programmed, MAX_DIPS, &Budget::unbounded()).unwrap();
         assert!(out.succeeded());
         let bits = out.bitstream.unwrap();
         let mut rng = StdRng::seed_from_u64(1);
@@ -470,13 +395,7 @@ mod tests {
         // With full scan even the dependent chain falls — which is why
         // the paper insists scan is locked in fielded parts.
         let (redacted, programmed) = lock(&["g1", "g2", "g3"]);
-        let out = run(
-            &redacted,
-            &programmed,
-            &SatAttackConfig::default(),
-            &Budget::unbounded(),
-        )
-        .unwrap();
+        let out = run(&redacted, &programmed, MAX_DIPS, &Budget::unbounded()).unwrap();
         assert!(out.succeeded());
         let bits = out.bitstream.unwrap();
         let mut rng = StdRng::seed_from_u64(2);
@@ -487,8 +406,7 @@ mod tests {
     #[test]
     fn dip_limit_aborts_gracefully() {
         let (redacted, programmed) = lock(&["g1", "g2", "g3"]);
-        let cfg = SatAttackConfig { max_dips: 1 };
-        let out = run(&redacted, &programmed, &cfg, &Budget::unbounded()).unwrap();
+        let out = run(&redacted, &programmed, 1, &Budget::unbounded()).unwrap();
         if !out.succeeded() {
             assert_eq!(out.dips, 1);
         }
@@ -497,11 +415,15 @@ mod tests {
     #[test]
     fn sequential_attack_recovers_bounded_equivalent_keys() {
         let (redacted, programmed) = lock(&["g2", "g3"]);
-        let cfg = SequentialAttackConfig {
-            frames: 4,
-            max_dips: 10_000,
-        };
-        let out = run_sequential(&redacted, &programmed, &cfg, &Budget::unbounded()).unwrap();
+        let frames = 4;
+        let out = run_sequential(
+            &redacted,
+            &programmed,
+            frames,
+            MAX_DIPS,
+            &Budget::unbounded(),
+        )
+        .unwrap();
         let bits = out.bitstream.expect("attack converges on a small design");
         // Bounded guarantee: replay random sequences of <= `frames`
         // cycles from reset and compare primary outputs.
@@ -511,7 +433,7 @@ mod tests {
         let mut b = Simulator::new(&programmed).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..16 {
-            let seq: Vec<Vec<u64>> = (0..cfg.frames)
+            let seq: Vec<Vec<u64>> = (0..frames)
                 .map(|_| (0..redacted.inputs().len()).map(|_| rng.gen()).collect())
                 .collect();
             assert_eq!(a.run(&seq).unwrap(), b.run(&seq).unwrap());
@@ -523,18 +445,9 @@ mod tests {
         // Losing scan access makes each query a k-frame formula; the
         // solver works strictly harder for the same key material.
         let (redacted, programmed) = lock(&["g1", "g2", "g3"]);
-        let scan = run(
-            &redacted,
-            &programmed,
-            &SatAttackConfig::default(),
-            &Budget::unbounded(),
-        )
-        .unwrap();
-        let cfg = SequentialAttackConfig {
-            frames: 6,
-            max_dips: 10_000,
-        };
-        let noscan = run_sequential(&redacted, &programmed, &cfg, &Budget::unbounded()).unwrap();
+        let scan = run(&redacted, &programmed, MAX_DIPS, &Budget::unbounded()).unwrap();
+        let noscan =
+            run_sequential(&redacted, &programmed, 6, MAX_DIPS, &Budget::unbounded()).unwrap();
         assert!(noscan.bitstream.is_some());
         assert!(
             noscan.solver_stats.propagations >= scan.solver_stats.propagations,
@@ -549,15 +462,24 @@ mod tests {
         let (redacted, programmed) = lock(&["g1", "g2", "g3"]);
         let budget = Budget::unbounded();
         budget.cancel();
-        let stopped = AttackError::Budget {
-            reason: BudgetError::Cancelled,
-            dips: 0,
-        };
-        let scan = run(&redacted, &programmed, &SatAttackConfig::default(), &budget);
-        assert_eq!(scan.unwrap_err(), stopped);
-        let cfg = SequentialAttackConfig::default();
-        let noscan = run_sequential(&redacted, &programmed, &cfg, &budget);
-        assert_eq!(noscan.unwrap_err(), stopped);
+        let scan = run(&redacted, &programmed, MAX_DIPS, &budget);
+        let noscan = run_sequential(&redacted, &programmed, 5, MAX_DIPS, &budget);
+        for (result, frames) in [(scan, 0), (noscan, 5)] {
+            let err = result.unwrap_err();
+            let AttackError::Budget {
+                reason: BudgetError::Cancelled,
+                partial,
+            } = &err
+            else {
+                panic!("expected a cancelled budget, got {err:?}");
+            };
+            let AttackOutcome::Sat(partial) = partial.as_ref() else {
+                panic!("expected a SAT partial, got {partial:?}");
+            };
+            assert_eq!(partial.dips, 0);
+            assert_eq!(partial.frames, frames);
+            assert_eq!(partial.bitstream, None);
+        }
     }
 
     #[test]
@@ -578,10 +500,7 @@ mod tests {
         let mut solver = Solver::new();
         let e1 = encode(&redacted, &mut solver);
         let e2 = encode(&redacted, &mut solver);
-        for (&a, &b) in e1.inputs.iter().zip(&e2.inputs) {
-            equal(&mut solver, a, b);
-        }
-        let pairs = observation_pairs(&e1, &e2);
+        let pairs = miter_pairs(&mut solver, &e1, &e2);
         let gate = assert_some_difference_gated(&mut solver, &pairs);
         assert_eq!(solver.solve_with(&[gate]), SatResult::Sat);
         for &v in e1
@@ -604,21 +523,15 @@ mod tests {
         other.gate("y", GateKind::Not, &["x"]);
         other.output("y");
         let other = other.finish().unwrap();
-        match run(
-            &redacted,
-            &other,
-            &SatAttackConfig::default(),
-            &Budget::unbounded(),
-        ) {
+        match run(&redacted, &other, MAX_DIPS, &Budget::unbounded()) {
             Err(AttackError::DesignMismatch {
                 redacted: r,
                 oracle: o,
             }) => assert_ne!(r, o),
             other => panic!("expected DesignMismatch, got {other:?}"),
         }
-        let cfg = SequentialAttackConfig::default();
         assert!(matches!(
-            run_sequential(&redacted, &other, &cfg, &Budget::unbounded()),
+            run_sequential(&redacted, &other, 8, MAX_DIPS, &Budget::unbounded()),
             Err(AttackError::DesignMismatch { .. })
         ));
     }
@@ -642,12 +555,7 @@ mod tests {
         let mut tampered = b.finish().unwrap();
         let id = tampered.find("g2").unwrap();
         tampered.replace_gate_with_lut(id).unwrap();
-        let out = run(
-            &redacted,
-            &tampered,
-            &SatAttackConfig::default(),
-            &Budget::unbounded(),
-        );
+        let out = run(&redacted, &tampered, MAX_DIPS, &Budget::unbounded());
         assert!(
             matches!(
                 out,
@@ -660,12 +568,8 @@ mod tests {
     #[test]
     fn sequential_zero_frames_is_an_error() {
         let (redacted, programmed) = lock(&["g2"]);
-        let cfg = SequentialAttackConfig {
-            frames: 0,
-            max_dips: 10,
-        };
         assert_eq!(
-            run_sequential(&redacted, &programmed, &cfg, &Budget::unbounded()),
+            run_sequential(&redacted, &programmed, 0, 10, &Budget::unbounded()),
             Err(AttackError::ZeroFrames)
         );
     }
@@ -673,7 +577,7 @@ mod tests {
     #[test]
     fn no_missing_gates_needs_no_dips() {
         let n = lockable();
-        let out = run(&n, &n, &SatAttackConfig::default(), &Budget::unbounded()).unwrap();
+        let out = run(&n, &n, MAX_DIPS, &Budget::unbounded()).unwrap();
         assert!(out.succeeded());
         assert_eq!(out.dips, 0);
         assert!(out.bitstream.unwrap().is_empty());
@@ -683,8 +587,8 @@ mod tests {
     fn more_missing_gates_need_at_least_as_many_dips() {
         let (r1, p1) = lock(&["g2"]);
         let (r3, p3) = lock(&["g1", "g2", "g3"]);
-        let o1 = run(&r1, &p1, &SatAttackConfig::default(), &Budget::unbounded()).unwrap();
-        let o3 = run(&r3, &p3, &SatAttackConfig::default(), &Budget::unbounded()).unwrap();
+        let o1 = run(&r1, &p1, MAX_DIPS, &Budget::unbounded()).unwrap();
+        let o3 = run(&r3, &p3, MAX_DIPS, &Budget::unbounded()).unwrap();
         assert!(o3.dips >= o1.dips, "{} vs {}", o3.dips, o1.dips);
     }
 }

@@ -40,18 +40,18 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use rand::Rng;
 
-use sttlock_exec::Budget;
+use sttlock_exec::{Budget, BudgetError};
 
 use sttlock_netlist::{CircuitView, HybridOverlay, Netlist, Node, NodeId, TruthTable};
-use sttlock_sat::encode::{assert_some_difference, encode};
+use sttlock_sat::encode::{assert_some_difference, encode, equal, miter_pairs};
 use sttlock_sat::{Lit, SatResult, Solver, Var};
 use sttlock_sim::tri::{PartialLut, TriSimulator, TriWord};
 use sttlock_sim::{SimError, Simulator};
 
+use crate::dispatch::AttackOutcome;
 use crate::error::AttackError;
 
 /// Most interdependent missing gates the joint stage will take on.
@@ -74,16 +74,6 @@ pub struct SensitizationConfig {
     /// Whether to escalate to SAT-guided justification for the rows the
     /// random stage leaves unresolved.
     pub sat_justification: bool,
-    /// Test-clock budget: the attack stops with
-    /// [`AttackError::TimedOut`] once this many oracle clocks are spent
-    /// (`0` = unbounded). The partial result travels in the error.
-    /// Internally this becomes the step cap of the attack's
-    /// [`sttlock_exec::Budget`] child.
-    pub max_test_clocks: u64,
-    /// Wall-clock budget in milliseconds, same semantics
-    /// (`0` = unbounded). Checked between patterns/SAT queries, so a
-    /// single long SAT call can overshoot slightly.
-    pub max_wall_ms: u64,
 }
 
 impl Default for SensitizationConfig {
@@ -91,8 +81,6 @@ impl Default for SensitizationConfig {
         SensitizationConfig {
             patterns_per_gate: 256,
             sat_justification: true,
-            max_test_clocks: 0,
-            max_wall_ms: 0,
         }
     }
 }
@@ -197,10 +185,12 @@ struct AttackState<'a> {
     sat_queries: u64,
 }
 
-/// Runs the sensitization attack.
+/// Runs the sensitization attack until it converges or `budget` trips.
 ///
 /// `redacted` is the foundry view (unprogrammed LUTs); `oracle` is the
-/// programmed design with identical structure.
+/// programmed design with identical structure. The budget is checked
+/// between patterns and SAT queries (so a single long SAT call can
+/// overshoot slightly), and every simulated test clock is billed to it.
 ///
 /// # Errors
 ///
@@ -209,40 +199,17 @@ struct AttackState<'a> {
 /// * [`AttackError::DesignMismatch`] if the two netlists have different
 ///   arena sizes — formerly an `assert_eq!` process abort, now a typed
 ///   failure so batch campaign cells degrade gracefully.
-/// * [`AttackError::TimedOut`] when a configured test-clock or
-///   wall-clock budget runs out; the partial outcome accumulated so far
-///   is carried inside the error.
+/// * [`AttackError::Budget`] when `budget` trips (a request deadline, a
+///   campaign cell's cancel); the partial outcome accumulated so far is
+///   carried inside the error.
 pub fn run<R: Rng + ?Sized>(
-    redacted: &Netlist,
-    oracle: &Netlist,
-    cfg: &SensitizationConfig,
-    rng: &mut R,
-) -> Result<SensitizationOutcome, AttackError> {
-    run_with_budget(redacted, oracle, cfg, &Budget::unbounded(), rng)
-}
-
-/// Runs the sensitization attack under a caller-provided [`Budget`].
-///
-/// The config's own limits (`max_test_clocks`, `max_wall_ms`) are
-/// derived as a *child* of `budget` with min-of-deadlines semantics, so
-/// whichever bound is tighter — the caller's (e.g. an HTTP request
-/// deadline, a campaign cell's cancel) or the config's — stops the
-/// attack. Exhaustion or cancellation surfaces as
-/// [`AttackError::TimedOut`] carrying the partial outcome; every
-/// simulated test clock is billed to the caller's budget chain.
-pub fn run_with_budget<R: Rng + ?Sized>(
     redacted: &Netlist,
     oracle: &Netlist,
     cfg: &SensitizationConfig,
     budget: &Budget,
     rng: &mut R,
 ) -> Result<SensitizationOutcome, AttackError> {
-    if redacted.len() != oracle.len() {
-        return Err(AttackError::DesignMismatch {
-            redacted: redacted.len(),
-            oracle: oracle.len(),
-        });
-    }
+    AttackError::check_same_design(redacted, oracle)?;
     let missing: Vec<NodeId> = redacted
         .iter()
         .filter(|(_, n)| matches!(n, Node::Lut { config: None, .. }))
@@ -271,11 +238,7 @@ pub fn run_with_budget<R: Rng + ?Sized>(
 
     let n_inputs = redacted.inputs().len();
     let n_state = redacted.iter().filter(|(_, n)| n.is_dff()).count();
-    let budget = budget.child_with(
-        (cfg.max_wall_ms > 0).then(|| Instant::now() + Duration::from_millis(cfg.max_wall_ms)),
-        (cfg.max_test_clocks > 0).then_some(cfg.max_test_clocks),
-    );
-    let mut out_of_budget = false;
+    let mut stopped: Option<BudgetError> = None;
 
     // Iterative refinement: each round re-attacks the unresolved gates
     // against a working netlist with every completed gate programmed in.
@@ -304,13 +267,13 @@ pub fn run_with_budget<R: Rng + ?Sized>(
                 if state.gates[&g].is_complete() {
                     break;
                 }
-                if budget.exhausted() {
-                    out_of_budget = true;
+                if let Err(reason) = budget.check() {
+                    stopped = Some(reason);
                     break 'rounds;
                 }
                 let inputs: Vec<u64> = (0..n_inputs).map(|_| rng.gen()).collect();
                 let st: Vec<u64> = (0..n_state).map(|_| rng.gen()).collect();
-                progress |= try_pattern(&view, &mut state, &budget, g, &inputs, &st)?;
+                progress |= try_pattern(&view, &mut state, budget, g, &inputs, &st)?;
             }
         }
         drop(random_span);
@@ -329,8 +292,8 @@ pub fn run_with_budget<R: Rng + ?Sized>(
                     if open & (1 << row) == 0 {
                         continue;
                     }
-                    if budget.exhausted() {
-                        out_of_budget = true;
+                    if let Err(reason) = budget.check() {
+                        stopped = Some(reason);
                         break 'rounds;
                     }
                     state.sat_queries += 1;
@@ -343,7 +306,7 @@ pub fn run_with_budget<R: Rng + ?Sized>(
                             progress = true;
                         }
                         Some((inputs, st)) => {
-                            progress |= try_pattern(&view, &mut state, &budget, g, &inputs, &st)?;
+                            progress |= try_pattern(&view, &mut state, budget, g, &inputs, &st)?;
                         }
                     }
                 }
@@ -358,9 +321,9 @@ pub fn run_with_budget<R: Rng + ?Sized>(
 
     // Escalation for a small stalled residue of mutually blinding gates
     // (Equation 2: exponential in the cluster size, so bounded).
-    if !out_of_budget && cfg.sat_justification {
+    if stopped.is_none() && cfg.sat_justification {
         let _joint = sttlock_obs::span!("attack.joint_stage");
-        out_of_budget = !joint_cluster_stage(redacted, &mut state, &budget)?;
+        stopped = joint_cluster_stage(redacted, &mut state, budget)?;
     }
 
     let outcome = SensitizationOutcome {
@@ -368,12 +331,13 @@ pub fn run_with_budget<R: Rng + ?Sized>(
         test_clocks: state.test_clocks,
         sat_queries: state.sat_queries,
     };
-    if out_of_budget {
-        return Err(AttackError::TimedOut {
-            partial: Box::new(outcome),
-        });
+    match stopped {
+        Some(reason) => Err(AttackError::Budget {
+            reason,
+            partial: Box::new(AttackOutcome::Sensitization(outcome)),
+        }),
+        None => Ok(outcome),
     }
-    Ok(outcome)
 }
 
 /// Joint resolution of a small residue of interdependent missing gates.
@@ -394,14 +358,14 @@ pub fn run_with_budget<R: Rng + ?Sized>(
 /// Effort is `2^rows` hypotheses — the paper's Equation 2 — so the stage
 /// bails out beyond [`MAX_JOINT_GATES`] gates or [`MAX_JOINT_ROWS`] open
 /// rows, which keeps dependent selections out of reach by design.
-/// Returns `false` when the budget ran out mid-stage (results recorded
-/// so far are kept), `true` otherwise — including the size-bound
-/// bail-outs, which are a deliberate non-attempt rather than a timeout.
+/// Returns why the budget stopped the stage midway (results recorded so
+/// far are kept), or `None` — also for the size-bound bail-outs, which
+/// are a deliberate non-attempt rather than a timeout.
 fn joint_cluster_stage(
     redacted: &Netlist,
     state: &mut AttackState<'_>,
     budget: &Budget,
-) -> Result<bool, SimError> {
+) -> Result<Option<BudgetError>, SimError> {
     let mut incomplete: Vec<NodeId> = state
         .gates
         .iter()
@@ -410,7 +374,7 @@ fn joint_cluster_stage(
         .collect();
     incomplete.sort_unstable();
     if incomplete.is_empty() || incomplete.len() > MAX_JOINT_GATES {
-        return Ok(true);
+        return Ok(None);
     }
     // Flat list of (gate, row) coordinates for the open rows; bit `k` of
     // a hypothesis mask is the output of `slots[k]`.
@@ -425,7 +389,7 @@ fn joint_cluster_stage(
         }
     }
     if slots.is_empty() || slots.len() as u32 > MAX_JOINT_ROWS {
-        return Ok(true);
+        return Ok(None);
     }
 
     // Base netlist: everything already completed is programmed in. The
@@ -461,14 +425,14 @@ fn joint_cluster_stage(
 
     let mut alive: Vec<usize> = (0..candidates.len()).collect();
     loop {
-        if budget.exhausted() {
-            return Ok(false);
+        if let Err(reason) = budget.check() {
+            return Ok(Some(reason));
         }
         // Distinguish the first survivor from any other survivor.
         let mut pattern = None;
         for &c in alive.iter().skip(1) {
-            if budget.exhausted() {
-                return Ok(false);
+            if let Err(reason) = budget.check() {
+                return Ok(Some(reason));
             }
             state.sat_queries += 1;
             if let Some(p) = distinguish(&candidates[alive[0]], &candidates[c]) {
@@ -499,7 +463,7 @@ fn joint_cluster_stage(
         }
     }
     let Some(&witness) = alive.first() else {
-        return Ok(true);
+        return Ok(None);
     };
 
     for (k, &(gate, row)) in slots.iter().enumerate() {
@@ -520,7 +484,7 @@ fn joint_cluster_stage(
             entry.table_bits |= bit;
         }
     }
-    Ok(true)
+    Ok(None)
 }
 
 /// SAT-solves for a single (input, state) frame on which two concrete
@@ -530,24 +494,7 @@ fn distinguish(a: &Netlist, b: &Netlist) -> Option<(Vec<u64>, Vec<u64>)> {
     let mut solver = Solver::new();
     let ea = encode(a, &mut solver);
     let eb = encode(b, &mut solver);
-    for (&x, &y) in ea.inputs.iter().zip(&eb.inputs) {
-        tie(&mut solver, x, y);
-    }
-    for ((_, x), (_, y)) in ea.state_inputs.iter().zip(&eb.state_inputs) {
-        tie(&mut solver, *x, *y);
-    }
-    let mut pairs: Vec<(Var, Var)> = ea
-        .outputs
-        .iter()
-        .copied()
-        .zip(eb.outputs.iter().copied())
-        .collect();
-    pairs.extend(
-        ea.next_state
-            .iter()
-            .map(|(_, v)| *v)
-            .zip(eb.next_state.iter().map(|(_, v)| *v)),
-    );
+    let pairs = miter_pairs(&mut solver, &ea, &eb);
     assert_some_difference(&mut solver, &pairs);
     if solver.solve() != SatResult::Sat {
         return None;
@@ -677,19 +624,14 @@ fn justify_row(working: &Netlist, g: NodeId, row: usize) -> Option<(Vec<u64>, Ve
     let b = encode(working, &mut solver);
 
     // Shared inputs and state.
-    for (&x, &y) in a.inputs.iter().zip(&b.inputs) {
-        tie(&mut solver, x, y);
-    }
-    for ((_, x), (_, y)) in a.state_inputs.iter().zip(&b.state_inputs) {
-        tie(&mut solver, *x, *y);
-    }
+    let pairs = miter_pairs(&mut solver, &a, &b);
     // Other missing gates: same (free) key in both copies.
     for (id, ka) in &a.keys {
         if *id == g {
             continue;
         }
         for (&x, &y) in ka.iter().zip(&b.keys[id]) {
-            tie(&mut solver, x, y);
+            equal(&mut solver, x, y);
         }
     }
     // Justify the row on copy A (inputs are shared upstream nets; the
@@ -704,18 +646,6 @@ fn justify_row(working: &Netlist, g: NodeId, row: usize) -> Option<(Vec<u64>, Ve
     solver.add_clause(&[Lit::pos(b.net_var[g.index()])]);
 
     // Some observation point must differ.
-    let mut pairs: Vec<(Var, Var)> = a
-        .outputs
-        .iter()
-        .copied()
-        .zip(b.outputs.iter().copied())
-        .collect();
-    pairs.extend(
-        a.next_state
-            .iter()
-            .map(|(_, v)| *v)
-            .zip(b.next_state.iter().map(|(_, v)| *v)),
-    );
     assert_some_difference(&mut solver, &pairs);
 
     if solver.solve() != SatResult::Sat {
@@ -732,16 +662,12 @@ fn justify_row(working: &Netlist, g: NodeId, row: usize) -> Option<(Vec<u64>, Ve
     Some((inputs, state))
 }
 
-fn tie(solver: &mut Solver, x: Var, y: Var) {
-    solver.add_clause(&[Lit::pos(x), Lit::neg(y)]);
-    solver.add_clause(&[Lit::neg(x), Lit::pos(y)]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::time::{Duration, Instant};
     use sttlock_netlist::{GateKind, NetlistBuilder};
 
     /// Two independent missing gates in otherwise known logic.
@@ -791,6 +717,7 @@ mod tests {
             &redacted,
             &programmed,
             &SensitizationConfig::default(),
+            &Budget::unbounded(),
             &mut rng,
         )
         .unwrap();
@@ -815,9 +742,8 @@ mod tests {
         let cfg = SensitizationConfig {
             patterns_per_gate: 64,
             sat_justification: false,
-            ..SensitizationConfig::default()
         };
-        let out = run(&redacted, &programmed, &cfg, &mut rng).unwrap();
+        let out = run(&redacted, &programmed, &cfg, &Budget::unbounded(), &mut rng).unwrap();
         // The interior gates g1/g2 are blinded: g1's output difference is
         // masked by the X of g2/g3, and g2's inputs include the X of g1.
         assert!(
@@ -854,9 +780,8 @@ mod tests {
         let cfg = SensitizationConfig {
             patterns_per_gate: 0,
             sat_justification: true,
-            ..SensitizationConfig::default()
         };
-        let out = run(&redacted, &programmed, &cfg, &mut rng).unwrap();
+        let out = run(&redacted, &programmed, &cfg, &Budget::unbounded(), &mut rng).unwrap();
         assert!(out.is_full_break(), "ratio {}", out.resolution_ratio());
         assert!(out.sat_queries > 0);
         let table = out.gates[&g].table().unwrap();
@@ -884,9 +809,8 @@ mod tests {
         let cfg = SensitizationConfig {
             patterns_per_gate: 8,
             sat_justification: true,
-            ..SensitizationConfig::default()
         };
-        let out = run(&redacted, &programmed, &cfg, &mut rng).unwrap();
+        let out = run(&redacted, &programmed, &cfg, &Budget::unbounded(), &mut rng).unwrap();
         assert!(out.is_full_break());
         let rec = &out.gates[&g];
         assert_eq!(rec.resolved_rows, 0);
@@ -900,47 +824,9 @@ mod tests {
         let cfg = SensitizationConfig {
             patterns_per_gate: 4,
             sat_justification: true,
-            ..SensitizationConfig::default()
         };
-        let out = run(&redacted, &programmed, &cfg, &mut rng).unwrap();
+        let out = run(&redacted, &programmed, &cfg, &Budget::unbounded(), &mut rng).unwrap();
         assert!(out.test_clocks > 0);
-    }
-
-    #[test]
-    fn clock_budget_expires_with_a_partial_result() {
-        let (redacted, programmed) = independent_case();
-        let mut rng = StdRng::seed_from_u64(11);
-        let cfg = SensitizationConfig {
-            // One 64-lane pattern fits; the second check trips the budget.
-            max_test_clocks: 64,
-            ..SensitizationConfig::default()
-        };
-        let err = run(&redacted, &programmed, &cfg, &mut rng).unwrap_err();
-        let AttackError::TimedOut { partial } = &err else {
-            panic!("expected TimedOut, got {err:?}");
-        };
-        assert!(partial.test_clocks >= 64);
-        assert_eq!(err.partial_outcome().unwrap().gates.len(), 2);
-        assert!(err.to_string().contains("budget exhausted"));
-    }
-
-    #[test]
-    fn wall_clock_budget_expires_immediately() {
-        let (redacted, programmed) = independent_case();
-        let mut rng = StdRng::seed_from_u64(12);
-        let cfg = SensitizationConfig {
-            max_wall_ms: 1,
-            ..SensitizationConfig::default()
-        };
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        // The deadline may or may not have passed before the first
-        // pattern; either a timeout or (on a very fast machine) success
-        // is acceptable, but never a panic or unbounded run.
-        match run(&redacted, &programmed, &cfg, &mut rng) {
-            Ok(out) => assert!(out.is_full_break()),
-            Err(AttackError::TimedOut { .. }) => {}
-            Err(other) => panic!("unexpected error {other:?}"),
-        }
     }
 
     #[test]
@@ -949,15 +835,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let parent = Budget::unbounded();
         parent.cancel();
-        let err = run_with_budget(
-            &redacted,
-            &programmed,
-            &SensitizationConfig::default(),
-            &parent,
-            &mut rng,
-        )
-        .unwrap_err();
-        assert!(matches!(err, AttackError::TimedOut { .. }), "{err:?}");
+        let cfg = SensitizationConfig::default();
+        let err = run(&redacted, &programmed, &cfg, &parent, &mut rng).unwrap_err();
+        let AttackError::Budget { reason, partial } = &err else {
+            panic!("expected a budget trip, got {err:?}");
+        };
+        assert_eq!(*reason, BudgetError::Cancelled);
+        let AttackOutcome::Sensitization(partial) = partial.as_ref() else {
+            panic!("expected a sensitization partial, got {partial:?}");
+        };
+        assert_eq!(partial.gates.len(), 2);
+        assert!(err.to_string().contains("budget exhausted"), "{err}");
     }
 
     #[test]
@@ -965,14 +853,12 @@ mod tests {
         let (redacted, programmed) = independent_case();
         let mut rng = StdRng::seed_from_u64(22);
         let parent = Budget::deadline_at(Instant::now() - Duration::from_millis(1));
-        match run_with_budget(
-            &redacted,
-            &programmed,
-            &SensitizationConfig::default(),
-            &parent,
-            &mut rng,
-        ) {
-            Err(AttackError::TimedOut { .. }) => {}
+        let cfg = SensitizationConfig::default();
+        match run(&redacted, &programmed, &cfg, &parent, &mut rng) {
+            Err(AttackError::Budget {
+                reason: BudgetError::DeadlineExpired,
+                ..
+            }) => {}
             other => panic!("expected timeout from the parent deadline, got {other:?}"),
         }
     }
@@ -982,29 +868,9 @@ mod tests {
         let (redacted, programmed) = independent_case();
         let mut rng = StdRng::seed_from_u64(23);
         let parent = Budget::unbounded();
-        let out = run_with_budget(
-            &redacted,
-            &programmed,
-            &SensitizationConfig::default(),
-            &parent,
-            &mut rng,
-        )
-        .unwrap();
+        let cfg = SensitizationConfig::default();
+        let out = run(&redacted, &programmed, &cfg, &parent, &mut rng).unwrap();
         assert_eq!(parent.steps_spent(), out.test_clocks);
-    }
-
-    #[test]
-    fn zero_budgets_mean_unbounded() {
-        let (redacted, programmed) = independent_case();
-        let mut rng = StdRng::seed_from_u64(13);
-        let out = run(
-            &redacted,
-            &programmed,
-            &SensitizationConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
-        assert!(out.is_full_break());
     }
 
     #[test]
@@ -1015,7 +881,8 @@ mod tests {
         b.output("g");
         let n = b.finish().unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let out = run(&n, &n, &SensitizationConfig::default(), &mut rng).unwrap();
+        let cfg = SensitizationConfig::default();
+        let out = run(&n, &n, &cfg, &Budget::unbounded(), &mut rng).unwrap();
         assert!(out.gates.is_empty());
         assert!(!out.is_full_break());
         assert_eq!(out.resolution_ratio(), 0.0);

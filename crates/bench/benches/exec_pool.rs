@@ -63,7 +63,7 @@ fn bench_budget(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_function("charge_check_root", |b| {
-        let budget = Budget::new(None, Some(u64::MAX));
+        let budget = Budget::unbounded();
         b.iter(|| {
             for _ in 0..n {
                 budget.charge(1);
@@ -76,7 +76,7 @@ fn bench_budget(c: &mut Criterion) {
     // serve → flow → attack: three nodes between the charge and the
     // root, all billed and all consulted by `check`.
     group.bench_function("charge_check_depth3", |b| {
-        let root = Budget::new(None, Some(u64::MAX));
+        let root = Budget::unbounded();
         let leaf = root.child().child().child();
         b.iter(|| {
             for _ in 0..n {

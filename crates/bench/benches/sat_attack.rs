@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sttlock_attack::sat_attack::{self, SatAttackConfig};
+use sttlock_attack::{sat_attack, MAX_DIPS};
 use sttlock_benchgen::Profile;
 use sttlock_core::{Flow, SelectionAlgorithm};
 use sttlock_exec::Budget;
@@ -36,9 +36,8 @@ fn bench_sat_attack(c: &mut Criterion) {
             &(redacted, oracle),
             |b, (r, o)| {
                 b.iter(|| {
-                    let cfg = SatAttackConfig::default();
                     let out =
-                        sat_attack::run(r, o, &cfg, &Budget::unbounded()).expect("attack runs");
+                        sat_attack::run(r, o, MAX_DIPS, &Budget::unbounded()).expect("attack runs");
                     assert!(out.succeeded());
                     out.dips
                 })

@@ -167,7 +167,7 @@ fn main() {
     let sat = sttlock_attack::sat_attack::run(
         &redacted,
         &locked.hybrid,
-        &sttlock_attack::sat_attack::SatAttackConfig::default(),
+        sttlock_attack::MAX_DIPS,
         &sttlock_exec::Budget::unbounded(),
     )
     .expect("attack runs");

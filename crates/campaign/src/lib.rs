@@ -44,6 +44,7 @@ use sttlock_fault::FaultModel;
 pub use journal::{Journal, JournalEntry, OpenedJournal, JOURNAL_SCHEMA_VERSION};
 pub use record::{AttackMetrics, FlowMetrics, RepairMetrics, RunRecord, RunStatus};
 pub use runner::{cell_journal_key, execute, CampaignResult, CellExecutor};
+pub use sttlock_attack::AttackKind;
 
 /// One circuit of the grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,51 +95,6 @@ impl CircuitSpec {
             self,
             CircuitSpec::InjectPanic | CircuitSpec::InjectTimeout | CircuitSpec::InjectPoison
         )
-    }
-}
-
-/// Which attack (if any) runs after the flow in a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttackKind {
-    /// Flow only: overheads, selection time, security estimates.
-    None,
-    /// The sensitization attack (paper Section V).
-    Sensitization,
-    /// The full-scan oracle-guided SAT attack.
-    Sat {
-        /// DIP-iteration limit (0 = unlimited).
-        max_dips: usize,
-    },
-    /// The no-scan sequential SAT attack.
-    SequentialSat {
-        /// Unroll bound in clock cycles.
-        frames: usize,
-        /// DIP-iteration limit (0 = unlimited).
-        max_dips: usize,
-    },
-}
-
-impl AttackKind {
-    /// Stable short tag used in records and cache keys.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            AttackKind::None => "none",
-            AttackKind::Sensitization => "sens",
-            AttackKind::Sat { .. } => "sat",
-            AttackKind::SequentialSat { .. } => "seq",
-        }
-    }
-
-    /// Full descriptor, including limits, for cache keying.
-    pub fn descriptor(&self) -> String {
-        match self {
-            AttackKind::None => "none".into(),
-            AttackKind::Sensitization => "sens".into(),
-            AttackKind::Sat { max_dips } => format!("sat(max_dips={max_dips})"),
-            AttackKind::SequentialSat { frames, max_dips } => {
-                format!("seq(frames={frames},max_dips={max_dips})")
-            }
-        }
     }
 }
 
@@ -425,22 +381,5 @@ mod tests {
         assert!(cells[0].fault.is_noop());
         assert_eq!(cells[1].fault.descriptor(), "wf=0.05");
         assert!(cells[2].fault.is_noop(), "injected cells stay fault-free");
-    }
-
-    #[test]
-    fn attack_descriptors_pin_their_limits() {
-        assert_eq!(
-            AttackKind::Sat { max_dips: 9 }.descriptor(),
-            "sat(max_dips=9)"
-        );
-        assert_eq!(
-            AttackKind::SequentialSat {
-                frames: 4,
-                max_dips: 0
-            }
-            .descriptor(),
-            "seq(frames=4,max_dips=0)"
-        );
-        assert_eq!(AttackKind::Sensitization.tag(), "sens");
     }
 }

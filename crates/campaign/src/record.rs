@@ -1,5 +1,7 @@
 //! Per-run result records and their JSONL encoding.
 
+pub use sttlock_attack::AttackMetrics;
+
 use crate::json::Json;
 use crate::Cell;
 
@@ -56,31 +58,6 @@ pub struct FlowMetrics {
     pub n_dep_log10: f64,
     /// `log10` of the brute-force effort estimate.
     pub n_bf_log10: f64,
-}
-
-/// Attack metrics of one successful attack run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AttackMetrics {
-    /// Whether the attack fully recovered the configuration.
-    pub broke: bool,
-    /// DIPs (SAT attacks) — distinguishing patterns/sequences used.
-    pub dips: u64,
-    /// Oracle test clocks (sensitization attack).
-    pub test_clocks: u64,
-    /// SAT justification queries (sensitization attack).
-    pub sat_queries: u64,
-    /// Solver conflicts.
-    pub conflicts: u64,
-    /// Solver decisions.
-    pub decisions: u64,
-    /// Solver propagations.
-    pub propagations: u64,
-    /// Solver restarts.
-    pub restarts: u64,
-    /// Learnt clauses.
-    pub learnt_clauses: u64,
-    /// Unroll bound (sequential attack; 0 otherwise).
-    pub frames: u64,
 }
 
 /// Verify-and-repair metrics of one fault-injected run — the recovery

@@ -38,10 +38,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sttlock_attack::estimate;
-use sttlock_attack::sat_attack::{self, SatAttackConfig, SequentialAttackConfig};
-use sttlock_attack::sensitization::{self, SensitizationConfig};
 use sttlock_benchgen::{profiles, Profile};
-use sttlock_core::{verify_and_repair_budgeted, Flow, FlowError, FlowOutcome, RepairConfig};
+use sttlock_core::{verify_and_repair, Flow, FlowError, FlowOutcome, RepairConfig};
 use sttlock_exec::{panic_message, Budget};
 use sttlock_fault::FaultInjector;
 use sttlock_netlist::{bench_format, Netlist};
@@ -577,7 +575,7 @@ fn run_fault(
     let fault_seed = circuit_seed(cell.seed, cell.circuit.name()) ^ 0xFA17_5EED;
     let mut injector = FaultInjector::new(cell.fault, fault_seed);
     let injected = injector.corrupt(&mut device);
-    let report = verify_and_repair_budgeted(
+    let report = verify_and_repair(
         golden,
         &mut device,
         &outcome.bitstream,
@@ -609,61 +607,14 @@ fn run_attack(
     hybrid: &Netlist,
     budget: &Budget,
 ) -> Result<Option<AttackMetrics>, String> {
-    let err = |e: sttlock_attack::AttackError| format!("attack failed: {e}");
-    match cell.attack {
-        AttackKind::None => Ok(None),
-        AttackKind::Sensitization => {
-            let foundry = hybrid.redact().0;
-            let mut rng = StdRng::seed_from_u64(cell.seed ^ 0xA77A_C4ED);
-            let out = sensitization::run_with_budget(
-                &foundry,
-                hybrid,
-                &SensitizationConfig::default(),
-                budget,
-                &mut rng,
-            )
-            .map_err(err)?;
-            Ok(Some(AttackMetrics {
-                broke: out.is_full_break(),
-                test_clocks: out.test_clocks,
-                sat_queries: out.sat_queries,
-                ..AttackMetrics::default()
-            }))
-        }
-        AttackKind::Sat { max_dips } => {
-            let foundry = hybrid.redact().0;
-            let out = sat_attack::run(&foundry, hybrid, &SatAttackConfig { max_dips }, budget)
-                .map_err(err)?;
-            let s = out.solver_stats;
-            Ok(Some(AttackMetrics {
-                broke: out.succeeded(),
-                dips: out.dips as u64,
-                conflicts: s.conflicts,
-                decisions: s.decisions,
-                propagations: s.propagations,
-                restarts: s.restarts,
-                learnt_clauses: s.learnt_clauses,
-                ..AttackMetrics::default()
-            }))
-        }
-        AttackKind::SequentialSat { frames, max_dips } => {
-            let foundry = hybrid.redact().0;
-            let cfg = SequentialAttackConfig { frames, max_dips };
-            let out = sat_attack::run_sequential(&foundry, hybrid, &cfg, budget).map_err(err)?;
-            let s = out.solver_stats;
-            Ok(Some(AttackMetrics {
-                broke: out.bitstream.is_some(),
-                dips: out.dips as u64,
-                frames: out.frames as u64,
-                conflicts: s.conflicts,
-                decisions: s.decisions,
-                propagations: s.propagations,
-                restarts: s.restarts,
-                learnt_clauses: s.learnt_clauses,
-                ..AttackMetrics::default()
-            }))
-        }
+    if cell.attack == AttackKind::None {
+        // No attack: skip building the foundry view.
+        return Ok(None);
     }
+    let foundry = hybrid.redact().0;
+    sttlock_attack::run(cell.attack, &foundry, hybrid, cell.seed, budget)
+        .map(|outcome| outcome.map(|o| o.metrics()))
+        .map_err(|e| format!("attack failed: {e}"))
 }
 
 #[cfg(test)]

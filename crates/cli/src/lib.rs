@@ -34,10 +34,9 @@ use std::path::Path;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sttlock_attack::sat_attack::{self, SatAttackConfig, SequentialAttackConfig};
-use sttlock_attack::sensitization::{self, SensitizationConfig};
+use sttlock_attack::{AttackKind, AttackOutcome, FRAMES, MAX_DIPS};
 use sttlock_benchgen::{profiles, Profile};
-use sttlock_campaign::{render, AttackKind, CampaignSpec, CircuitSpec, SelectionOverrides};
+use sttlock_campaign::{render, CampaignSpec, CircuitSpec, SelectionOverrides};
 use sttlock_core::harden::{harden, HardenConfig};
 use sttlock_core::{verify_and_repair, Flow, RepairConfig, SelectionAlgorithm};
 use sttlock_fault::{FaultInjector, FaultModel};
@@ -553,69 +552,49 @@ fn cmd_attack(argv: &[String]) -> Result<String, CliError> {
     let args = Args::parse(argv, "i oracle mode seed frames", "")?;
     let redacted = load_netlist(args.require("i")?)?;
     let oracle = load_netlist(args.require("oracle")?)?;
-    let mode = args.require("mode")?;
+    let frames = args.get_u64("frames", FRAMES as u64)? as usize;
+    let kind =
+        AttackKind::parse(args.require("mode")?, frames, MAX_DIPS).map_err(CliError::Usage)?;
     let seed = args.get_u64("seed", 42)?;
-    match mode {
-        "sens" => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let out = sensitization::run(
-                &redacted,
-                &oracle,
-                &SensitizationConfig::default(),
-                &mut rng,
-            )
-            .map_err(|e| CliError::Step(format!("attack failed: {e}")))?;
-            Ok(format!(
-                "sensitization: {} ({}% of rows), {} test clocks, {} SAT queries\n",
-                if out.is_full_break() {
-                    "FULL BREAK"
-                } else {
-                    "stalled"
-                },
-                (out.resolution_ratio() * 100.0).round(),
-                out.test_clocks,
-                out.sat_queries
-            ))
-        }
-        "sat" => {
-            let budget = sttlock_exec::Budget::unbounded();
-            let out = sat_attack::run(&redacted, &oracle, &SatAttackConfig::default(), &budget)
-                .map_err(|e| CliError::Step(format!("attack failed: {e}")))?;
-            Ok(format!(
-                "sat attack (full scan): {}, {} DIPs, {} conflicts\n",
-                if out.succeeded() {
-                    "KEY RECOVERED"
-                } else {
-                    "dip limit hit"
-                },
-                out.dips,
-                out.solver_stats.conflicts
-            ))
-        }
-        "seq" => {
-            let frames = args.get_u64("frames", 8)? as usize;
-            let cfg = SequentialAttackConfig {
-                frames,
-                max_dips: 10_000,
-            };
-            let budget = sttlock_exec::Budget::unbounded();
-            let out = sat_attack::run_sequential(&redacted, &oracle, &cfg, &budget)
-                .map_err(|e| CliError::Step(format!("attack failed: {e}")))?;
-            Ok(format!(
-                "sat attack (no scan, {} frames): {}, {} DIP sequences, {} conflicts\n",
-                out.frames,
-                if out.bitstream.is_some() {
-                    "KEY RECOVERED (bounded)"
-                } else {
-                    "dip limit hit"
-                },
-                out.dips,
-                out.solver_stats.conflicts
-            ))
-        }
-        other => Err(CliError::Usage(format!(
-            "unknown attack mode `{other}` (sens|sat|seq)"
-        ))),
+    let budget = sttlock_exec::Budget::unbounded();
+    let outcome = sttlock_attack::run(kind, &redacted, &oracle, seed, &budget)
+        .map_err(|e| CliError::Step(format!("attack failed: {e}")))?;
+    match outcome {
+        None => Err(CliError::Usage(
+            "attack mode `none` runs no attack (sens|sat|seq)".into(),
+        )),
+        Some(AttackOutcome::Sensitization(out)) => Ok(format!(
+            "sensitization: {} ({}% of rows), {} test clocks, {} SAT queries\n",
+            if out.is_full_break() {
+                "FULL BREAK"
+            } else {
+                "stalled"
+            },
+            (out.resolution_ratio() * 100.0).round(),
+            out.test_clocks,
+            out.sat_queries
+        )),
+        Some(AttackOutcome::Sat(out)) if out.frames == 0 => Ok(format!(
+            "sat attack (full scan): {}, {} DIPs, {} conflicts\n",
+            if out.succeeded() {
+                "KEY RECOVERED"
+            } else {
+                "dip limit hit"
+            },
+            out.dips,
+            out.solver_stats.conflicts
+        )),
+        Some(AttackOutcome::Sat(out)) => Ok(format!(
+            "sat attack (no scan, {} frames): {}, {} DIP sequences, {} conflicts\n",
+            out.frames,
+            if out.succeeded() {
+                "KEY RECOVERED (bounded)"
+            } else {
+                "dip limit hit"
+            },
+            out.dips,
+            out.solver_stats.conflicts
+        )),
     }
 }
 
@@ -748,8 +727,16 @@ fn cmd_faults(argv: &[String]) -> Result<String, CliError> {
         out.push_str("  (none — the device came out of fabrication clean)\n");
     }
 
-    let report = verify_and_repair(&golden, &mut device, &bitstream, &mut injector, &cfg, seed)
-        .map_err(|e| CliError::Step(format!("verify/repair failed: {e}")))?;
+    let report = verify_and_repair(
+        &golden,
+        &mut device,
+        &bitstream,
+        &mut injector,
+        &cfg,
+        seed,
+        &sttlock_exec::Budget::unbounded(),
+    )
+    .map_err(|e| CliError::Step(format!("verify/repair failed: {e}")))?;
     out.push_str(&format!(
         "verify+repair: {} after {} retry round(s)\n",
         report.verdict, report.retries
@@ -895,18 +882,12 @@ fn parse_campaign_spec(args: &Args) -> Result<CampaignSpec, CliError> {
                 .map_err(|_| CliError::Usage(format!("`--seeds` expects integers, got `{s}`")))
         })?,
     };
-    let frames = args.get_u64("frames", 8)? as usize;
-    let max_dips = args.get_u64("max-dips", 10_000)? as usize;
+    let frames = args.get_u64("frames", FRAMES as u64)? as usize;
+    let max_dips = args.get_u64("max-dips", MAX_DIPS as u64)? as usize;
     let attacks = match args.get("attacks") {
         None => vec![AttackKind::None],
-        Some(list) => parse_list(list, "attacks", |s| match s {
-            "none" => Ok(AttackKind::None),
-            "sens" => Ok(AttackKind::Sensitization),
-            "sat" => Ok(AttackKind::Sat { max_dips }),
-            "seq" => Ok(AttackKind::SequentialSat { frames, max_dips }),
-            other => Err(CliError::Usage(format!(
-                "unknown attack `{other}` (none|sens|sat|seq)"
-            ))),
+        Some(list) => parse_list(list, "attacks", |s| {
+            AttackKind::parse(s, frames, max_dips).map_err(CliError::Usage)
         })?,
     };
 
@@ -1603,6 +1584,18 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("no scan"), "{out}");
+
+        for mode in [
+            ["--mode", "seq", "--frames", "65"],
+            ["--mode", "none", "--seed", "1"],
+        ] {
+            let mut args = vec!["attack", "-i", &foundry, "--oracle", &part];
+            args.extend(mode);
+            assert!(
+                matches!(run(&argv(&args)), Err(CliError::Usage(_))),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -1976,6 +1969,10 @@ mod tests {
         assert!(matches!(
             run(&argv(&["campaign", "--attacks", "frobnicate"])),
             Err(CliError::Usage(_))
+        ));
+        assert!(matches!(
+            run(&argv(&["campaign", "--attacks", "seq", "--frames", "65"])),
+            Err(CliError::Usage(m)) if m.contains("`frames`")
         ));
         assert!(matches!(
             run(&argv(&["campaign", "--table", "table9"])),

@@ -410,7 +410,7 @@ fn dispatch_cell(
     // The dispatch runs under its own deadline-capped child budget so
     // one wedged worker cannot outlive the run budget, and the charged
     // step bills the dispatch into the whole ancestor chain.
-    let dispatch_budget = budget.child_with(Some(Instant::now() + dispatch_timeout), None);
+    let dispatch_budget = budget.child_with(Some(Instant::now() + dispatch_timeout));
     dispatch_budget.charge(1);
     if dispatch_budget.check().is_err() {
         return None;

@@ -39,8 +39,8 @@ pub enum FlowError {
     /// against its golden model (interface mismatch, unprogrammed LUT in
     /// the reference, inconsistent equivalence witness).
     Verification(String),
-    /// The caller's [`Budget`] tripped — cancelled, past its deadline or
-    /// out of steps — and the flow stopped cooperatively mid-stage.
+    /// The caller's [`Budget`] tripped — cancelled or past its deadline
+    /// — and the flow stopped cooperatively mid-stage.
     Budget(BudgetError),
 }
 
@@ -377,43 +377,20 @@ impl RepairReport {
 /// [`Unrecoverable`](RepairVerdict::Unrecoverable) verdict instead of
 /// retrying forever.
 ///
+/// Under `budget`, each round checks the budget first, every
+/// differential frame charges a step, and the exponential backoff
+/// sleeps through [`Budget::sleep`] so a cancelled request wakes (and
+/// returns) within ~10 ms instead of sleeping out the full clamped
+/// backoff. With an untripped budget the report does not depend on it.
+///
 /// # Errors
 ///
 /// Returns [`FlowError::Verification`] when the comparison itself is
-/// impossible (interface mismatch, redacted LUT in the device) and
-/// [`FlowError::Simulation`] when a netlist cannot be simulated.
-pub fn verify_and_repair(
-    golden: &Netlist,
-    device: &mut HybridOverlay,
-    bitstream: &[(NodeId, TruthTable)],
-    channel: &mut dyn ProgrammingChannel,
-    cfg: &RepairConfig,
-    seed: u64,
-) -> Result<RepairReport, FlowError> {
-    verify_and_repair_budgeted(
-        golden,
-        device,
-        bitstream,
-        channel,
-        cfg,
-        seed,
-        &Budget::unbounded(),
-    )
-}
-
-/// [`verify_and_repair`] under a cooperative [`Budget`]: each round
-/// checks the budget first, every differential frame charges a step,
-/// and the exponential backoff sleeps through [`Budget::sleep`] so a
-/// cancelled request wakes (and returns) within ~10 ms instead of
-/// sleeping out the full clamped backoff. With an untripped budget the
-/// report is identical to [`verify_and_repair`].
-///
-/// # Errors
-///
-/// As [`verify_and_repair`], plus [`FlowError::Budget`] when the budget
-/// trips.
+/// impossible (interface mismatch, redacted LUT in the device),
+/// [`FlowError::Simulation`] when a netlist cannot be simulated, and
+/// [`FlowError::Budget`] when the budget trips.
 #[allow(clippy::too_many_arguments)]
-pub fn verify_and_repair_budgeted(
+pub fn verify_and_repair(
     golden: &Netlist,
     device: &mut HybridOverlay,
     bitstream: &[(NodeId, TruthTable)],
@@ -748,6 +725,7 @@ mod tests {
             &mut channel,
             &RepairConfig::default(),
             1,
+            &Budget::unbounded(),
         )
         .unwrap();
         assert_eq!(report.verdict, RepairVerdict::Recovered);
@@ -782,6 +760,7 @@ mod tests {
             &mut channel,
             &RepairConfig::default(),
             1,
+            &Budget::unbounded(),
         )
         .unwrap();
         assert_eq!(report.verdict, RepairVerdict::Recovered, "{report:?}");
@@ -841,8 +820,16 @@ mod tests {
             ..RepairConfig::default()
         };
         let mut channel = sttlock_fault::PerfectChannel;
-        let report =
-            verify_and_repair(&n, &mut device, &out.bitstream, &mut channel, &cfg, 1).unwrap();
+        let report = verify_and_repair(
+            &n,
+            &mut device,
+            &out.bitstream,
+            &mut channel,
+            &cfg,
+            1,
+            &Budget::unbounded(),
+        )
+        .unwrap();
         assert_eq!(report.verdict, RepairVerdict::Recovered, "{report:?}");
         assert!(report.retries >= 1);
     }
@@ -878,6 +865,7 @@ mod tests {
             &mut channel,
             &RepairConfig::default(),
             1,
+            &Budget::unbounded(),
         )
         .unwrap();
         assert_ne!(report.verdict, RepairVerdict::Recovered, "{report:?}");
@@ -930,7 +918,7 @@ mod tests {
         let mut channel = sttlock_fault::PerfectChannel;
         let cancelled = Budget::unbounded();
         cancelled.cancel();
-        let err = verify_and_repair_budgeted(
+        let err = verify_and_repair(
             &n,
             &mut device,
             &out.bitstream,
@@ -961,7 +949,7 @@ mod tests {
             token.cancel();
         });
         let t0 = Instant::now();
-        let err = verify_and_repair_budgeted(
+        let err = verify_and_repair(
             &n,
             &mut device,
             &out.bitstream,

@@ -55,8 +55,7 @@ pub mod flow;
 mod report;
 
 pub use flow::{
-    verify_and_repair, verify_and_repair_budgeted, Flow, FlowError, FlowOutcome, RepairConfig,
-    RepairReport, RepairVerdict,
+    verify_and_repair, Flow, FlowError, FlowOutcome, RepairConfig, RepairReport, RepairVerdict,
 };
 pub use oracle::{FullSta, TimingOracle};
 pub use report::FlowReport;

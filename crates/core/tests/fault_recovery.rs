@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use sttlock_benchgen::{profiles, Profile};
 use sttlock_core::{verify_and_repair, Flow, RepairConfig, SelectionAlgorithm};
+use sttlock_exec::Budget;
 use sttlock_fault::{FaultInjector, FaultModel, PerfectChannel};
 use sttlock_netlist::{Netlist, TruthTable};
 use sttlock_sim::Simulator;
@@ -87,6 +88,7 @@ proptest! {
             &mut PerfectChannel,
             &RepairConfig::default(),
             flow_seed,
+            &Budget::unbounded(),
         )
         .expect("verification runs");
         prop_assert!(report.is_recovered());
@@ -137,6 +139,7 @@ fn single_lut_row_faults_on_s641_always_recover() {
             &mut PerfectChannel,
             &cfg,
             (lut as u64) << 8 | row as u64,
+            &Budget::unbounded(),
         )
         .expect("verification runs");
         assert!(

@@ -10,6 +10,7 @@ use rand::SeedableRng;
 use sttlock_attack::sensitization::{self, SensitizationConfig};
 use sttlock_benchgen::profiles;
 use sttlock_core::{Flow, SelectionAlgorithm};
+use sttlock_exec::Budget;
 use sttlock_techlib::Library;
 
 #[test]
@@ -35,6 +36,7 @@ fn sensitization_outcomes_are_pinned() {
             &hardened.foundry_view(),
             &hardened.hybrid,
             &SensitizationConfig::default(),
+            &Budget::unbounded(),
             &mut StdRng::seed_from_u64(1),
         )
         .expect("attack runs");

@@ -4,11 +4,11 @@
 //!
 //! * an optional wall-clock **deadline** — pre-minimised against the
 //!   parent's at derivation time, so a child can only ever tighten it;
-//! * an optional **step budget** — an abstract work limit (the attack
-//!   bills simulated test clocks, activity estimation and repair bill
-//!   simulated vectors, the selection bills timing probes).
-//!   [`Budget::charge`] bills the node *and every ancestor*, which makes
-//!   sibling budgets disjoint draws on one shared parent pool;
+//! * a **step count** — a measure of work done, never a limit (the
+//!   attack bills simulated test clocks, activity estimation and repair
+//!   bill simulated vectors, the selection bills timing probes).
+//!   [`Budget::charge`] bills the node *and every ancestor*, so a parent
+//!   counts the work of all its descendants;
 //! * a **cancel flag** — checking walks the ancestor chain, so
 //!   cancelling any node cancels its whole subtree without bookkeeping.
 //!
@@ -16,8 +16,8 @@
 //! one `Instant::now()` when a deadline exists); deep loops call
 //! [`Budget::exhausted`] at natural step boundaries exactly like they
 //! polled their private flags before. The first failed check per node
-//! increments one of the `exec.budget.{cancelled,deadline,steps}`
-//! counters so cancellation is visible in `/metrics`.
+//! increments one of the `exec.budget.{cancelled,deadline}` counters
+//! so cancellation is visible in `/metrics`.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,8 +31,6 @@ pub enum BudgetError {
     Cancelled,
     /// The (inherited-minimum) wall-clock deadline has passed.
     DeadlineExpired,
-    /// This budget's, or an ancestor's, step allowance is spent.
-    StepsExhausted,
 }
 
 impl fmt::Display for BudgetError {
@@ -40,7 +38,6 @@ impl fmt::Display for BudgetError {
         match self {
             BudgetError::Cancelled => f.write_str("cancelled"),
             BudgetError::DeadlineExpired => f.write_str("deadline expired"),
-            BudgetError::StepsExhausted => f.write_str("step budget exhausted"),
         }
     }
 }
@@ -54,21 +51,31 @@ struct Inner {
     /// Effective deadline: already the minimum over this node and all
     /// ancestors (maintained at derivation time).
     deadline: Option<Instant>,
-    /// `u64::MAX` means unbounded.
-    max_steps: u64,
     steps: AtomicU64,
     /// One-shot latch so each node reports its trip reason only once.
     tripped: AtomicBool,
 }
 
 impl Inner {
+    fn is_cancelled(&self) -> bool {
+        let mut cur = self;
+        loop {
+            if cur.cancelled.load(Ordering::Relaxed) {
+                return true;
+            }
+            match &cur.parent {
+                Some(p) => cur = p,
+                None => return false,
+            }
+        }
+    }
+
     fn note_trip(&self, err: BudgetError) {
         if !self.tripped.swap(true, Ordering::Relaxed) {
             sttlock_obs::counter(
                 match err {
                     BudgetError::Cancelled => "exec.budget.cancelled",
                     BudgetError::DeadlineExpired => "exec.budget.deadline",
-                    BudgetError::StepsExhausted => "exec.budget.steps",
                 },
                 1,
             );
@@ -76,8 +83,8 @@ impl Inner {
     }
 }
 
-/// A deadline + step budget + cancellation cell. Cloning shares the
-/// same node; [`Budget::child`]/[`Budget::child_with`] derive a new
+/// A deadline + cancel latch + step count. Cloning shares the same
+/// node; [`Budget::child`]/[`Budget::child_with`] derive a new
 /// subordinate node.
 #[derive(Debug, Clone)]
 pub struct Budget {
@@ -85,66 +92,48 @@ pub struct Budget {
 }
 
 impl Budget {
-    fn root(deadline: Option<Instant>, max_steps: Option<u64>) -> Budget {
+    fn node(parent: Option<Arc<Inner>>, deadline: Option<Instant>) -> Budget {
         Budget {
             inner: Arc::new(Inner {
-                parent: None,
+                parent,
                 cancelled: AtomicBool::new(false),
                 deadline,
-                max_steps: max_steps.unwrap_or(u64::MAX),
                 steps: AtomicU64::new(0),
                 tripped: AtomicBool::new(false),
             }),
         }
     }
 
-    /// A budget with no deadline and no step limit — cancellable only.
+    /// A budget with no deadline — cancellable only.
     pub fn unbounded() -> Budget {
-        Budget::root(None, None)
-    }
-
-    /// A root budget from explicit limits. `None` means unbounded on
-    /// that axis.
-    pub fn new(deadline: Option<Instant>, max_steps: Option<u64>) -> Budget {
-        Budget::root(deadline, max_steps)
+        Budget::node(None, None)
     }
 
     /// A root budget that expires at `deadline`.
     pub fn deadline_at(deadline: Instant) -> Budget {
-        Budget::root(Some(deadline), None)
+        Budget::node(None, Some(deadline))
     }
 
     /// A root budget that expires `timeout` from now.
     pub fn with_timeout(timeout: Duration) -> Budget {
-        Budget::root(Some(Instant::now() + timeout), None)
+        Budget::deadline_at(Instant::now() + timeout)
     }
 
     /// Derives a child inheriting this budget's deadline, with its own
-    /// (unbounded) step counter. Charges on the child still bill this
-    /// node; cancelling this node cancels the child.
+    /// step counter. Charges on the child still bill this node;
+    /// cancelling this node cancels the child.
     pub fn child(&self) -> Budget {
-        self.child_with(None, None)
+        self.child_with(None)
     }
 
-    /// Derives a child with additional limits of its own. The child's
-    /// effective deadline is `min(parent, own)`; its step cap applies
-    /// to work charged through *it* (and its descendants) only, while
-    /// every charge also bills this node's pool.
-    pub fn child_with(&self, deadline: Option<Instant>, max_steps: Option<u64>) -> Budget {
+    /// Derives a child with a deadline of its own: the child's
+    /// effective deadline is `min(parent, own)`.
+    pub fn child_with(&self, deadline: Option<Instant>) -> Budget {
         let deadline = match (self.inner.deadline, deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        Budget {
-            inner: Arc::new(Inner {
-                parent: Some(Arc::clone(&self.inner)),
-                cancelled: AtomicBool::new(false),
-                deadline,
-                max_steps: max_steps.unwrap_or(u64::MAX),
-                steps: AtomicU64::new(0),
-                tripped: AtomicBool::new(false),
-            }),
-        }
+        Budget::node(Some(Arc::clone(&self.inner)), deadline)
     }
 
     /// Bills `n` steps of work to this node and every ancestor, and to
@@ -186,35 +175,15 @@ impl Budget {
 
     /// True when this node or any ancestor has been cancelled.
     pub fn is_cancelled(&self) -> bool {
-        let mut cur: &Inner = &self.inner;
-        loop {
-            if cur.cancelled.load(Ordering::Relaxed) {
-                return true;
-            }
-            match &cur.parent {
-                Some(p) => cur = p,
-                None => return false,
-            }
-        }
+        self.inner.is_cancelled()
     }
 
-    /// Full cooperative check: cancellation (whole chain), step caps
-    /// (each level against its own counter), then the deadline.
+    /// Full cooperative check: cancellation (whole chain), then the
+    /// deadline.
     pub fn check(&self) -> Result<(), BudgetError> {
-        let mut cur: &Inner = &self.inner;
-        loop {
-            if cur.cancelled.load(Ordering::Relaxed) {
-                self.inner.note_trip(BudgetError::Cancelled);
-                return Err(BudgetError::Cancelled);
-            }
-            if cur.steps.load(Ordering::Relaxed) >= cur.max_steps {
-                self.inner.note_trip(BudgetError::StepsExhausted);
-                return Err(BudgetError::StepsExhausted);
-            }
-            match &cur.parent {
-                Some(p) => cur = p,
-                None => break,
-            }
+        if self.is_cancelled() {
+            self.inner.note_trip(BudgetError::Cancelled);
+            return Err(BudgetError::Cancelled);
         }
         if let Some(d) = self.inner.deadline {
             if Instant::now() >= d {
@@ -267,8 +236,8 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
-    /// A standalone token with no deadline or step semantics (the
-    /// serve stop flag, the stdin watcher).
+    /// A standalone token with no deadline (the serve stop flag, the
+    /// stdin watcher).
     pub fn new() -> CancelToken {
         Budget::unbounded().token()
     }
@@ -280,16 +249,7 @@ impl CancelToken {
 
     /// True when the node or any ancestor has been cancelled.
     pub fn is_cancelled(&self) -> bool {
-        let mut cur: &Inner = &self.inner;
-        loop {
-            if cur.cancelled.load(Ordering::Relaxed) {
-                return true;
-            }
-            match &cur.parent {
-                Some(p) => cur = p,
-                None => return false,
-            }
-        }
+        self.inner.is_cancelled()
     }
 }
 
@@ -312,15 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn step_budget_trips_at_exactly_the_cap() {
-        let b = Budget::new(None, Some(100));
-        b.charge(99);
-        assert_eq!(b.check(), Ok(()));
-        b.charge(1);
-        assert_eq!(b.check(), Err(BudgetError::StepsExhausted));
-    }
-
-    #[test]
     fn deadline_trips_and_remaining_saturates() {
         let b = Budget::deadline_at(Instant::now() - Duration::from_millis(1));
         assert_eq!(b.check(), Err(BudgetError::DeadlineExpired));
@@ -332,9 +283,9 @@ mod tests {
         let far = Instant::now() + Duration::from_secs(3600);
         let near = Instant::now() + Duration::from_secs(60);
         let parent = Budget::deadline_at(near);
-        assert_eq!(parent.child_with(Some(far), None).deadline(), Some(near));
+        assert_eq!(parent.child_with(Some(far)).deadline(), Some(near));
         let parent = Budget::deadline_at(far);
-        assert_eq!(parent.child_with(Some(near), None).deadline(), Some(near));
+        assert_eq!(parent.child_with(Some(near)).deadline(), Some(near));
         assert_eq!(parent.child().deadline(), Some(far));
         assert_eq!(Budget::unbounded().child().deadline(), None);
     }
@@ -354,26 +305,15 @@ mod tests {
 
     #[test]
     fn sibling_charges_pool_on_the_parent() {
-        let parent = Budget::new(None, Some(100));
+        let parent = Budget::unbounded();
         let a = parent.child();
         let b = parent.child();
         a.charge(60);
-        assert_eq!(b.check(), Ok(()), "sibling b has spent nothing itself");
         b.charge(60);
-        // Each sibling is fine by its own (unbounded) cap, but the
-        // shared parent pool is now overdrawn — both observe it.
+        // Each sibling counts its own charges; the parent counts both.
+        assert_eq!(a.steps_spent(), 60);
+        assert_eq!(b.steps_spent(), 60);
         assert_eq!(parent.steps_spent(), 120);
-        assert_eq!(a.check(), Err(BudgetError::StepsExhausted));
-        assert_eq!(b.check(), Err(BudgetError::StepsExhausted));
-    }
-
-    #[test]
-    fn child_step_cap_binds_independently_of_a_rich_parent() {
-        let parent = Budget::new(None, Some(1_000_000));
-        let child = parent.child_with(None, Some(10));
-        child.charge(10);
-        assert_eq!(child.check(), Err(BudgetError::StepsExhausted));
-        assert_eq!(parent.check(), Ok(()));
     }
 
     #[test]

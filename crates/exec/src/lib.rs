@@ -10,11 +10,11 @@
 //!
 //! This crate is the single replacement:
 //!
-//! * [`Budget`] — a hierarchical deadline + step budget + cooperative
-//!   cancellation cell. [`Budget::child`] derivation takes
-//!   min-of-deadlines semantics, [`Budget::charge`] bills work up the
-//!   whole ancestor chain (so sibling budgets draw from one shared
-//!   parent pool), and cancelling any node cancels every descendant.
+//! * [`Budget`] — a hierarchical deadline + cancel latch + step count.
+//!   [`Budget::child`] derivation takes min-of-deadlines semantics,
+//!   [`Budget::charge`] bills work up the whole ancestor chain (so a
+//!   parent counts the work of all its descendants), and cancelling
+//!   any node cancels every descendant.
 //!   [`CancelToken`] is the cancel-only handle for owners that stop
 //!   work without bounding it.
 //! * [`Pool`] — a bounded job pool with `catch_unwind` panic isolation
@@ -26,7 +26,7 @@
 //!   cache, over the workspace's one [`fnv1a`].
 //!
 //! Everything is observable: budget trips surface as
-//! `exec.budget.{cancelled,deadline,steps}` counters, charged steps as
+//! `exec.budget.{cancelled,deadline}` counters, charged steps as
 //! `exec.steps`, and the pool reports `exec.pool.{jobs,panics}` and an
 //! `exec.pool.queue_wait` histogram — which is how an operator (and the
 //! serve smoke test) can see that deep work actually observed a cancel.

@@ -19,7 +19,7 @@
 //! missing gates' functionality — the search space the paper's Equation 3
 //! counts.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sttlock_netlist::{GateKind, Netlist, Node, NodeId, TruthTable};
 
@@ -40,8 +40,9 @@ pub struct Encoding {
     pub outputs: Vec<Var>,
     /// Next-state variables (flip-flop D pins), in arena order.
     pub next_state: Vec<(NodeId, Var)>,
-    /// Key variables per redacted LUT: `key[lut][row]`.
-    pub keys: HashMap<NodeId, Vec<Var>>,
+    /// Key variables per redacted LUT: `key[lut][row]`, in node order,
+    /// so every loop that adds clauses per key adds them in one order.
+    pub keys: BTreeMap<NodeId, Vec<Var>>,
 }
 
 impl Encoding {
@@ -50,12 +51,12 @@ impl Encoding {
         self.keys.values().map(Vec::len).sum()
     }
 
-    /// Decodes a satisfying model into per-LUT truth tables.
+    /// Decodes a satisfying model into per-LUT truth tables, in node
+    /// order.
     ///
     /// Unconstrained key bits default to 0.
     pub fn decode_keys(&self, solver: &Solver) -> Vec<(NodeId, TruthTable)> {
-        let mut out: Vec<(NodeId, TruthTable)> = self
-            .keys
+        self.keys
             .iter()
             .map(|(&id, vars)| {
                 let mut bits = 0u64;
@@ -67,9 +68,7 @@ impl Encoding {
                 let inputs = vars.len().trailing_zeros() as usize;
                 (id, TruthTable::new(inputs, bits))
             })
-            .collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
+            .collect()
     }
 }
 
@@ -85,7 +84,7 @@ pub fn encode(netlist: &Netlist, solver: &mut Solver) -> Encoding {
     for _ in 0..netlist.len() {
         net_var.push(solver.new_var());
     }
-    let mut keys = HashMap::new();
+    let mut keys = BTreeMap::new();
     let mut state_inputs = Vec::new();
     let mut next_state = Vec::new();
 
@@ -156,8 +155,24 @@ pub fn tie_keys(solver: &mut Solver, a: &Encoding, b: &Encoding) {
     }
 }
 
-/// Adds `x ↔ y`.
-fn equal(solver: &mut Solver, x: Var, y: Var) {
+/// Shares the primary and state inputs of two encodings (one [`equal`]
+/// per pair, inputs first) and returns their observation points paired
+/// up, primary outputs first, then next-state: the two sides of a
+/// miter, for [`assert_some_difference`] to compare.
+pub fn miter_pairs(solver: &mut Solver, a: &Encoding, b: &Encoding) -> Vec<(Var, Var)> {
+    for (&x, &y) in a.inputs.iter().zip(&b.inputs) {
+        equal(solver, x, y);
+    }
+    for ((_, x), (_, y)) in a.state_inputs.iter().zip(&b.state_inputs) {
+        equal(solver, *x, *y);
+    }
+    let outputs = a.outputs.iter().copied().zip(b.outputs.iter().copied());
+    let next_state = (a.next_state.iter().zip(&b.next_state)).map(|((_, x), (_, y))| (*x, *y));
+    outputs.chain(next_state).collect()
+}
+
+/// Adds `x ↔ y` as the clause pair `(x ∨ ¬y) ∧ (¬x ∨ y)`.
+pub fn equal(solver: &mut Solver, x: Var, y: Var) {
     solver.add_clause(&[Lit::pos(x), Lit::neg(y)]);
     solver.add_clause(&[Lit::neg(x), Lit::pos(y)]);
 }
@@ -455,6 +470,34 @@ mod tests {
     }
 
     #[test]
+    fn key_variables_iterate_in_node_order() {
+        // Key-tying loops add one clause pair per key in map order; a map
+        // with its own random order would make the clause database, and
+        // so the search, differ from run to run.
+        let mut b = NetlistBuilder::new("m");
+        b.input("a");
+        b.input("c");
+        let mut prev = "a".to_owned();
+        for i in 0..12 {
+            let name = format!("k{i}");
+            b.lut(&name, &[prev.as_str(), "c"], None);
+            prev = name;
+        }
+        b.output(&prev);
+        let n = b.finish().unwrap();
+        let mut solver = Solver::new();
+        let enc = encode(&n, &mut solver);
+        let unrolled = crate::unroll::encode_unrolled(&n, &mut solver, 2);
+        for ids in [
+            enc.keys.keys().collect::<Vec<_>>(),
+            unrolled.keys.keys().collect(),
+        ] {
+            assert_eq!(ids.len(), 12);
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        }
+    }
+
+    #[test]
     fn dff_boundary_becomes_state_io() {
         let mut b = NetlistBuilder::new("m");
         b.input("a");
@@ -495,15 +538,7 @@ mod tests {
         let e2 = encode(&n, &mut solver);
         tie_keys(&mut solver, &e1, &e2);
         // Same inputs into both copies:
-        for (&x, &y) in e1.inputs.iter().zip(&e2.inputs) {
-            equal(&mut solver, x, y);
-        }
-        let pairs: Vec<(Var, Var)> = e1
-            .outputs
-            .iter()
-            .copied()
-            .zip(e2.outputs.iter().copied())
-            .collect();
+        let pairs = miter_pairs(&mut solver, &e1, &e2);
         assert_some_difference(&mut solver, &pairs);
         assert_eq!(solver.solve(), SatResult::Unsat);
     }

@@ -15,8 +15,8 @@ use std::fmt;
 
 use sttlock_netlist::Netlist;
 
-use crate::encode::{assert_some_difference, encode};
-use crate::lit::{Lit, Var};
+use crate::encode::{assert_some_difference, encode, miter_pairs};
+use crate::lit::Var;
 use crate::solver::{SatResult, Solver};
 
 /// Outcome of an equivalence check.
@@ -129,24 +129,7 @@ pub fn check_equivalence(a: &Netlist, b: &Netlist) -> Result<EquivResult, EquivE
         return Err(EquivError::InterfaceMismatch { what: "flip-flop" });
     }
 
-    for (&x, &y) in ea.inputs.iter().zip(&eb.inputs) {
-        tie(&mut solver, x, y);
-    }
-    for ((_, x), (_, y)) in ea.state_inputs.iter().zip(&eb.state_inputs) {
-        tie(&mut solver, *x, *y);
-    }
-    let mut pairs: Vec<(Var, Var)> = ea
-        .outputs
-        .iter()
-        .copied()
-        .zip(eb.outputs.iter().copied())
-        .collect();
-    pairs.extend(
-        ea.next_state
-            .iter()
-            .map(|(_, v)| *v)
-            .zip(eb.next_state.iter().map(|(_, v)| *v)),
-    );
+    let pairs = miter_pairs(&mut solver, &ea, &eb);
     assert_some_difference(&mut solver, &pairs);
 
     match solver.solve() {
@@ -159,11 +142,6 @@ pub fn check_equivalence(a: &Netlist, b: &Netlist) -> Result<EquivResult, EquivE
             })
         }
     }
-}
-
-fn tie(solver: &mut Solver, x: Var, y: Var) {
-    solver.add_clause(&[Lit::pos(x), Lit::neg(y)]);
-    solver.add_clause(&[Lit::neg(x), Lit::pos(y)]);
 }
 
 #[cfg(test)]

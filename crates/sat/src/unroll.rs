@@ -8,11 +8,11 @@
 //! mandates — the attacker can only drive primary inputs from reset and
 //! watch primary outputs, so key reasoning must span multiple cycles.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sttlock_netlist::{Netlist, NodeId};
 
-use crate::encode::{encode, Encoding};
+use crate::encode::{encode, equal, tie_keys, Encoding};
 use crate::lit::{Lit, Var};
 use crate::solver::Solver;
 
@@ -23,8 +23,9 @@ pub struct Unrolled {
     pub inputs: Vec<Vec<Var>>,
     /// Primary-output variables per frame.
     pub outputs: Vec<Vec<Var>>,
-    /// Shared key variables per redacted LUT (one set for all frames).
-    pub keys: HashMap<NodeId, Vec<Var>>,
+    /// Shared key variables per redacted LUT (one set for all frames),
+    /// in node order.
+    pub keys: BTreeMap<NodeId, Vec<Var>>,
     /// The per-frame encodings, frame 0 first.
     pub frames: Vec<Encoding>,
 }
@@ -63,10 +64,10 @@ pub fn encode_unrolled(netlist: &Netlist, solver: &mut Solver, frames: usize) ->
             // Chain: this frame's state is the previous frame's D value.
             let prev = encs.last().expect("previous frame exists");
             for ((_, d_prev), (_, q_now)) in prev.next_state.iter().zip(&enc.state_inputs) {
-                tie(solver, *d_prev, *q_now);
+                equal(solver, *d_prev, *q_now);
             }
             // One key per LUT across all frames.
-            crate::encode::tie_keys(solver, &encs[0], &enc);
+            tie_keys(solver, &encs[0], &enc);
         }
         encs.push(enc);
     }
@@ -76,11 +77,6 @@ pub fn encode_unrolled(netlist: &Netlist, solver: &mut Solver, frames: usize) ->
         keys: encs[0].keys.clone(),
         frames: encs,
     }
-}
-
-fn tie(solver: &mut Solver, x: Var, y: Var) {
-    solver.add_clause(&[Lit::pos(x), Lit::neg(y)]);
-    solver.add_clause(&[Lit::neg(x), Lit::pos(y)]);
 }
 
 #[cfg(test)]

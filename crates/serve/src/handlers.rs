@@ -14,12 +14,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use sttlock_attack::sat_attack::{self, SatAttackConfig, SequentialAttackConfig};
-use sttlock_attack::sensitization::{self, SensitizationConfig};
-use sttlock_attack::AttackError;
+use sttlock_attack::{AttackError, AttackKind, AttackOutcome, FRAMES, MAX_DIPS};
 use sttlock_campaign::json::Json;
 use sttlock_core::{Flow, FlowError, SelectionAlgorithm};
 use sttlock_exec::{Budget, KeyBuilder};
@@ -238,31 +233,32 @@ fn harden(shared: &Shared, req: &Request, budget: &Budget) -> Response {
     Response::json(200, body.to_string())
 }
 
+/// The 400 message for `"mode":"none"`, which `/v1/attack` rejects.
+const NO_ATTACK: &str = "attack mode `none` runs no attack (sens|sat|seq)";
+
 /// `POST /v1/attack` — harden the submitted netlist, then attack the
-/// resulting hybrid with the requested mode. The request budget bounds
-/// every mode: it is the parent of the sensitization attack's own
-/// budget (min-of-deadlines), and the SAT attacks check it once per
-/// DIP. A long attack comes back as 504 *with* the partial outcome it
-/// reached — test clocks, SAT queries and resolution ratio, or the DIP
-/// count — rather than an empty failure.
+/// resulting hybrid with the requested mode. The mode and its limits
+/// are parsed and bounded before any work runs (unknown mode or
+/// `frames` outside `1..=MAX_FRAMES` → 400). The request budget bounds
+/// every mode: a long attack comes back as 504 *with* the partial
+/// outcome it reached — test clocks, SAT queries and resolution ratio,
+/// or the DIP count and solver counters — rather than an empty failure.
 fn attack(req: &Request, budget: &Budget) -> Response {
     let start = Instant::now();
     let fr = match parse_flow_request(req) {
         Ok(fr) => fr,
         Err(resp) => return resp,
     };
-    let mode = fr
-        .body
-        .get("mode")
-        .and_then(Json::as_str)
-        .unwrap_or("sens")
-        .to_owned();
-    let max_dips = fr
-        .body
-        .get("max_dips")
-        .and_then(Json::as_u64)
-        .unwrap_or(10_000) as usize;
-    let frames = fr.body.get("frames").and_then(Json::as_u64).unwrap_or(3) as usize;
+    let field = |key: &str, default: usize| {
+        let value = fr.body.get(key).and_then(Json::as_u64);
+        value.map_or(default, |v| usize::try_from(v).unwrap_or(usize::MAX))
+    };
+    let mode = fr.body.get("mode").and_then(Json::as_str).unwrap_or("sens");
+    let kind = match AttackKind::parse(mode, field("frames", FRAMES), field("max_dips", MAX_DIPS)) {
+        Ok(AttackKind::None) => return Response::error(400, NO_ATTACK),
+        Ok(kind) => kind,
+        Err(e) => return Response::error(400, &e),
+    };
 
     let flow = Flow::new(Library::predictive_90nm());
     let netlist = match fr.netlist() {
@@ -285,66 +281,19 @@ fn attack(req: &Request, budget: &Budget) -> Response {
     }
 
     let wall_ms = || Json::from(start.elapsed().as_millis() as u64);
-    let outcome = match mode.as_str() {
-        "sens" => {
-            // The attack derives its own limits as a child of the
-            // request budget, so the request deadline needs no manual
-            // translation into `max_wall_ms`.
-            let cfg = SensitizationConfig::default();
-            let mut rng = StdRng::seed_from_u64(fr.seed ^ 0xA77A_C4ED);
-            sensitization::run_with_budget(&foundry, hybrid, &cfg, budget, &mut rng).map(|out| {
-                Json::obj([
-                    ("mode", Json::from("sens")),
-                    ("broke", Json::Bool(out.is_full_break())),
-                    ("resolution_ratio", Json::from(out.resolution_ratio())),
-                    ("test_clocks", Json::from(out.test_clocks)),
-                    ("sat_queries", Json::from(out.sat_queries)),
-                    ("wall_ms", wall_ms()),
-                ])
-            })
+    let partial = match sttlock_attack::run(kind, &foundry, hybrid, fr.seed, budget) {
+        Ok(Some(outcome)) => {
+            let mut body = counters(&outcome);
+            body.extend([
+                ("mode", Json::from(kind.tag())),
+                ("broke", Json::Bool(outcome.metrics().broke)),
+                ("wall_ms", wall_ms()),
+            ]);
+            return Response::json(200, Json::obj(body).to_string());
         }
-        "sat" => {
-            let cfg = SatAttackConfig { max_dips };
-            sat_attack::run(&foundry, hybrid, &cfg, budget).map(|out| {
-                Json::obj([
-                    ("mode", Json::from("sat")),
-                    ("broke", Json::Bool(out.succeeded())),
-                    ("dips", Json::from(out.dips)),
-                    ("conflicts", Json::from(out.solver_stats.conflicts)),
-                    ("decisions", Json::from(out.solver_stats.decisions)),
-                    ("wall_ms", wall_ms()),
-                ])
-            })
-        }
-        "seq" => {
-            let cfg = SequentialAttackConfig { frames, max_dips };
-            sat_attack::run_sequential(&foundry, hybrid, &cfg, budget).map(|out| {
-                Json::obj([
-                    ("mode", Json::from("seq")),
-                    ("broke", Json::Bool(out.bitstream.is_some())),
-                    ("dips", Json::from(out.dips)),
-                    ("frames", Json::from(out.frames)),
-                    ("conflicts", Json::from(out.solver_stats.conflicts)),
-                    ("wall_ms", wall_ms()),
-                ])
-            })
-        }
-        other => {
-            return Response::error(
-                400,
-                &format!("unknown attack mode `{other}` (sens|sat|seq)"),
-            )
-        }
-    };
-    // A tripped budget is a 504 carrying how far the attack got.
-    let partial = match outcome {
-        Ok(body) => return Response::json(200, body.to_string()),
-        Err(AttackError::TimedOut { partial }) => Json::obj([
-            ("resolution_ratio", Json::from(partial.resolution_ratio())),
-            ("test_clocks", Json::from(partial.test_clocks)),
-            ("sat_queries", Json::from(partial.sat_queries)),
-        ]),
-        Err(AttackError::Budget { dips, .. }) => Json::obj([("dips", Json::from(dips))]),
+        // A tripped budget is a 504 carrying how far the attack got.
+        Err(AttackError::Budget { partial, .. }) => Json::obj(counters(&partial)),
+        Ok(None) => return Response::error(400, NO_ATTACK),
         Err(e) => return Response::error(422, &format!("attack failed: {e}")),
     };
     sttlock_obs::counter("serve.deadline_missed", 1);
@@ -360,6 +309,28 @@ fn attack(req: &Request, budget: &Budget) -> Response {
         ])
         .to_string(),
     )
+}
+
+/// The counters `/v1/attack` reports for an outcome, in a 200 body and
+/// in a 504's `partial` alike.
+fn counters(outcome: &AttackOutcome) -> Vec<(&'static str, Json)> {
+    match outcome {
+        AttackOutcome::Sensitization(out) => vec![
+            ("resolution_ratio", Json::from(out.resolution_ratio())),
+            ("test_clocks", Json::from(out.test_clocks)),
+            ("sat_queries", Json::from(out.sat_queries)),
+        ],
+        AttackOutcome::Sat(out) if out.frames == 0 => vec![
+            ("dips", Json::from(out.dips)),
+            ("conflicts", Json::from(out.solver_stats.conflicts)),
+            ("decisions", Json::from(out.solver_stats.decisions)),
+        ],
+        AttackOutcome::Sat(out) => vec![
+            ("dips", Json::from(out.dips)),
+            ("frames", Json::from(out.frames)),
+            ("conflicts", Json::from(out.solver_stats.conflicts)),
+        ],
+    }
 }
 
 /// `POST /debug/sleep` `{"ms": n}` — occupy a worker for `n` ms via a

@@ -252,19 +252,23 @@ fn strip_volatile(body: &str) -> String {
     Json::Obj(map).to_string()
 }
 
+/// An attack request body on the small `attack_endpoint_*` design.
+fn attack_body(fields: &str) -> String {
+    let mut rng = StdRng::seed_from_u64(9);
+    let bench = bench_format::write(&Profile::custom("a", 30, 2, 5, 3).generate(&mut rng));
+    format!(
+        "{{\"bench\":{},\"algorithm\":\"indep\",\"seed\":1,{fields}}}",
+        Json::from(bench.as_str())
+    )
+}
+
 #[test]
 fn attack_endpoint_reports_the_break() {
     let _guard = serial();
     let server = Server::start(ServeConfig::default()).unwrap();
     let addr = server.addr().to_string();
 
-    let mut rng = StdRng::seed_from_u64(9);
-    let bench = bench_format::write(&Profile::custom("a", 30, 2, 5, 3).generate(&mut rng));
-    let body = format!(
-        "{{\"bench\":{},\"algorithm\":\"indep\",\"seed\":1,\"mode\":\"sens\"}}",
-        Json::from(bench.as_str())
-    );
-    let resp = post(&addr, "/v1/attack", &body);
+    let resp = post(&addr, "/v1/attack", &attack_body("\"mode\":\"sens\""));
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     let text = resp.body_text();
     assert!(text.contains("\"mode\":\"sens\""), "{text}");
@@ -272,6 +276,66 @@ fn attack_endpoint_reports_the_break() {
 
     let bad = post(&addr, "/v1/attack", "{\"bench\":\"not a netlist\"}");
     assert_eq!(bad.status, 400);
+
+    server.shutdown();
+}
+
+#[test]
+fn attack_endpoint_reports_sat_and_seq_counters() {
+    let _guard = serial();
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+
+    for (fields, mode, counters) in [
+        (
+            "\"mode\":\"sat\"",
+            "sat",
+            ["dips", "conflicts", "decisions"],
+        ),
+        (
+            "\"mode\":\"seq\",\"frames\":2",
+            "seq",
+            ["dips", "frames", "conflicts"],
+        ),
+    ] {
+        let resp = post(&addr, "/v1/attack", &attack_body(fields));
+        assert_eq!(resp.status, 200, "{mode}: {}", resp.body_text());
+        let body = Json::parse(&resp.body_text()).unwrap();
+        assert_eq!(body.get("mode").and_then(Json::as_str), Some(mode));
+        assert!(body.get("broke").is_some(), "{mode}: {body}");
+        for counter in counters {
+            assert!(
+                body.get(counter).and_then(Json::as_u64).is_some(),
+                "{mode}: no `{counter}` in {body}"
+            );
+        }
+        if mode == "seq" {
+            assert_eq!(body.get("frames").and_then(Json::as_u64), Some(2));
+        }
+    }
+
+    server.shutdown();
+}
+
+#[test]
+fn bad_attack_modes_and_frames_are_rejected_before_any_work() {
+    let _guard = serial();
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let metrics = std::sync::Arc::clone(server.metrics());
+
+    for (fields, message) in [
+        ("\"mode\":\"warp\"", "unknown attack `warp`"),
+        ("\"mode\":\"seq\",\"frames\":65", "`frames`"),
+        ("\"mode\":\"seq\",\"frames\":0", "`frames`"),
+        ("\"mode\":\"none\"", "runs no attack"),
+    ] {
+        let resp = post(&addr, "/v1/attack", &attack_body(fields));
+        assert_eq!(resp.status, 400, "{fields}: {}", resp.body_text());
+        assert!(resp.body_text().contains(message), "{}", resp.body_text());
+    }
+    // The flow never ran: not one step was charged.
+    assert_eq!(metrics.counter_value("exec.steps"), 0);
 
     server.shutdown();
 }

@@ -15,8 +15,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sttlock::attack::sat_attack::{self, SatAttackConfig};
 use sttlock::attack::sensitization::{self, SensitizationConfig};
+use sttlock::attack::{sat_attack, MAX_DIPS};
 use sttlock::benchgen::Profile;
 use sttlock::core::{Flow, SelectionAlgorithm};
 use sttlock::techlib::Library;
@@ -49,14 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &SensitizationConfig {
                 patterns_per_gate: 256,
                 sat_justification: true,
-                ..SensitizationConfig::default()
             },
+            &Budget::unbounded(),
             &mut rng,
         )?;
 
         // SAT attack under the full-scan assumption.
-        let cfg = SatAttackConfig::default();
-        let sat = sat_attack::run(&redacted, &out.hybrid, &cfg, &Budget::unbounded())?;
+        let sat = sat_attack::run(&redacted, &out.hybrid, MAX_DIPS, &Budget::unbounded())?;
 
         let estimate = match alg {
             SelectionAlgorithm::Independent => out.report.security.n_indep,

@@ -5,8 +5,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sttlock::attack::sat_attack::{self, SatAttackConfig};
 use sttlock::attack::sensitization::{self, SensitizationConfig};
+use sttlock::attack::{sat_attack, MAX_DIPS};
 use sttlock::benchgen::Profile;
 use sttlock::core::{Flow, SelectionAlgorithm};
 use sttlock::techlib::Library;
@@ -28,12 +28,12 @@ fn sensitization_breaks_independent_but_not_dependent() {
     let cfg = SensitizationConfig {
         patterns_per_gate: 128,
         sat_justification: true,
-        ..SensitizationConfig::default()
     };
 
     let (redacted, oracle) = locked(SelectionAlgorithm::Independent, 42);
     let mut rng = StdRng::seed_from_u64(1);
-    let indep = sensitization::run(&redacted, &oracle, &cfg, &mut rng).expect("attack runs");
+    let indep = sensitization::run(&redacted, &oracle, &cfg, &Budget::unbounded(), &mut rng)
+        .expect("attack runs");
     assert!(
         indep.resolution_ratio() > 0.9,
         "independent selection should fall: {:.2}",
@@ -42,7 +42,8 @@ fn sensitization_breaks_independent_but_not_dependent() {
 
     let (redacted, oracle) = locked(SelectionAlgorithm::Dependent, 42);
     let mut rng = StdRng::seed_from_u64(1);
-    let dep = sensitization::run(&redacted, &oracle, &cfg, &mut rng).expect("attack runs");
+    let dep = sensitization::run(&redacted, &oracle, &cfg, &Budget::unbounded(), &mut rng)
+        .expect("attack runs");
     assert!(
         dep.resolution_ratio() < indep.resolution_ratio(),
         "dependent ({:.2}) must resist better than independent ({:.2})",
@@ -57,10 +58,10 @@ fn recovered_bitstreams_reproduce_the_oracle() {
     let cfg = SensitizationConfig {
         patterns_per_gate: 128,
         sat_justification: true,
-        ..SensitizationConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(2);
-    let out = sensitization::run(&redacted, &oracle, &cfg, &mut rng).expect("attack runs");
+    let out = sensitization::run(&redacted, &oracle, &cfg, &Budget::unbounded(), &mut rng)
+        .expect("attack runs");
     if out.is_full_break() {
         let mut rng = StdRng::seed_from_u64(3);
         let mismatches =
@@ -74,9 +75,8 @@ fn recovered_bitstreams_reproduce_the_oracle() {
 fn sat_attack_recovers_any_selection_with_scan_access() {
     for alg in SelectionAlgorithm::ALL {
         let (redacted, oracle) = locked(alg, 11);
-        let cfg = SatAttackConfig::default();
-        let out =
-            sat_attack::run(&redacted, &oracle, &cfg, &Budget::unbounded()).expect("attack runs");
+        let out = sat_attack::run(&redacted, &oracle, MAX_DIPS, &Budget::unbounded())
+            .expect("attack runs");
         assert!(out.succeeded(), "{alg}: SAT attack with scan must succeed");
         let bits = out.bitstream.expect("succeeded");
         let mut rng = StdRng::seed_from_u64(5);
@@ -93,9 +93,8 @@ fn sat_attack_recovers_any_selection_with_scan_access() {
 fn sat_attack_effort_grows_with_dependent_selection() {
     let (ri, oi) = locked(SelectionAlgorithm::Independent, 13);
     let (rd, od) = locked(SelectionAlgorithm::Dependent, 13);
-    let cfg = SatAttackConfig::default();
-    let indep = sat_attack::run(&ri, &oi, &cfg, &Budget::unbounded()).unwrap();
-    let dep = sat_attack::run(&rd, &od, &cfg, &Budget::unbounded()).unwrap();
+    let indep = sat_attack::run(&ri, &oi, MAX_DIPS, &Budget::unbounded()).unwrap();
+    let dep = sat_attack::run(&rd, &od, MAX_DIPS, &Budget::unbounded()).unwrap();
     assert!(
         dep.solver_stats.conflicts > indep.solver_stats.conflicts,
         "dependent ({} conflicts) should cost more than independent ({})",
