@@ -56,7 +56,11 @@ fn bench_probes(c: &mut Criterion) {
             BenchmarkId::new("incremental", profile.name),
             &netlist,
             |b, n| {
-                let mut engine = IncrementalSta::new(n, &lib);
+                let mut engine = IncrementalSta::from_analysis_with(
+                    &CircuitView::new(n),
+                    &lib,
+                    &analyze(n, &lib),
+                );
                 b.iter(|| {
                     let mut worst: f64 = 0.0;
                     for &id in &candidates {

@@ -1,8 +1,9 @@
 //! The campaign resume journal: [`RunRecord`]s wrapped in a
-//! schema-versioned envelope, stored on the framed, checksummed
-//! [`sttlock_store::RecordLog`]. It has two writers, single-node
-//! `--journal` runs and the cluster coordinator, and either can resume
-//! a journal the other wrote.
+//! schema-versioned envelope, stored on the framed, checksummed,
+//! fsynced [`sttlock_store::RecordLog`]. Single-node `--journal` runs
+//! and the cluster coordinator write it through one
+//! [`GridRun`](crate::GridRun), so either can resume a journal the
+//! other wrote, under one replay rule.
 //!
 //! Each payload is JSON — `{"schema":N,"record":{...}}` — inside the
 //! store's CRC-checked frame, so a crash mid-append costs exactly the
@@ -12,9 +13,9 @@
 //!
 //! Journals written before the store existed were bare JSONL. Opening
 //! one migrates it in place: each parseable line becomes a schema-0
-//! entry (schema 0 ≠ [`JOURNAL_SCHEMA_VERSION`], so `--resume` rejects
-//! those rows as structured version-skew failures instead of trusting
-//! pre-framing data), and the rewrite itself is atomic.
+//! entry (schema 0 ≠ [`JOURNAL_SCHEMA_VERSION`], so a resume runs those
+//! cells again instead of trusting pre-framing data), and the rewrite
+//! itself is atomic.
 
 use std::collections::HashMap;
 use std::io;
@@ -26,8 +27,8 @@ use crate::json::Json;
 use crate::record::RunRecord;
 
 /// Current journal schema. Bump when [`RunRecord`]'s JSON shape
-/// changes incompatibly; entries recorded under any other version are
-/// rejected on `--resume` as per-cell failures rather than replayed.
+/// changes incompatibly; a resume runs the cells of entries recorded
+/// under any other version again rather than replaying them.
 pub const JOURNAL_SCHEMA_VERSION: u32 = 1;
 
 /// Legacy bare-JSONL journals migrate as this schema.
@@ -141,19 +142,18 @@ pub fn record_key(r: &RunRecord) -> String {
     )
 }
 
-/// The replay rule, shared by `--resume` and the cluster coordinator:
-/// a journaled row stands in for a fresh run only if it was written
-/// under this build's [`JOURNAL_SCHEMA_VERSION`], is `ok`, and carries
-/// the flow metrics every consumer of `ok` rows expects. Each caller
-/// decides what a rejected row costs.
-pub fn replayable(schema: u32, record: &RunRecord) -> bool {
+/// The replay rule: a journaled row stands in for a fresh run only if
+/// it was written under this build's [`JOURNAL_SCHEMA_VERSION`], is
+/// `ok`, and carries the flow metrics every consumer of `ok` rows
+/// expects. A cell whose latest row is rejected runs again.
+pub(crate) fn replayable(schema: u32, record: &RunRecord) -> bool {
     schema == JOURNAL_SCHEMA_VERSION && record.status.is_ok() && record.flow.is_some()
 }
 
 /// Collapses journal entries to the *last* entry per cell identity —
 /// a resumed campaign appends fresh results after the stale ones, so
 /// re-resuming from the same journal sees the newest outcome.
-pub fn replay_map(entries: Vec<JournalEntry>) -> HashMap<String, JournalEntry> {
+pub(crate) fn replay_map(entries: Vec<JournalEntry>) -> HashMap<String, JournalEntry> {
     entries
         .into_iter()
         .map(|entry| (record_key(&entry.record), entry))

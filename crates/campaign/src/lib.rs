@@ -43,7 +43,7 @@ use sttlock_fault::FaultModel;
 
 pub use journal::{Journal, JournalEntry, OpenedJournal, JOURNAL_SCHEMA_VERSION};
 pub use record::{AttackMetrics, FlowMetrics, RepairMetrics, RunRecord, RunStatus};
-pub use runner::{cell_journal_key, execute, CampaignResult, CellExecutor};
+pub use runner::{cell_journal_key, execute, CampaignResult, CellExecutor, GridRun};
 pub use sttlock_attack::AttackKind;
 
 /// One circuit of the grid.
@@ -147,13 +147,16 @@ pub struct CampaignSpec {
     /// Result-cache directory, holding `campaign-cache.log`; one
     /// process uses a directory at a time (`None` disables caching).
     pub cache_dir: Option<PathBuf>,
-    /// Append every freshly executed record to this JSONL journal as it
-    /// completes (`None` disables journaling). Lines are flushed per
-    /// record, so a killed campaign leaves a readable journal behind.
+    /// Append every freshly executed record to this journal as it
+    /// completes (`None` disables journaling): a framed, checksummed
+    /// record log, fsynced per record, so a killed campaign leaves every
+    /// finished cell behind.
     pub journal: Option<PathBuf>,
-    /// Replay the journal before executing: cells whose last journal
-    /// entry is `ok` are served from the journal verbatim; failed,
-    /// panicked, and timed-out cells re-execute.
+    /// Replay the journal before executing: cells whose latest journal
+    /// entry is replayable (`ok`, current schema, flow metrics present)
+    /// are served from the journal verbatim; every other cell — failed,
+    /// panicked, timed out, version-skewed, or migrated from a legacy
+    /// JSONL journal — runs again.
     pub resume: bool,
 }
 

@@ -1,20 +1,21 @@
-//! Grid execution: work-stealing parallelism with per-cell fault
-//! isolation.
+//! Grid execution: the journal, replay and merge bookkeeping that
+//! single-node and cluster campaigns share ([`GridRun`]), and
+//! work-stealing parallelism with per-cell fault isolation.
 //!
 //! The worker pool is [`sttlock_exec::scoped_map`]: scoped OS threads
 //! pulling cell indices from a shared atomic counter, each index
 //! wrapped in `catch_unwind` (rayon is not available offline). Each
-//! cell additionally runs on its own *detached* thread so the worker
-//! can abandon it on timeout:
+//! cell additionally runs on its own *detached* thread
+//! ([`CellExecutor::run`]) so the worker can abandon it on timeout:
 //!
 //! * a panic inside the cell is contained by `catch_unwind` and becomes
 //!   a [`RunStatus::Panicked`] record (the stock panic hook still
 //!   prints the backtrace to stderr — the campaign does not install a
 //!   global hook, which would race with concurrent tests); a panic that
-//!   poisons a shared lock (journal, generation pool) is recovered from
-//!   the `PoisonError` — the protected data is a file handle or an
-//!   insert-only map, both valid after an unwind — and counted as
-//!   `campaign.poison_recovered`;
+//!   poisons a shared lock (journal, result slots, generation pool) is
+//!   recovered from the `PoisonError` — the protected data is a file
+//!   handle, `Option` slots or an insert-only map, all valid after an
+//!   unwind — and counted as `campaign.poison_recovered`;
 //! * a cell that exceeds the budget becomes [`RunStatus::TimedOut`];
 //!   the runner abandons its detached thread but cancels the cell's
 //!   [`Budget`], checked between stages (and inside every timing-oracle,
@@ -29,6 +30,7 @@
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
@@ -47,7 +49,7 @@ use sttlock_store::Cache;
 use sttlock_techlib::Library;
 
 use crate::cache::{self, cell_key};
-use crate::journal::{self, Journal, JournalEntry, JOURNAL_SCHEMA_VERSION};
+use crate::journal::{self, Journal};
 use crate::record::{AttackMetrics, FlowMetrics, RepairMetrics, RunRecord, RunStatus};
 use crate::{circuit_seed, AttackKind, CampaignSpec, Cell, CircuitSpec};
 
@@ -112,67 +114,41 @@ impl CampaignResult {
 /// and record order matches [`CampaignSpec::cells`] regardless of which
 /// worker finished first.
 ///
-/// With [`CampaignSpec::journal`] set, every freshly executed record is
-/// appended (and flushed) to the journal the moment it completes; with
-/// [`CampaignSpec::resume`] additionally set, cells whose latest journal
-/// entry is `ok` are replayed from the journal verbatim instead of
-/// re-executing — crash recovery costs only the cells that were in
-/// flight or had failed when the previous campaign died.
+/// The grid's bookkeeping is a [`GridRun`] over [`CampaignSpec::journal`]
+/// and [`CampaignSpec::resume`]; its pending cells run through one
+/// [`CellExecutor`] on [`sttlock_exec::scoped_map`] lanes, and each
+/// record is filed (and journaled) the moment its cell completes.
 pub fn execute(spec: &CampaignSpec) -> CampaignResult {
     let start = Instant::now();
-    let cells = spec.cells();
-    let cache = spec.cache_dir.as_deref().and_then(cache::open);
-
-    // Open the journal through the store: the framed log heals any
-    // torn or corrupt tail (a crash mid-append costs exactly the torn
-    // record) and hands back every intact entry for replay.
-    let mut replay: HashMap<String, JournalEntry> = HashMap::new();
-    let mut journal_recovery = None;
-    let journal: Option<Mutex<Journal>> = match &spec.journal {
-        Some(path) => match Journal::open(path) {
-            Ok(opened) => {
-                journal_recovery = Some(opened.recovery.clone());
-                if spec.resume {
-                    replay = journal::replay_map(opened.entries);
-                }
-                Some(Mutex::new(opened.journal))
-            }
-            Err(_) => {
-                // Match the seed behavior for an unopenable journal
-                // path: run the campaign, skip journaling.
-                sttlock_obs::counter("campaign.journal_open_failed", 1);
-                None
-            }
-        },
-        None => None,
-    };
+    let run = GridRun::open(spec, spec.journal.as_deref(), spec.resume);
+    let pending = run.pending();
+    let executor = CellExecutor::new(spec.cache_dir.clone());
 
     let workers = if spec.jobs > 0 {
         spec.jobs
     } else {
         thread::available_parallelism().map_or(1, |n| n.get())
     }
-    .min(cells.len().max(1));
-
-    let pool: GenPool = Arc::new(Mutex::new(HashMap::new()));
+    .min(pending.len().max(1));
 
     let root = sttlock_obs::span!(
         "campaign.execute",
-        cells = cells.len() as u64,
+        cells = run.cells().len() as u64,
         workers = workers as u64
     );
     let ctx = sttlock_obs::current_context();
 
-    // The exec runtime's work-stealing map: workers pull cell indices
-    // from a shared counter, each index is isolated by `catch_unwind`,
-    // and results come back in grid order. The cell body has its own
-    // isolation boundary (`run_cell_isolated`); the map's per-index
-    // guard covers the worker's bookkeeping — span close, journal
-    // append — where a panic (e.g. a collector sink throwing on span
-    // close) must cost at most this one slot, not unwind the scope.
-    let outcomes = sttlock_exec::scoped_map(workers, cells.len(), |i| {
+    // The exec runtime's work-stealing map: workers pull pending cells
+    // from a shared counter and each one is isolated by `catch_unwind`.
+    // The cell body has its own isolation boundary (`CellExecutor::run`);
+    // the map's per-index guard covers the lane's bookkeeping — span
+    // close, journal append — where a panic (e.g. a collector sink
+    // throwing on span close) must cost at most this one cell, which
+    // then finishes as a lost-cell row.
+    let lanes = sttlock_exec::scoped_map(workers, pending.len(), |k| {
         let _adopted = sttlock_obs::adopt(ctx);
-        let cell = &cells[i];
+        let i = pending[k];
+        let cell = &run.cells()[i];
         let mut cell_span = sttlock_obs::span!(
             "campaign.cell",
             circuit = cell.circuit.name(),
@@ -180,94 +156,143 @@ pub fn execute(spec: &CampaignSpec) -> CampaignResult {
             seed = cell.seed,
             queue_us = start.elapsed().as_micros() as u64,
         );
-        let record = match replay.get(&cell_journal_key(cell)) {
-            Some(entry) if journal::replayable(entry.schema, &entry.record) => {
-                cell_span.record("replayed", true);
-                entry.record.clone()
-            }
-            hit => {
-                let r = match hit {
-                    // An ok entry that must not be replayed: either it
-                    // was recorded under a different journal schema
-                    // (its CRC is fine — the *format* is what skewed),
-                    // or it is missing the flow metrics every consumer
-                    // of ok rows expects (an older format or a hand
-                    // edit). Replaying would feed stale or `None` data
-                    // downstream; degrade to a structured per-cell
-                    // failure instead.
-                    Some(entry) if entry.record.status.is_ok() => {
-                        sttlock_obs::counter("campaign.skewed_replays", 1);
-                        let message = if entry.schema != JOURNAL_SCHEMA_VERSION {
-                            format!(
-                                "journal entry is version-skewed: recorded under journal \
-                                 schema v{} but this build writes v{}; re-run this cell \
-                                 without --resume",
-                                entry.schema, JOURNAL_SCHEMA_VERSION
-                            )
-                        } else {
-                            "journal entry is version-skewed: ok status without flow \
-                             metrics; re-run this cell without --resume"
-                                .to_owned()
-                        };
-                        RunRecord::for_cell(cell, RunStatus::Failed(message))
-                    }
-                    _ => run_cell_isolated(cell, spec.timeout, cache.as_ref(), &pool),
-                };
-                if let Some(journal) = &journal {
-                    let _ = recover_lock(journal).append(&r);
-                }
-                r
-            }
-        };
+        let record = executor.run(cell, spec.timeout);
         cell_span.record("status", record.status.tag());
-        record
+        drop(cell_span);
+        run.record(i, record);
     });
     drop(root);
+    for _ in lanes.iter().filter(|lane| lane.is_err()) {
+        sttlock_obs::counter("campaign.worker_panic", 1);
+    }
+    run.finish()
+}
 
-    let slots = outcomes
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(record) => Some(record),
+/// The grid bookkeeping single-node and cluster campaigns share —
+/// [`execute`] and the cluster coordinator differ only in how a pending
+/// cell runs.
+///
+/// [`open`](GridRun::open) opens the journal and applies the replay
+/// rule; [`record`](GridRun::record) files each fresh record and
+/// appends it to the journal (one fsynced append per record, so a
+/// killed run leaves every finished cell behind); [`finish`](GridRun::finish)
+/// merges in grid order, giving each cell without a record a failure
+/// row. Its counters are `campaign.replayed`, `campaign.skewed_replays`,
+/// `campaign.journal_open_failed` and `campaign.lost_records`.
+pub struct GridRun {
+    start: Instant,
+    cells: Vec<Cell>,
+    slots: Mutex<Vec<Option<RunRecord>>>,
+    journal: Option<Mutex<Journal>>,
+    journal_recovery: Option<sttlock_store::RecoveryReport>,
+}
+
+impl GridRun {
+    /// Enumerates `spec`'s grid and opens `journal` through the store,
+    /// which heals any torn or corrupt tail (a crash mid-append costs
+    /// exactly the torn record). With `resume`, every cell whose latest
+    /// journal entry is replayable — this build's
+    /// [`JOURNAL_SCHEMA_VERSION`](crate::JOURNAL_SCHEMA_VERSION), `ok`,
+    /// flow metrics present — starts with that record; every other
+    /// cell is pending and runs again. An unopenable journal leaves the
+    /// run unjournaled.
+    pub fn open(spec: &CampaignSpec, journal: Option<&Path>, resume: bool) -> GridRun {
+        let start = Instant::now();
+        let cells = spec.cells();
+        let mut slots: Vec<Option<RunRecord>> = vec![None; cells.len()];
+        let mut journal_recovery = None;
+        let journal = journal.and_then(|path| match Journal::open(path) {
+            Ok(opened) => {
+                journal_recovery = Some(opened.recovery);
+                if resume {
+                    // Entries for cells outside this grid are never
+                    // looked up, so they cannot leak into the merge.
+                    let replay = journal::replay_map(opened.entries);
+                    for (slot, cell) in slots.iter_mut().zip(&cells) {
+                        match replay.get(&cell_journal_key(cell)) {
+                            Some(e) if journal::replayable(e.schema, &e.record) => {
+                                *slot = Some(e.record.clone());
+                            }
+                            Some(_) => sttlock_obs::counter("campaign.skewed_replays", 1),
+                            None => {}
+                        }
+                    }
+                    let replayed = slots.iter().flatten().count();
+                    sttlock_obs::counter("campaign.replayed", replayed as u64);
+                }
+                Some(Mutex::new(opened.journal))
+            }
             Err(_) => {
-                sttlock_obs::counter("campaign.worker_panic", 1);
+                sttlock_obs::counter("campaign.journal_open_failed", 1);
                 None
             }
-        })
-        .collect();
-    CampaignResult {
-        records: finalize_records(&cells, slots),
-        wall: start.elapsed(),
-        journal_recovery,
+        });
+        GridRun {
+            start,
+            cells,
+            slots: Mutex::new(slots),
+            journal,
+            journal_recovery,
+        }
+    }
+
+    /// The grid's cells, in grid order.
+    pub fn cells(&self) -> &[Cell] {
+        &self.cells
+    }
+
+    /// The indices of the cells that have no record yet, in grid order.
+    pub fn pending(&self) -> Vec<usize> {
+        recover_lock(&self.slots)
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.is_none().then_some(i))
+            .collect()
+    }
+
+    /// Files a fresh record for cell `i`, appending it to the journal
+    /// first. Safe to call from many threads at once.
+    pub fn record(&self, i: usize, record: RunRecord) {
+        if let Some(journal) = &self.journal {
+            let _ = recover_lock(journal).append(&record);
+        }
+        recover_lock(&self.slots)[i] = Some(record);
+    }
+
+    /// Merges the records in grid order. A cell without one — its
+    /// lane's bookkeeping unwound, or a distributed run's budget cut it
+    /// off — becomes a structured failure row (counted as
+    /// `campaign.lost_records`), so the grid invariant — one record per
+    /// cell — holds unconditionally.
+    pub fn finish(self) -> CampaignResult {
+        let slots = self
+            .slots
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let records = self
+            .cells
+            .iter()
+            .zip(slots)
+            .map(|(cell, slot)| {
+                slot.unwrap_or_else(|| {
+                    sttlock_obs::counter("campaign.lost_records", 1);
+                    let lost = "no worker recorded this cell before the run ended";
+                    RunRecord::for_cell(cell, RunStatus::Failed(lost.to_owned()))
+                })
+            })
+            .collect();
+        CampaignResult {
+            records,
+            wall: self.start.elapsed(),
+            journal_recovery: self.journal_recovery,
+        }
     }
 }
 
-/// Pairs each grid cell with its result slot. A worker that died
-/// between claiming a cell and filling its slot (the cell body is
-/// isolated, but the worker's own bookkeeping can still unwind) leaves
-/// a `None`; that becomes a structured failure record instead of an
-/// abort, so the grid invariant — one record per cell, in grid order —
-/// holds unconditionally. Each synthesized record is counted as
-/// `campaign.lost_records`.
-fn finalize_records(cells: &[Cell], slots: Vec<Option<RunRecord>>) -> Vec<RunRecord> {
-    cells
-        .iter()
-        .zip(slots)
-        .map(|(cell, slot)| {
-            slot.unwrap_or_else(|| {
-                sttlock_obs::counter("campaign.lost_records", 1);
-                RunRecord::for_cell(
-                    cell,
-                    RunStatus::Failed("worker thread died before recording this cell".to_owned()),
-                )
-            })
-        })
-        .collect()
-}
-
-/// An execute-one entry point for external schedulers (the cluster
-/// worker): the same isolation, caching and generation-pool reuse as a
-/// full [`execute`] run, held open across independent dispatches so
-/// repeated cells hit the same reuse paths a local campaign would.
+/// Runs single cells: the executor [`execute`] maps the grid's pending
+/// cells through, and the cluster worker runs each dispatched cell
+/// with. It holds the result cache and the generation pool open across
+/// calls, so repeated cells hit the same reuse paths.
 pub struct CellExecutor {
     cache: Option<Arc<Cache>>,
     pool: GenPool,
@@ -284,73 +309,63 @@ impl CellExecutor {
         }
     }
 
-    /// Runs one cell under the same fault-isolation contract as a grid
-    /// run: the result is always a record — panics, hangs and failures
-    /// become their structured statuses, never an unwind.
+    /// Runs one cell on a detached thread with a wall-clock budget. The
+    /// result is always a record — panics, hangs and failures become
+    /// their structured statuses, never an unwind.
+    ///
+    /// On timeout the thread is abandoned, not killed: the executor
+    /// cancels the cell's [`Budget`], which the cell checks between
+    /// stages and inside every timing-oracle, repair and attack loop, so
+    /// the thread winds down at the next check. The
+    /// `campaign.abandoned_cells` gauge is incremented *before* the
+    /// budget is cancelled and decremented by the cell thread once it
+    /// observes the cancellation, so the gauge never goes negative and
+    /// drains to zero when every abandoned thread has exited.
     pub fn run(&self, cell: &Cell, timeout: Duration) -> RunRecord {
-        run_cell_isolated(cell, timeout, self.cache.as_ref(), &self.pool)
-    }
-}
-
-/// Runs one cell on a detached thread with a wall-clock budget.
-///
-/// On timeout the thread is abandoned, not killed: the runner cancels
-/// the cell's [`Budget`], which the cell checks between stages and
-/// inside every timing-oracle, repair and attack loop, so the thread
-/// winds down at the next check. The `campaign.abandoned_cells` gauge
-/// is incremented *before* the budget is cancelled and decremented by
-/// the cell thread once it observes the cancellation, so the gauge
-/// never goes negative and drains to zero when every abandoned thread
-/// has exited.
-fn run_cell_isolated(
-    cell: &Cell,
-    timeout: Duration,
-    cache: Option<&Arc<Cache>>,
-    pool: &GenPool,
-) -> RunRecord {
-    let start = Instant::now();
-    let (tx, rx) = mpsc::channel();
-    // Deliberately cancel-only (no deadline): the runner's watchdog
-    // below is the sole judge of lateness, so the recorded status can
-    // never race between its TimedOut row and a cell-side budget error.
-    let budget = Budget::unbounded();
-    let owned_cell = cell.clone();
-    let owned_cache = cache.cloned();
-    let owned_pool = Arc::clone(pool);
-    let owned_budget = budget.clone();
-    let ctx = sttlock_obs::current_context();
-    thread::spawn(move || {
-        let _adopted = sttlock_obs::adopt(ctx);
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_cell(
-                &owned_cell,
-                owned_cache.as_deref(),
-                &owned_pool,
-                &owned_budget,
-            )
-        }));
-        // The receiver may have given up (timeout); that is fine.
-        let _ = tx.send(result);
-        if owned_budget.is_cancelled() {
-            sttlock_obs::gauge("campaign.abandoned_cells", -1);
-        }
-    });
-    match rx.recv_timeout(timeout) {
-        Ok(Ok(record)) => record,
-        Ok(Err(payload)) => {
-            sttlock_obs::counter("campaign.panic", 1);
-            RunRecord {
-                wall_ms: start.elapsed().as_millis() as u64,
-                ..RunRecord::for_cell(cell, RunStatus::Panicked(panic_message(&*payload)))
+        let start = Instant::now();
+        let (tx, rx) = mpsc::channel();
+        // Deliberately cancel-only (no deadline): the watchdog below is
+        // the sole judge of lateness, so the recorded status can never
+        // race between its TimedOut row and a cell-side budget error.
+        let budget = Budget::unbounded();
+        let owned_cell = cell.clone();
+        let owned_cache = self.cache.clone();
+        let owned_pool = Arc::clone(&self.pool);
+        let owned_budget = budget.clone();
+        let ctx = sttlock_obs::current_context();
+        thread::spawn(move || {
+            let _adopted = sttlock_obs::adopt(ctx);
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                run_cell(
+                    &owned_cell,
+                    owned_cache.as_deref(),
+                    &owned_pool,
+                    &owned_budget,
+                )
+            }));
+            // The receiver may have given up (timeout); that is fine.
+            let _ = tx.send(result);
+            if owned_budget.is_cancelled() {
+                sttlock_obs::gauge("campaign.abandoned_cells", -1);
             }
-        }
-        Err(_) => {
-            sttlock_obs::counter("campaign.timeout", 1);
-            sttlock_obs::gauge("campaign.abandoned_cells", 1);
-            budget.cancel();
-            RunRecord {
-                wall_ms: timeout.as_millis() as u64,
-                ..RunRecord::for_cell(cell, RunStatus::TimedOut)
+        });
+        match rx.recv_timeout(timeout) {
+            Ok(Ok(record)) => record,
+            Ok(Err(payload)) => {
+                sttlock_obs::counter("campaign.panic", 1);
+                RunRecord {
+                    wall_ms: start.elapsed().as_millis() as u64,
+                    ..RunRecord::for_cell(cell, RunStatus::Panicked(panic_message(&*payload)))
+                }
+            }
+            Err(_) => {
+                sttlock_obs::counter("campaign.timeout", 1);
+                sttlock_obs::gauge("campaign.abandoned_cells", 1);
+                budget.cancel();
+                RunRecord {
+                    wall_ms: timeout.as_millis() as u64,
+                    ..RunRecord::for_cell(cell, RunStatus::TimedOut)
+                }
             }
         }
     }
@@ -620,6 +635,7 @@ fn run_attack(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{JournalEntry, JOURNAL_SCHEMA_VERSION};
 
     fn small(name: &str) -> CircuitSpec {
         CircuitSpec::Custom {
@@ -674,7 +690,8 @@ mod tests {
         assert!(result.records[1].status.is_ok(), "siblings keep going");
     }
 
-    /// Serializes tests that install an obs collector: the registry is
+    /// Serializes tests that install an obs collector, and the resume
+    /// tests whose replay counters would land in one: the registry is
     /// process-global.
     fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
@@ -760,6 +777,7 @@ mod tests {
     #[test]
     fn resume_reruns_exactly_the_cell_with_a_torn_journal_record() {
         use sttlock_store::Record as _;
+        let _guard = obs_lock();
         let dir = std::env::temp_dir()
             .join("sttlock-campaign-runner-tests")
             .join(format!("{}-torn", std::process::id()));
@@ -871,9 +889,11 @@ mod tests {
     #[test]
     fn empty_slots_synthesize_failure_records_in_grid_order() {
         let spec = quick_spec(vec![small("kept"), small("lost")]);
-        let cells = spec.cells();
+        let run = GridRun::open(&spec, None, false);
         let kept = RunRecord::failure("kept", "independent", 3, "none", RunStatus::Ok);
-        let records = finalize_records(&cells, vec![Some(kept.clone()), None]);
+        run.record(0, kept.clone());
+        assert_eq!(run.pending(), [1]);
+        let records = run.finish().records;
         assert_eq!(records.len(), 2);
         assert_eq!(records[0], kept);
         assert_eq!(records[1].circuit, "lost");
@@ -883,6 +903,7 @@ mod tests {
 
     #[test]
     fn resume_with_a_corrupt_journal_selection_time_renders_a_placeholder() {
+        let _guard = obs_lock();
         let dir = std::env::temp_dir()
             .join("sttlock-campaign-runner-tests")
             .join(format!("{}-corrupt-render", std::process::id()));
@@ -1072,6 +1093,7 @@ mod tests {
 
     #[test]
     fn resume_replays_ok_cells_and_reruns_failures() {
+        let _guard = obs_lock();
         let dir = std::env::temp_dir()
             .join("sttlock-campaign-runner-tests")
             .join(format!("{}-resume", std::process::id()));
@@ -1114,8 +1136,18 @@ mod tests {
         assert_eq!(read_entries(&journal).len(), 4);
     }
 
+    /// A record with its two wall-clock measurements blanked.
+    fn zeroed(record: &RunRecord) -> RunRecord {
+        let mut r = record.clone();
+        r.wall_ms = 0;
+        if let Some(flow) = &mut r.flow {
+            flow.selection_ms = 0.0;
+        }
+        r
+    }
+
     #[test]
-    fn version_skewed_ok_journal_entries_degrade_to_structured_failures() {
+    fn an_ok_journal_entry_without_flow_metrics_reruns() {
         let _guard = obs_lock();
         let dir = std::env::temp_dir()
             .join("sttlock-campaign-runner-tests")
@@ -1135,6 +1167,7 @@ mod tests {
         // payload no longer matches what consumers of ok rows expect.
         let mut entries = read_entries(&journal);
         entries[0].record.flow = None;
+        entries[1].record.wall_ms = 999_999;
         write_entries(&journal, &entries);
 
         let collector = sttlock_obs::TraceCollector::new();
@@ -1144,20 +1177,21 @@ mod tests {
             ..spec
         });
         sttlock_obs::uninstall();
-        assert!(
-            matches!(&resumed.records[0].status, RunStatus::Failed(m) if m.contains("version-skewed")),
-            "the skewed entry must degrade, not replay: {:?}",
-            resumed.records[0].status
+        assert_eq!(
+            zeroed(&resumed.records[0]),
+            zeroed(&first.records[0]),
+            "the rejected entry must re-run, not replay"
         );
-        assert!(
-            resumed.records[1].status.is_ok(),
+        assert_eq!(
+            resumed.records[1].wall_ms, 999_999,
             "the intact entry still replays"
         );
         assert_eq!(collector.counter_value("campaign.skewed_replays"), 1);
+        assert_eq!(collector.counter_value("campaign.replayed"), 1);
     }
 
     #[test]
-    fn schema_skewed_entries_degrade_to_structured_failures() {
+    fn a_schema_skewed_journal_entry_reruns() {
         let _guard = obs_lock();
         let dir = std::env::temp_dir()
             .join("sttlock-campaign-runner-tests")
@@ -1169,12 +1203,13 @@ mod tests {
             jobs: 1,
             ..quick_spec(vec![small("schema-a"), small("schema-b")])
         };
-        assert_eq!(execute(&spec).ok_count(), 2);
+        let first = execute(&spec);
+        assert_eq!(first.ok_count(), 2);
 
         // Re-stamp one entry with a foreign schema version. Its CRC is
         // valid — the framing accepts it — but the recorded schema no
-        // longer matches what this build writes, so `--resume` must
-        // reject it as a structured failure, not replay it.
+        // longer matches what this build writes, so `--resume` must run
+        // the cell again instead of replaying it.
         let mut entries = read_entries(&journal);
         entries[0].schema = JOURNAL_SCHEMA_VERSION + 1;
         write_entries(&journal, &entries);
@@ -1186,20 +1221,18 @@ mod tests {
             ..spec
         });
         sttlock_obs::uninstall();
-        assert!(
-            matches!(
-                &resumed.records[0].status,
-                RunStatus::Failed(m) if m.contains("version-skewed") && m.contains("schema")
-            ),
-            "{:?}",
-            resumed.records[0].status
-        );
-        assert!(resumed.records[1].status.is_ok(), "intact entry replays");
+        assert_eq!(zeroed(&resumed.records[0]), zeroed(&first.records[0]));
+        assert_eq!(resumed.records[1], first.records[1], "intact entry replays");
         assert_eq!(collector.counter_value("campaign.skewed_replays"), 1);
+        // The fresh record went into the journal after the skewed one.
+        let after = read_entries(&journal);
+        assert_eq!(after.len(), 3);
+        assert_eq!(after[2].schema, JOURNAL_SCHEMA_VERSION);
     }
 
     #[test]
-    fn a_legacy_jsonl_journal_migrates_and_resumes_as_skew_failures() {
+    fn a_legacy_jsonl_journal_migrates_and_its_cells_rerun() {
+        let _guard = obs_lock();
         let dir = std::env::temp_dir()
             .join("sttlock-campaign-runner-tests")
             .join(format!("{}-legacy", std::process::id()));
@@ -1210,7 +1243,8 @@ mod tests {
             jobs: 1,
             ..quick_spec(vec![small("legacy-a")])
         };
-        assert_eq!(execute(&spec).ok_count(), 1);
+        let first = execute(&spec);
+        assert_eq!(first.ok_count(), 1);
 
         // Rewrite the journal the way PR-6-era code stored it: bare
         // JSONL, no framing. Opening it must migrate in place, and the
@@ -1222,19 +1256,16 @@ mod tests {
         }
         std::fs::write(&journal, &legacy).unwrap();
 
+        let collector = sttlock_obs::TraceCollector::new();
+        sttlock_obs::install(collector.clone());
         let resumed = execute(&CampaignSpec {
             resume: true,
             ..spec
         });
-        assert!(
-            matches!(
-                &resumed.records[0].status,
-                RunStatus::Failed(m) if m.contains("schema v0")
-            ),
-            "{:?}",
-            resumed.records[0].status
-        );
-        // The file is framed again, and the re-executed failure row was
+        sttlock_obs::uninstall();
+        assert_eq!(zeroed(&resumed.records[0]), zeroed(&first.records[0]));
+        assert_eq!(collector.counter_value("campaign.skewed_replays"), 1);
+        // The file is framed again, and the re-run cell's record was
         // appended after the migrated one.
         let after = read_entries(&journal);
         assert_eq!(after.len(), 2);

@@ -249,7 +249,7 @@ commands:
            [--attacks none,sens,sat,seq] [--frames N] [--max-dips N]
            [--indep-gates N,N,..] [--paths N,N,..] [--fault-p P,P,..]
            [--jobs N] [--timeout-secs N] [--cache <dir>] [--out <file.jsonl>]
-           [--journal <file.jsonl>] [--resume]
+           [--journal <file>] [--resume]
            [--table table1|table2|fig3|attacks|faults|all|none]
            [--inject-panic] [--inject-timeout]
            [--trace <file.jsonl>] [--trace-summary]
@@ -257,7 +257,8 @@ commands:
   cluster coordinate [--listen HOST:PORT] [--min-workers N]
            [--heartbeat-timeout-ms N] [--dispatch-margin-secs N]
            [--run-timeout-secs N]
-           + the campaign flags but --trace-summary
+           + the campaign flags but --jobs, --cache and
+           --trace-summary (cells run uncached on the workers)
                                          shard a campaign across the
                                          heartbeating workers and merge
                                          the records in grid order;
@@ -484,10 +485,7 @@ fn cmd_report(argv: &[String]) -> Result<String, CliError> {
 
     // Power needs a programmed design; redacted netlists get the static
     // estimate instead (probabilities treat missing gates as balanced).
-    let redacted = netlist
-        .node_ids()
-        .any(|id| netlist.node(id).is_lut() && netlist.lut_config(id).is_none());
-    if redacted {
+    if netlist.first_unprogrammed_lut().is_some() {
         let prob = sttlock_sim::probability::signal_probabilities(&netlist);
         let p = sttlock_power::analyze_power_static(&netlist, &lib, &prob);
         out.push_str(&format!(
@@ -667,8 +665,10 @@ fn cmd_faults(argv: &[String]) -> Result<String, CliError> {
     let cfg = RepairConfig {
         random_batches: args.get_u64("batches", 8)? as usize,
         max_retries: args.get_u64("retries", 5)? as usize,
-        backoff_base: std::time::Duration::from_millis(args.get_u64("backoff-ms", 0)?),
-        max_backoff: std::time::Duration::from_millis(args.get_u64("max-backoff-ms", 60_000)?),
+        backoff: sttlock_exec::Backoff::new(
+            std::time::Duration::from_millis(args.get_u64("backoff-ms", 0)?),
+            std::time::Duration::from_millis(args.get_u64("max-backoff-ms", 60_000)?),
+        ),
         sat_proof: !args.has("no-sat-proof"),
     };
 
@@ -682,10 +682,7 @@ fn cmd_faults(argv: &[String]) -> Result<String, CliError> {
                 "`{input}` has no LUTs — lock the design first (see `lock`)"
             )));
         }
-        let redacted = netlist
-            .node_ids()
-            .any(|id| netlist.node(id).is_lut() && netlist.lut_config(id).is_none());
-        if redacted {
+        if netlist.first_unprogrammed_lut().is_some() {
             return Err(CliError::Step(format!(
                 "`{input}` is a redacted foundry view — program it first (see `program`)"
             )));
@@ -832,9 +829,10 @@ fn parse_circuit(item: &str) -> Result<CircuitSpec, CliError> {
 
 /// The flags `campaign` and `cluster coordinate` share: the ones
 /// [`parse_campaign_spec`] and [`parse_table`] read, plus `--out` and
-/// `--trace`.
+/// `--trace`. `--jobs` and `--cache` are `campaign`'s alone: cluster
+/// cells run uncached on the workers.
 const GRID_FLAGS: &str = "circuits max-gates algorithms seeds attacks frames max-dips \
-    indep-gates paths fault-p jobs timeout-secs cache journal table out trace";
+    indep-gates paths fault-p timeout-secs journal table out trace";
 
 /// The switches [`parse_campaign_spec`] reads.
 const GRID_SWITCHES: &str = "inject-panic inject-timeout resume";
@@ -949,7 +947,7 @@ fn parse_campaign_spec(args: &Args) -> Result<CampaignSpec, CliError> {
 
     if args.has("resume") && args.get("journal").is_none() {
         return Err(CliError::Usage(
-            "`--resume` needs `--journal <file.jsonl>` to replay from".into(),
+            "`--resume` needs `--journal <file>` to replay from".into(),
         ));
     }
     // `--jobs 0` is never what the user meant: the spec treats 0 as
@@ -993,7 +991,11 @@ fn parse_table(args: &Args) -> Result<&str, CliError> {
 }
 
 fn cmd_campaign(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv, GRID_FLAGS, &format!("{GRID_SWITCHES} trace-summary"))?;
+    let args = Args::parse(
+        argv,
+        &format!("{GRID_FLAGS} jobs cache"),
+        &format!("{GRID_SWITCHES} trace-summary"),
+    )?;
     let spec = parse_campaign_spec(&args)?;
     let table = parse_table(&args)?;
 
@@ -1360,7 +1362,7 @@ mod tests {
             e.to_string().contains("at least 1"),
             "the error must explain the bound: {e}"
         );
-        // The same grid parser serves `cluster coordinate`.
+        // `cluster coordinate` takes no `--jobs` at all.
         let e = run(&argv(&[
             "cluster",
             "coordinate",
@@ -1381,6 +1383,35 @@ mod tests {
         assert!(e.to_string().contains("dance"));
         let e = run(&argv(&["cluster", "work"])).unwrap_err();
         assert!(e.to_string().contains("--join"));
+    }
+
+    #[test]
+    fn cluster_coordinate_rejects_the_flags_only_campaign_reads() {
+        // Cluster cells run uncached on the workers, so `--cache` and
+        // `--jobs` would be silently dropped; they are unknown flags.
+        for (flag, value) in [("--cache", "cc"), ("--jobs", "2")] {
+            let e = run(&argv(&[
+                "cluster",
+                "coordinate",
+                "--circuits",
+                "x:70:4:6:4",
+                "--algorithms",
+                "indep",
+                "--listen",
+                "127.0.0.1:0",
+                "--run-timeout-secs",
+                "1",
+                "--table",
+                "none",
+                flag,
+                value,
+            ]))
+            .unwrap_err();
+            assert!(
+                matches!(&e, CliError::Usage(m) if m.contains(&format!("unknown flag `{flag}`"))),
+                "{flag}: {e}"
+            );
+        }
     }
 
     #[test]

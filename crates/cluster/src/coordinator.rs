@@ -23,11 +23,13 @@
 //!
 //! # Crash recovery
 //!
-//! With a journal configured, every record a worker returns is appended
-//! to a campaign [`Journal`] — the file `campaign --journal` writes.
-//! Reopening with `resume` replays the entries the campaign's
-//! [`replayable`] rule accepts and re-dispatches only the other cells;
-//! a single-node run can resume the journal too, and vice versa.
+//! The grid's journal, replay rule and merge are the campaign crate's
+//! [`GridRun`], the bookkeeping `campaign::execute` runs on too. With a
+//! journal configured, every record a worker returns is appended to it
+//! — the file `campaign --journal` writes. Reopening with `resume`
+//! replays the journal's replayable entries and re-dispatches only the
+//! other cells; a single-node run can resume the journal too, and vice
+//! versa, with the same result.
 
 use std::collections::{BTreeMap, HashSet};
 use std::io;
@@ -35,11 +37,9 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use sttlock_campaign::journal::{record_key, replay_map, replayable};
+use sttlock_campaign::journal::record_key;
 use sttlock_campaign::json::Json;
-use sttlock_campaign::{
-    cell_journal_key, CampaignResult, CampaignSpec, Cell, Journal, RunRecord, RunStatus,
-};
+use sttlock_campaign::{cell_journal_key, CampaignResult, CampaignSpec, Cell, GridRun, RunRecord};
 use sttlock_exec::{Backoff, Budget, KeyBuilder};
 use sttlock_serve::http::Response;
 use sttlock_serve::{client, ServeConfig, Server, StopHandle};
@@ -174,48 +174,12 @@ impl Coordinator {
     /// Runs a campaign grid across the registered workers.
     ///
     /// Blocks the calling thread until every cell has a record or
-    /// `budget` trips; a tripped budget synthesizes structured failure
-    /// rows for the cells still pending, preserving the one-record-
-    /// per-cell grid invariant.
+    /// `budget` trips; a tripped budget leaves structured failure rows
+    /// for the cells still pending, preserving the one-record-per-cell
+    /// grid invariant.
     pub fn run_campaign(&self, spec: &CampaignSpec, budget: &Budget) -> CampaignResult {
-        let start = Instant::now();
-        let cells = spec.cells();
-        let keys: Vec<String> = cells.iter().map(cell_journal_key).collect();
-
-        let mut journal_recovery = None;
-        let mut done: Vec<Option<RunRecord>> = vec![None; cells.len()];
-        let journal: Option<Mutex<Journal>> = match &self.cfg.journal {
-            Some(path) => match Journal::open(path) {
-                Ok(opened) => {
-                    journal_recovery = Some(opened.recovery.clone());
-                    if self.cfg.resume {
-                        // Entries for cells outside this grid (a
-                        // different spec against the same journal) are
-                        // never looked up, so they cannot leak into the
-                        // merge.
-                        let mut replay = replay_map(opened.entries);
-                        for (slot, key) in done.iter_mut().zip(&keys) {
-                            match replay.remove(key) {
-                                Some(e) if replayable(e.schema, &e.record) => {
-                                    *slot = Some(e.record);
-                                }
-                                Some(_) => sttlock_obs::counter("cluster.skewed_replays", 1),
-                                None => {}
-                            }
-                        }
-                        let replayed = done.iter().flatten().count();
-                        sttlock_obs::counter("cluster.replayed", replayed as u64);
-                    }
-                    Some(Mutex::new(opened.journal))
-                }
-                Err(_) => {
-                    sttlock_obs::counter("cluster.journal_open_failed", 1);
-                    None
-                }
-            },
-            None => None,
-        };
-
+        let run = GridRun::open(spec, self.cfg.journal.as_deref(), self.cfg.resume);
+        let keys: Vec<String> = run.cells().iter().map(cell_journal_key).collect();
         let timeout_ms = spec.timeout.as_millis() as u64;
         let dispatch_timeout = spec.timeout + self.cfg.dispatch_margin;
         let mut dispatched_once: HashSet<usize> = HashSet::new();
@@ -238,7 +202,7 @@ impl Coordinator {
         }
 
         loop {
-            let pending: Vec<usize> = (0..cells.len()).filter(|&i| done[i].is_none()).collect();
+            let pending = run.pending();
             if pending.is_empty() || budget.exhausted() {
                 break;
             }
@@ -262,18 +226,15 @@ impl Coordinator {
                 shards[(shard_hash(&keys[i]) % alive.len() as u64) as usize].push(i);
             }
 
-            let results: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
             let failed: Mutex<Vec<String>> = Mutex::new(Vec::new());
             std::thread::scope(|s| {
                 for ((worker_id, addr), shard) in alive.iter().zip(&shards) {
                     if shard.is_empty() {
                         continue;
                     }
-                    let results = &results;
+                    let run = &run;
                     let failed = &failed;
-                    let cells = &cells;
                     let keys = &keys;
-                    let journal = &journal;
                     let dispatched_once = &dispatched_once;
                     s.spawn(move || {
                         for &i in shard {
@@ -286,24 +247,13 @@ impl Coordinator {
                             }
                             match dispatch_cell(
                                 addr,
-                                &cells[i],
+                                &run.cells()[i],
                                 &keys[i],
                                 timeout_ms,
                                 dispatch_timeout,
                                 budget,
                             ) {
-                                Some(record) => {
-                                    if let Some(j) = journal {
-                                        let _ = j
-                                            .lock()
-                                            .unwrap_or_else(PoisonError::into_inner)
-                                            .append(&record);
-                                    }
-                                    results
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner)
-                                        .push((i, record));
-                                }
+                                Some(record) => run.record(i, record),
                                 None => {
                                     // The worker died, timed out or
                                     // answered skewed: evict it and
@@ -321,14 +271,8 @@ impl Coordinator {
                 }
             });
 
-            for &i in pending.iter() {
-                dispatched_once.insert(i);
-            }
-            let fresh = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-            let progressed = !fresh.is_empty();
-            for (i, record) in fresh {
-                done[i] = Some(record);
-            }
+            dispatched_once.extend(pending.iter().copied());
+            let progressed = run.pending().len() < pending.len();
             for worker_id in failed.into_inner().unwrap_or_else(PoisonError::into_inner) {
                 if lock(&self.registry).workers.remove(&worker_id).is_some() {
                     sttlock_obs::counter("cluster.evicted_workers", 1);
@@ -345,29 +289,9 @@ impl Coordinator {
             }
         }
 
-        // Positional merge in grid order: cells the budget cut off get
-        // structured failure rows, the grid invariant holds.
-        let records: Vec<RunRecord> = cells
-            .iter()
-            .zip(done)
-            .map(|(cell, record)| {
-                record.unwrap_or_else(|| {
-                    sttlock_obs::counter("cluster.lost_records", 1);
-                    RunRecord::for_cell(
-                        cell,
-                        RunStatus::Failed(
-                            "cluster run ended before this cell completed".to_owned(),
-                        ),
-                    )
-                })
-            })
-            .collect();
-        sttlock_obs::counter("cluster.merge", records.len() as u64);
-        CampaignResult {
-            records,
-            wall: start.elapsed(),
-            journal_recovery,
-        }
+        let result = run.finish();
+        sttlock_obs::counter("cluster.merge", result.records.len() as u64);
+        result
     }
 
     /// Drops workers whose last heartbeat is older than the timeout.

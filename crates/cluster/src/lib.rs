@@ -4,13 +4,14 @@
 //! One coordinator process owns the campaign grid; any number of
 //! worker processes join it by heartbeating it over HTTP
 //! (`POST /cluster/heartbeat`, which doubles as registration). The
-//! coordinator shards cells across workers by content hash, ships each
-//! cell as a [`protocol::CellRequest`], appends every returned record
-//! to the campaign journal ([`sttlock_campaign::Journal`]), and merges
-//! the records back in grid order — the merged JSONL is byte-identical
-//! to a single-node [`sttlock_campaign::execute`] run (modulo
-//! wall-clock fields), which the integration tests assert byte for
-//! byte.
+//! coordinator shards cells across workers by content hash and ships
+//! each cell as a [`protocol::CellRequest`]. Everything else — the
+//! campaign journal every returned record is appended to, the replay
+//! rule and the merge in grid order — is [`sttlock_campaign::GridRun`],
+//! the bookkeeping a single-node [`sttlock_campaign::execute`] run uses
+//! too, so the merged JSONL is byte-identical to a single-node run
+//! (modulo wall-clock fields), which the integration tests assert byte
+//! for byte.
 //!
 //! Failure is the normal case the design is built around: a worker
 //! that dies, hangs, answers under a skewed protocol version or with

@@ -267,7 +267,7 @@ fn two_workers_merge_byte_identical_to_single_node() {
     assert_eq!(obs.counter("cluster.dispatch"), 6);
     assert_eq!(obs.counter("cluster.redispatch"), 0);
     assert_eq!(obs.counter("cluster.merge"), 6);
-    assert_eq!(obs.counter("cluster.lost_records"), 0);
+    assert_eq!(obs.counter("campaign.lost_records"), 0);
 
     w1.shutdown();
     w2.shutdown();
@@ -307,7 +307,7 @@ fn a_dead_worker_is_evicted_and_its_cells_redispatched() {
         obs.counter("cluster.redispatch") >= 1,
         "cells dispatched to the dead worker must be re-dispatched"
     );
-    assert_eq!(obs.counter("cluster.lost_records"), 0);
+    assert_eq!(obs.counter("campaign.lost_records"), 0);
     coordinator.shutdown();
 }
 
@@ -428,7 +428,7 @@ fn resume_replays_journal_completions_and_dispatches_only_the_rest() {
 
     let result = resume_from(journal.clone(), &spec);
     assert_eq!(
-        obs.counter("cluster.replayed"),
+        obs.counter("campaign.replayed"),
         3,
         "journaled completions replay instead of re-running"
     );
@@ -480,7 +480,7 @@ fn a_dispatch_journal_from_protocol_v1_still_resumes() {
     write_frames(&journal, &payloads);
 
     let result = resume_from(journal, &spec);
-    assert_eq!(obs.counter("cluster.replayed"), 3);
+    assert_eq!(obs.counter("campaign.replayed"), 3);
     assert_eq!(obs.counter("cluster.dispatch"), 3);
     let recovery = result.journal_recovery.clone().unwrap();
     assert_eq!(
@@ -521,14 +521,56 @@ fn resume_replays_only_clean_current_schema_entries_of_the_grid() {
     );
 
     let result = resume_from(journal, &spec);
-    assert_eq!(obs.counter("cluster.replayed"), 2);
-    assert_eq!(obs.counter("cluster.skewed_replays"), 3);
+    assert_eq!(obs.counter("campaign.replayed"), 2);
+    assert_eq!(obs.counter("campaign.skewed_replays"), 3);
     assert_eq!(
         obs.counter("cluster.dispatch"),
         4,
         "the failed, skewed, reopened and unjournaled cells re-run"
     );
     assert_eq!(zeroed(result), zeroed(baseline));
+}
+
+#[test]
+fn one_journal_resumes_the_same_on_a_cluster_and_a_single_node() {
+    let _guard = serial();
+    let spec = grid_spec();
+    let baseline = execute(&spec);
+    let failed = RunRecord {
+        status: RunStatus::TimedOut,
+        flow: None,
+        ..baseline.records[1].clone()
+    };
+    // Cells 0 and 3 replay; the failed cell 1 and the other-schema
+    // cell 2 run again, as do cells 4 and 5, which have no entry.
+    let payloads = [
+        entry(JOURNAL_SCHEMA_VERSION, &baseline.records[0]),
+        entry(JOURNAL_SCHEMA_VERSION, &failed),
+        entry(JOURNAL_SCHEMA_VERSION + 1, &baseline.records[2]),
+        entry(JOURNAL_SCHEMA_VERSION, &baseline.records[3]),
+    ];
+    let dir = tmp_dir("one-rule");
+    let (local, cluster) = (dir.join("local.log"), dir.join("cluster.log"));
+    write_frames(&local, &payloads);
+    write_frames(&cluster, &payloads);
+
+    let obs = Obs::install();
+    let resumed = execute(&CampaignSpec {
+        journal: Some(local),
+        resume: true,
+        ..spec.clone()
+    });
+    assert_eq!(obs.counter("campaign.replayed"), 2);
+    assert_eq!(obs.counter("campaign.skewed_replays"), 2);
+    drop(obs);
+    assert_eq!(zeroed(resumed), zeroed(baseline.clone()), "single node");
+
+    let obs = Obs::install();
+    let resumed = resume_from(cluster, &spec);
+    assert_eq!(obs.counter("campaign.replayed"), 2);
+    assert_eq!(obs.counter("campaign.skewed_replays"), 2);
+    assert_eq!(obs.counter("cluster.dispatch"), 4);
+    assert_eq!(zeroed(resumed), zeroed(baseline), "cluster");
 }
 
 #[test]

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sttlock_attack::estimate::security_estimate;
-use sttlock_exec::{Budget, BudgetError};
+use sttlock_exec::{Backoff, Budget, BudgetError};
 use sttlock_fault::ProgrammingChannel;
 use sttlock_netlist::{CircuitView, HybridOverlay, Netlist, NodeId, TruthTable};
 use sttlock_power::{analyze_area, analyze_power, OverheadReport};
@@ -113,9 +113,10 @@ pub struct Flow {
     lib: Library,
     /// Selection tunables (public: ablations tweak them directly).
     pub selection: SelectionConfig,
-    /// Random-pattern cycles for activity estimation.
-    pub activity_cycles: usize,
 }
+
+/// Random-pattern cycles for activity estimation.
+const ACTIVITY_CYCLES: usize = 256;
 
 impl Flow {
     /// A flow over the given library with the paper-default settings.
@@ -123,7 +124,6 @@ impl Flow {
         Flow {
             lib,
             selection: SelectionConfig::default(),
-            activity_cycles: 256,
         }
     }
 
@@ -187,11 +187,11 @@ impl Flow {
         let base_timing = analyze_with(&view, &self.lib);
         let mut activity_rng = StdRng::seed_from_u64(seed ^ 0x5EED_AC71);
         let activity = {
-            let _s = sttlock_obs::span!("flow.activity", cycles = self.activity_cycles as u64);
-            estimate_activity_with(&view, self.activity_cycles, &mut activity_rng)?
+            let _s = sttlock_obs::span!("flow.activity", cycles = ACTIVITY_CYCLES as u64);
+            estimate_activity_with(&view, ACTIVITY_CYCLES, &mut activity_rng)?
         };
-        // The warm-up cycle plus `activity_cycles`, 64 vectors each.
-        budget.charge(64 * (self.activity_cycles as u64 + 1));
+        // The warm-up cycle plus `ACTIVITY_CYCLES`, 64 vectors each.
+        budget.charge(64 * (ACTIVITY_CYCLES as u64 + 1));
         let base_power = analyze_power(netlist, &self.lib, &activity);
         let base_area = analyze_area(netlist, &self.lib);
         budget.check()?;
@@ -261,17 +261,11 @@ pub struct RepairConfig {
     /// Re-programming rounds after the initial verify — the retry
     /// budget. `0` means verify only, never repair.
     pub max_retries: usize,
-    /// Base of the exponential backoff between re-programming rounds:
-    /// round `r` sleeps `min(backoff_base * 2^r, max_backoff)`. The
-    /// default is zero (no sleeping), which is what tests and campaigns
-    /// want; a real programmer would set the device's write-recovery
-    /// time.
-    pub backoff_base: Duration,
-    /// Ceiling on any single backoff sleep. The doubling in
-    /// [`backoff_base`](RepairConfig::backoff_base) saturates here, so
-    /// a large retry budget can neither overflow the multiply nor sleep
-    /// unboundedly. Defaults to 60 seconds.
-    pub max_backoff: Duration,
+    /// The sleep before each re-programming round: round `r` sleeps
+    /// `backoff.delay(r)`. The default base is zero (no sleeping), which
+    /// is what tests and campaigns want — a real programmer would set
+    /// the device's write-recovery time — and the default cap 60 s.
+    pub backoff: Backoff,
     /// Close a clean random verify with a SAT equivalence proof. When a
     /// counterexample exists it is replayed as a targeted vector, so
     /// faults too subtle for random patterns still get localized.
@@ -283,8 +277,7 @@ impl Default for RepairConfig {
         RepairConfig {
             random_batches: 8,
             max_retries: 5,
-            backoff_base: Duration::ZERO,
-            max_backoff: Duration::from_secs(60),
+            backoff: Backoff::new(Duration::ZERO, Duration::from_secs(60)),
             sat_proof: true,
         }
     }
@@ -369,11 +362,10 @@ impl RepairReport {
 /// counterexample, if any, becomes a new targeted vector. Mismatching
 /// observation points are localized to bitstream LUTs through fan-out
 /// cone queries, and each implicated LUT is re-written through the
-/// channel with exponential backoff between rounds (doubling from
-/// [`RepairConfig::backoff_base`], saturating at
-/// [`RepairConfig::max_backoff`] so the schedule can neither overflow
-/// nor sleep unboundedly). The loop degrades gracefully: it returns a
-/// [`RepairReport`] with a [`Degraded`](RepairVerdict::Degraded) or
+/// channel with the capped exponential [`RepairConfig::backoff`]
+/// between rounds, which can neither overflow nor sleep past its cap.
+/// The loop degrades gracefully: it returns a [`RepairReport`] with a
+/// [`Degraded`](RepairVerdict::Degraded) or
 /// [`Unrecoverable`](RepairVerdict::Unrecoverable) verdict instead of
 /// retrying forever.
 ///
@@ -548,7 +540,7 @@ pub fn verify_and_repair(
 
         // Re-program every suspect through the channel, with clamped
         // exponential backoff before each retry round.
-        let backoff = backoff_for_round(cfg, round as u32);
+        let backoff = cfg.backoff.delay(round as u32);
         if !backoff.is_zero() {
             sttlock_obs::counter("repair.backoff_sleeps", 1);
             // Cancel-aware: a tripped budget wakes the sleep early and
@@ -589,15 +581,6 @@ pub fn verify_and_repair(
         repaired_luts: names_of(golden, ever_suspected.difference(&failed).copied()),
         failed_luts: names_of(golden, failed.iter().copied()),
     })
-}
-
-/// The backoff slept before retry round `round`: `backoff_base * 2^round`
-/// computed with `checked_mul` and clamped to `cfg.max_backoff`, so no
-/// (base, round) combination can overflow `Duration`'s panicking `Mul`.
-fn backoff_for_round(cfg: &RepairConfig, round: u32) -> Duration {
-    cfg.backoff_base
-        .checked_mul(2u32.saturating_pow(round))
-        .map_or(cfg.max_backoff, |d| d.min(cfg.max_backoff))
 }
 
 /// Evaluates one full-scan frame on both designs and records every
@@ -776,27 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedule_clamps_instead_of_overflowing() {
-        // Seed code computed `backoff_base * 2^round` through Duration's
-        // panicking `Mul`; with this base, round 1 already overflows.
-        let cfg = RepairConfig {
-            backoff_base: Duration::MAX / 2,
-            ..RepairConfig::default()
-        };
-        for round in 0..64 {
-            assert!(backoff_for_round(&cfg, round) <= cfg.max_backoff);
-        }
-        // The un-clamped region of the schedule still doubles.
-        let cfg = RepairConfig {
-            backoff_base: Duration::from_millis(3),
-            ..RepairConfig::default()
-        };
-        assert_eq!(backoff_for_round(&cfg, 0), Duration::from_millis(3));
-        assert_eq!(backoff_for_round(&cfg, 2), Duration::from_millis(12));
-        assert_eq!(backoff_for_round(&cfg, u32::MAX), cfg.max_backoff);
-    }
-
-    #[test]
     fn huge_backoff_base_cannot_stall_or_panic_the_repair_loop() {
         // A fault that needs at least one retry round, driven with the
         // pathological base from the overflow report. On seed code this
@@ -815,8 +777,7 @@ mod tests {
             sttlock_netlist::TruthTable::new(table.inputs(), table.bits() ^ 1),
         );
         let cfg = RepairConfig {
-            backoff_base: Duration::MAX / 2,
-            max_backoff: Duration::from_millis(1),
+            backoff: Backoff::new(Duration::MAX / 2, Duration::from_millis(1)),
             ..RepairConfig::default()
         };
         let mut channel = sttlock_fault::PerfectChannel;
@@ -938,8 +899,7 @@ mod tests {
             sttlock_netlist::TruthTable::new(table.inputs(), table.bits() ^ 1),
         );
         let cfg = RepairConfig {
-            backoff_base: Duration::from_secs(3600),
-            max_backoff: Duration::from_secs(3600),
+            backoff: Backoff::new(Duration::from_secs(3600), Duration::from_secs(3600)),
             ..RepairConfig::default()
         };
         let budget = Budget::unbounded();

@@ -105,6 +105,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sttlock_benchgen::Profile;
+    use sttlock_netlist::CircuitView;
 
     #[test]
     fn oracles_agree_bit_for_bit() {
@@ -112,7 +113,7 @@ mod tests {
         let lib = Library::predictive_90nm();
         let base = analyze(&n, &lib);
         let mut full = FullSta::new(&n, &lib);
-        let mut inc = IncrementalSta::from_analysis(&n, &lib, &base);
+        let mut inc = IncrementalSta::from_analysis_with(&CircuitView::new(&n), &lib, &base);
 
         let gates: Vec<NodeId> = n
             .iter()

@@ -2,7 +2,8 @@
 //!
 //! The retry loops in this stack (the cluster coordinator re-dispatching
 //! cells after a worker dies, a worker re-registering after its
-//! coordinator restarts) all want the same delay shape: start small,
+//! coordinator restarts, the repair loop re-programming faulty LUTs)
+//! all want the same delay shape: start small,
 //! double per consecutive failure, clamp at a ceiling so a long outage
 //! never grows the wait unboundedly. [`Backoff`] is that schedule as a
 //! value — deterministic (no jitter, so tests can assert the exact
@@ -14,8 +15,10 @@ use std::time::Duration;
 /// A capped exponential backoff schedule.
 ///
 /// `delay(0)` is the base; each subsequent attempt doubles it until the
-/// cap. The schedule itself is stateless — callers track the attempt
-/// count, which lets a success reset the count without touching this.
+/// cap, and no delay ever exceeds the cap (a cap below the base makes
+/// the schedule a constant cap). The schedule itself is stateless —
+/// callers track the attempt count, which lets a success reset the
+/// count without touching this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     base: Duration,
@@ -25,10 +28,7 @@ pub struct Backoff {
 impl Backoff {
     /// A schedule starting at `base` and clamped at `cap`.
     pub fn new(base: Duration, cap: Duration) -> Backoff {
-        Backoff {
-            base,
-            cap: cap.max(base),
-        }
+        Backoff { base, cap }
     }
 
     /// The delay before retry number `attempt` (0-based): `base << attempt`,
@@ -64,12 +64,19 @@ mod tests {
         assert_eq!(b.delay(4), Duration::from_secs(1), "clamped");
         assert_eq!(b.delay(40), Duration::from_secs(1), "still clamped");
         assert_eq!(b.delay(u32::MAX), Duration::from_secs(1), "no overflow");
+        // A base whose first doubling already overflows `Duration`
+        // clamps at the cap instead of panicking in the multiply.
+        let cap = Duration::from_secs(60);
+        let huge = Backoff::new(Duration::MAX / 2, cap);
+        for attempt in 0..64 {
+            assert_eq!(huge.delay(attempt), cap, "attempt {attempt}");
+        }
     }
 
     #[test]
     fn a_cap_below_the_base_degrades_to_a_constant_schedule() {
         let b = Backoff::new(Duration::from_secs(1), Duration::from_millis(1));
-        assert_eq!(b.delay(0), Duration::from_secs(1));
-        assert_eq!(b.delay(9), Duration::from_secs(1));
+        assert_eq!(b.delay(0), Duration::from_millis(1));
+        assert_eq!(b.delay(9), Duration::from_millis(1));
     }
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use sttlock_netlist::{CircuitView, GateKind, Netlist, Node, NodeId};
 use sttlock_techlib::Library;
 
-use crate::{node_delay, source_arrival, TimingAnalysis};
+use crate::{node_delay, TimingAnalysis};
 
 /// Local instrumentation tallies, flushed as `sta.*` obs counters when
 /// the engine drops. Counting locally keeps the propagation loop free
@@ -71,15 +71,15 @@ impl Ord for OrdF64 {
 
 /// Incremental STA engine over a fixed netlist structure.
 ///
-/// Construction runs one full forward pass (or reuses an existing
-/// [`TimingAnalysis`] via [`from_analysis`]); afterwards
-/// [`swap_to_lut`]/[`restore_gate`] update only the touched fanout
-/// cone and [`clock_period_ns`] answers from the endpoint heap.
+/// Construction reuses an existing [`TimingAnalysis`] (see
+/// [`from_analysis_with`]); afterwards [`swap_to_lut`]/[`restore_gate`]
+/// update only the touched fanout cone and [`clock_period_ns`] answers
+/// from the endpoint heap.
 ///
 /// The engine holds the netlist and library by reference and never
 /// mutates them.
 ///
-/// [`from_analysis`]: IncrementalSta::from_analysis
+/// [`from_analysis_with`]: IncrementalSta::from_analysis_with
 /// [`swap_to_lut`]: IncrementalSta::swap_to_lut
 /// [`restore_gate`]: IncrementalSta::restore_gate
 /// [`clock_period_ns`]: IncrementalSta::clock_period_ns
@@ -117,61 +117,14 @@ pub struct IncrementalSta<'a> {
 }
 
 impl<'a> IncrementalSta<'a> {
-    /// Builds the engine with a fresh full forward pass.
-    pub fn new(netlist: &'a Netlist, lib: &'a Library) -> Self {
-        Self::with_view(&CircuitView::new(netlist), lib)
-    }
-
-    /// Builds the engine against a shared [`CircuitView`], consuming the
-    /// view's memoized topological order and combinational fan-out map
-    /// instead of constructing duplicates.
-    pub fn with_view(view: &CircuitView<'a>, lib: &'a Library) -> Self {
-        let netlist = view.netlist();
-        let mut engine = Self::skeleton(view, lib);
-        for (id, node) in netlist.iter() {
-            if !node.is_combinational() {
-                engine.arrival[id.index()] = source_arrival(netlist, lib, id);
-            }
-        }
-        for i in 0..engine.order.len() {
-            let id = engine.order[i];
-            let node = netlist.node(id);
-            let input_arrival = node
-                .fanin()
-                .iter()
-                .map(|f| engine.arrival[f.index()])
-                .fold(0.0f64, f64::max);
-            engine.arrival[id.index()] = input_arrival + engine.delay[id.index()];
-        }
-        engine.rebuild_endpoint_heap();
-        engine
-    }
-
-    /// Builds the engine from an existing full analysis of the same
-    /// netlist, skipping the forward pass.
-    pub fn from_analysis(
-        netlist: &'a Netlist,
-        lib: &'a Library,
-        analysis: &TimingAnalysis,
-    ) -> Self {
-        Self::from_analysis_with(&CircuitView::new(netlist), lib, analysis)
-    }
-
-    /// [`from_analysis`](IncrementalSta::from_analysis) against a shared
-    /// [`CircuitView`].
+    /// Builds the engine from an existing full analysis of the view's
+    /// netlist, consuming the view's memoized topological order and
+    /// combinational fan-out map instead of constructing duplicates.
     pub fn from_analysis_with(
         view: &CircuitView<'a>,
         lib: &'a Library,
         analysis: &TimingAnalysis,
     ) -> Self {
-        let mut engine = Self::skeleton(view, lib);
-        engine.arrival.copy_from_slice(&analysis.arrival);
-        engine.rebuild_endpoint_heap();
-        engine
-    }
-
-    /// Shared construction: cached structure, delays, endpoint roster.
-    fn skeleton(view: &CircuitView<'a>, lib: &'a Library) -> Self {
         let netlist = view.netlist();
         let n = netlist.len();
         let order = view.topo_order_arc();
@@ -201,14 +154,14 @@ impl<'a> IncrementalSta<'a> {
             .filter(|id| !endpoint_extra[id.index()].is_nan())
             .collect();
 
-        IncrementalSta {
+        let mut engine = IncrementalSta {
             netlist,
             lib,
             order,
             topo_pos,
             comb_fanout,
             delay,
-            arrival: vec![0.0; n],
+            arrival: analysis.arrival.clone(),
             endpoints,
             endpoint_extra,
             endpoint_time: vec![f64::NAN; n],
@@ -216,7 +169,9 @@ impl<'a> IncrementalSta<'a> {
             epoch_mark: vec![0; n],
             epoch: 0,
             stats: ObsStats::default(),
-        }
+        };
+        engine.rebuild_endpoint_heap();
+        engine
     }
 
     /// Recomputes every endpoint time from `arrival` and rebuilds the
@@ -435,6 +390,11 @@ mod tests {
         Library::predictive_90nm()
     }
 
+    /// An engine seeded from a fresh full analysis.
+    fn engine<'a>(n: &'a Netlist, l: &'a Library) -> IncrementalSta<'a> {
+        IncrementalSta::from_analysis_with(&CircuitView::new(n), l, &analyze(n, l))
+    }
+
     /// in/c → g1(NAND) → g2(XOR) → ff → g3(OR) → out, plus a side buffer.
     fn circuit() -> Netlist {
         let mut b = NetlistBuilder::new("m");
@@ -451,25 +411,10 @@ mod tests {
     }
 
     #[test]
-    fn fresh_engine_matches_analyze() {
-        let n = circuit();
-        let l = lib();
-        let full = analyze(&n, &l);
-        let mut inc = IncrementalSta::new(&n, &l);
-        assert_eq!(
-            inc.clock_period_ns().to_bits(),
-            full.clock_period_ns().to_bits()
-        );
-        for (id, _) in n.iter() {
-            assert_eq!(inc.arrival_ns(id).to_bits(), full.arrival_ns(id).to_bits());
-        }
-    }
-
-    #[test]
     fn swap_matches_full_reanalysis_bit_for_bit() {
         let n = circuit();
         let l = lib();
-        let mut inc = IncrementalSta::new(&n, &l);
+        let mut inc = engine(&n, &l);
         let g1 = n.find("g1").unwrap();
 
         let mut mutated = n.clone();
@@ -497,7 +442,7 @@ mod tests {
         let n = circuit();
         let l = lib();
         let base = analyze(&n, &l);
-        let mut inc = IncrementalSta::new(&n, &l);
+        let mut inc = engine(&n, &l);
         let g2 = n.find("g2").unwrap();
         inc.swap_to_lut(g2);
         inc.restore_gate(g2, GateKind::Xor);
@@ -512,25 +457,12 @@ mod tests {
     fn off_cone_swap_does_not_disturb_other_arrivals() {
         let n = circuit();
         let l = lib();
-        let mut inc = IncrementalSta::new(&n, &l);
+        let mut inc = engine(&n, &l);
         let side = n.find("side").unwrap();
         let g3 = n.find("g3").unwrap();
         let before_g3 = inc.arrival_ns(g3);
         inc.swap_to_lut(side);
         assert_eq!(inc.arrival_ns(g3).to_bits(), before_g3.to_bits());
-    }
-
-    #[test]
-    fn from_analysis_matches_new() {
-        let n = circuit();
-        let l = lib();
-        let full = analyze(&n, &l);
-        let mut a = IncrementalSta::new(&n, &l);
-        let mut b = IncrementalSta::from_analysis(&n, &l, &full);
-        let g1 = n.find("g1").unwrap();
-        a.swap_to_lut(g1);
-        b.swap_to_lut(g1);
-        assert_eq!(a.clock_period_ns().to_bits(), b.clock_period_ns().to_bits());
     }
 
     #[test]
@@ -540,7 +472,7 @@ mod tests {
         {
             let n = circuit();
             let l = lib();
-            let mut inc = IncrementalSta::new(&n, &l);
+            let mut inc = engine(&n, &l);
             let g1 = n.find("g1").unwrap();
             inc.swap_to_lut(g1);
             inc.restore_gate(g1, GateKind::Nand);
@@ -557,7 +489,7 @@ mod tests {
     fn heap_rebuild_keeps_answers_correct() {
         let n = circuit();
         let l = lib();
-        let mut inc = IncrementalSta::new(&n, &l);
+        let mut inc = engine(&n, &l);
         let g1 = n.find("g1").unwrap();
         // Enough churn to trip the stale-entry rebuild threshold.
         for _ in 0..200 {

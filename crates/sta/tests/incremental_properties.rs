@@ -9,9 +9,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sttlock_benchgen::Profile;
-use sttlock_netlist::{Netlist, NodeId};
+use sttlock_netlist::{CircuitView, Netlist, NodeId};
 use sttlock_sta::{analyze, IncrementalSta};
 use sttlock_techlib::Library;
+
+/// An engine seeded from a fresh full analysis.
+fn engine<'a>(netlist: &'a Netlist, lib: &'a Library) -> IncrementalSta<'a> {
+    IncrementalSta::from_analysis_with(&CircuitView::new(netlist), lib, &analyze(netlist, lib))
+}
 
 /// Gates the selection algorithms may legally swap (narrow standard
 /// cells).
@@ -41,7 +46,7 @@ proptest! {
         let pool = swap_pool(&netlist);
         prop_assert!(!pool.is_empty());
 
-        let mut engine = IncrementalSta::new(&netlist, &lib);
+        let mut engine = engine(&netlist, &lib);
         let mut mutated = netlist.clone();
         let mut swapped: HashSet<NodeId> = HashSet::new();
 
@@ -97,7 +102,7 @@ proptest! {
         picked.dedup();
         let (standing, probes) = picked.split_at(picked.len() / 2);
 
-        let mut engine = IncrementalSta::new(&netlist, &lib);
+        let mut engine = engine(&netlist, &lib);
         let mut hypothesis = netlist.clone();
         for &id in standing {
             engine.swap_to_lut(id);
