@@ -20,7 +20,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sttlock_attack::estimate::BigEffort;
-use sttlock_bench::HarnessArgs;
+use sttlock_bench::{usage, HarnessArgs};
+use sttlock_benchgen::profiles;
 use sttlock_campaign::{execute, CampaignSpec, CircuitSpec, SelectionOverrides};
 use sttlock_core::harden::{harden, HardenConfig};
 use sttlock_core::{Flow, SelectionAlgorithm};
@@ -28,11 +29,20 @@ use sttlock_techlib::Library;
 
 fn main() {
     let args = HarnessArgs::parse();
-    let profile = args
+    let Some(profile) = args
         .profiles()
         .into_iter()
         .rfind(|p| p.gates <= args.max_gates.min(700))
-        .expect("at least one profile in range");
+    else {
+        let smallest = profiles::up_to(usize::MAX)
+            .into_iter()
+            .min_by_key(|p| p.gates)
+            .expect("the profile table is not empty");
+        usage(&format!(
+            "--max-gates {} is below the smallest profile, {} ({} gates)",
+            args.max_gates, smallest.name, smallest.gates
+        ));
+    };
     let netlist = args.generate(&profile);
     let lib = Library::predictive_90nm();
 

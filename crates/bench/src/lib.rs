@@ -88,7 +88,9 @@ impl HarnessArgs {
     }
 }
 
-fn usage(problem: &str) -> ! {
+/// Prints `problem` and the usage line to stderr and exits: status 2
+/// for a problem, 0 for an empty one (`--help`).
+pub fn usage(problem: &str) -> ! {
     if !problem.is_empty() {
         eprintln!("error: {problem}");
     }

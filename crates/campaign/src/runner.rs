@@ -413,12 +413,26 @@ fn generate(
             inputs,
             outputs,
             ..
-        } => Profile::custom("custom", *gates, *dffs, *inputs, *outputs),
+        } => {
+            // Built unchecked so an impossible shape (a spec built in
+            // code, a `/v1/cell` request) fails the cell, not panics it.
+            let profile = Profile {
+                name: "custom",
+                gates: *gates,
+                dffs: *dffs,
+                inputs: *inputs,
+                outputs: *outputs,
+            };
+            profile
+                .check()
+                .map_err(|e| format!("circuit `{}` {e}", circuit.name()))?;
+            profile
+        }
         CircuitSpec::InjectPanic => panic!("injected panic cell"),
         CircuitSpec::InjectTimeout => {
             // Never finishes on its own; once the runner abandons this
             // thread and cancels its budget, the cancel-aware sleep
-            // returns within ~10 ms instead of dozing for an hour.
+            // wakes at once instead of dozing for an hour.
             while budget.sleep(Duration::from_secs(3600)) {}
             return Err("cancelled after timeout".to_owned());
         }
@@ -676,6 +690,40 @@ mod tests {
             assert!(flow.n_bf_log10 > 0.0);
             assert_eq!(r.gates, 60);
         }
+    }
+
+    #[test]
+    fn an_impossible_custom_circuit_fails_its_cells_without_a_panic() {
+        let _guard = obs_lock();
+        let collector = sttlock_obs::TraceCollector::new();
+        sttlock_obs::install(collector.clone());
+        let impossible = CircuitSpec::Custom {
+            name: "hollow".to_owned(),
+            gates: 0,
+            dffs: 1,
+            inputs: 1,
+            outputs: 1,
+        };
+        let result = execute(&CampaignSpec {
+            seeds: vec![3, 4],
+            ..quick_spec(vec![impossible, small("beside-hollow")])
+        });
+        sttlock_obs::uninstall();
+        assert_eq!(result.records.len(), 4);
+        for r in result.records.iter().filter(|r| r.circuit == "hollow") {
+            assert_eq!(
+                r.status,
+                RunStatus::Failed(
+                    "circuit `hollow` has too few gates (0) for 1 flip-flops and 1 outputs".into()
+                )
+            );
+        }
+        assert_eq!(
+            result.ok_count(),
+            2,
+            "the sibling circuit's cells still run"
+        );
+        assert_eq!(collector.counter_value("campaign.panic"), 0);
     }
 
     #[test]

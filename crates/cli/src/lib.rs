@@ -1188,13 +1188,8 @@ fn cmd_cluster_work(argv: &[String]) -> Result<String, CliError> {
     );
     // Same local stop channel as `serve`: stdin doubles as the
     // operator's shutdown signal.
-    let stop = worker.stop_handle();
-    let interactive = std::io::IsTerminal::is_terminal(&std::io::stdin());
-    let watcher = spawn_stdin_watcher(stop, interactive);
+    spawn_stdin_watcher(worker.stop_handle());
     let digest = worker.wait();
-    if let Some(watcher) = watcher {
-        let _ = watcher.join();
-    }
     Ok(format!("sttlock worker drained cleanly: {digest}\n"))
 }
 
@@ -1227,123 +1222,45 @@ fn cmd_serve(argv: &[String]) -> Result<String, CliError> {
         server.addr(),
     );
     // No signal handling without libc, so stdin doubles as the local
-    // stop channel: a `quit` line always drains, and Ctrl-D does too
-    // when stdin is a terminal. EOF on a *non*-terminal stdin is
-    // ignored — a supervisor starting the server with `< /dev/null`
-    // must not trigger an instant shutdown.
-    let stop = server.stop_handle();
-    let interactive = std::io::IsTerminal::is_terminal(&std::io::stdin());
-    let watcher = spawn_stdin_watcher(stop, interactive);
+    // stop channel.
+    spawn_stdin_watcher(server.stop_handle());
     let digest = server.wait();
-    // The watcher polls the stop token between non-blocking reads, so
-    // it exits on its own once the server drains — joining it here
-    // means a served-then-shut-down process ends with zero live
-    // threads instead of leaking one blocked in `read(2)`.
-    if let Some(watcher) = watcher {
-        let _ = watcher.join();
-    }
     Ok(format!("sttlock-serve drained cleanly: {digest}\n"))
 }
 
-/// Watches stdin for a stop command (`quit`/`stop`/`shutdown`, or EOF
-/// when interactive) without ever blocking in `read(2)`: the stream is
-/// re-opened `O_NONBLOCK` (a fresh open file description, so fd 0's
-/// flags are untouched) and the loop alternates short reads with
-/// [`sttlock_serve::StopHandle::is_stopped`] polls. The handle is
-/// joinable — the thread is guaranteed to exit once the server stops.
+/// Watches stdin for a stop command on a thread of its own: a `quit`,
+/// `stop` or `shutdown` line cancels `stop`, and so does EOF when stdin
+/// is a terminal (Ctrl-D). EOF on any other stdin ends the watch
+/// without stopping, so a server started `< /dev/null` keeps running.
 ///
-/// Returns `None` when the non-blocking re-open is unavailable (no
-/// `/dev/stdin`); the watcher then falls back to a detached blocking
-/// reader and shutdown relies on the admin endpoint.
-#[cfg(unix)]
-fn spawn_stdin_watcher(
-    stop: sttlock_serve::StopHandle,
-    interactive: bool,
-) -> Option<std::thread::JoinHandle<()>> {
-    use std::io::Read;
-    use std::os::unix::fs::OpenOptionsExt;
-    const O_NONBLOCK: i32 = 0o4000;
-    let file = std::fs::OpenOptions::new()
-        .read(true)
-        .custom_flags(O_NONBLOCK)
-        .open("/dev/stdin");
-    let Ok(mut file) = file else {
-        blocking_stdin_watcher(stop, interactive);
-        return None;
-    };
-    Some(std::thread::spawn(move || {
-        let mut pending = Vec::new();
-        let mut buf = [0u8; 256];
-        loop {
-            if stop.is_stopped() {
-                return; // server already draining; nothing to watch
-            }
-            match file.read(&mut buf) {
-                Ok(0) => {
-                    if interactive {
-                        break; // Ctrl-D: drain and exit
-                    }
-                    return; // detached stdin: admin endpoint only
-                }
-                Ok(n) => {
-                    pending.extend_from_slice(&buf[..n]);
-                    while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                        let line: Vec<u8> = pending.drain(..=pos).collect();
-                        if matches!(
-                            String::from_utf8_lossy(&line).trim(),
-                            "quit" | "stop" | "shutdown"
-                        ) {
-                            stop.stop();
-                            return;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                }
-                Err(_) => {
-                    if interactive {
-                        break;
-                    }
-                    return;
-                }
-            }
-        }
-        stop.stop();
-    }))
-}
-
-/// Non-unix fallback: no `O_NONBLOCK` re-open, so keep the historical
-/// detached blocking reader.
-#[cfg(not(unix))]
-fn spawn_stdin_watcher(
-    stop: sttlock_serve::StopHandle,
-    interactive: bool,
-) -> Option<std::thread::JoinHandle<()>> {
-    blocking_stdin_watcher(stop, interactive);
-    None
-}
-
-/// Detached blocking stdin reader (leaks its thread if the server is
-/// stopped some other way — only used when the non-blocking path is
-/// unavailable).
-fn blocking_stdin_watcher(stop: sttlock_serve::StopHandle, interactive: bool) {
+/// The thread is never joined: it may stay blocked in its read after
+/// the server drains, and the process exits without it. Lines are read
+/// as bytes, so one that is not UTF-8 is skipped rather than ending
+/// the watch.
+fn spawn_stdin_watcher(stop: sttlock_exec::CancelToken) {
+    use std::io::BufRead;
+    let interactive = std::io::IsTerminal::is_terminal(&std::io::stdin());
     std::thread::spawn(move || {
-        let mut line = String::new();
+        let mut stdin = std::io::stdin().lock();
+        let mut line = Vec::new();
         loop {
             line.clear();
-            match std::io::stdin().read_line(&mut line) {
+            match stdin.read_until(b'\n', &mut line) {
                 Ok(0) | Err(_) => {
                     if interactive {
                         break; // Ctrl-D: drain and exit
                     }
                     return; // detached stdin: admin endpoint only
                 }
-                Ok(_) if matches!(line.trim(), "quit" | "stop" | "shutdown") => break,
-                Ok(_) => {}
+                Ok(_) => {
+                    let text = String::from_utf8_lossy(&line);
+                    if matches!(text.trim(), "quit" | "stop" | "shutdown") {
+                        break;
+                    }
+                }
             }
         }
-        stop.stop();
+        stop.cancel();
     });
 }
 

@@ -42,7 +42,7 @@ use sttlock_campaign::json::Json;
 use sttlock_campaign::{cell_journal_key, CampaignResult, CampaignSpec, Cell, GridRun, RunRecord};
 use sttlock_exec::{Backoff, Budget, KeyBuilder};
 use sttlock_serve::http::Response;
-use sttlock_serve::{client, ServeConfig, Server, StopHandle};
+use sttlock_serve::{client, ServeConfig, Server};
 
 use crate::protocol::{CellRequest, CellResponse, Heartbeat};
 
@@ -153,11 +153,6 @@ impl Coordinator {
     /// The bound address.
     pub fn addr(&self) -> std::net::SocketAddr {
         self.server.addr()
-    }
-
-    /// A handle other threads can use to request shutdown.
-    pub fn stop_handle(&self) -> StopHandle {
-        self.server.stop_handle()
     }
 
     /// Currently registered (not yet evicted) worker count.

@@ -19,9 +19,9 @@ use std::time::Duration;
 
 use sttlock_campaign::json::Json;
 use sttlock_campaign::CellExecutor;
-use sttlock_exec::{Backoff, Budget, CancelToken};
+use sttlock_exec::{Backoff, CancelToken};
 use sttlock_serve::http::Response;
-use sttlock_serve::{client, ServeConfig, Server, StopHandle};
+use sttlock_serve::{client, ServeConfig, Server};
 
 use crate::protocol::{CellRequest, CellResponse, Heartbeat};
 
@@ -77,7 +77,6 @@ pub struct Worker {
     server: Server,
     addr: String,
     id: String,
-    stop: CancelToken,
     control: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -110,13 +109,10 @@ pub fn start_worker(cfg: WorkerConfig) -> io::Result<Worker> {
         .clone()
         .unwrap_or_else(|| format!("worker-{}", server.addr()));
 
-    // The control loop's sleeps ride on this budget: cancelling the
-    // token (shutdown) interrupts a backoff nap instead of waiting it
-    // out.
-    let clock = Budget::unbounded();
-    let stop = clock.token();
+    // The control loop sleeps on the server's stop token, so shutdown
+    // interrupts a heartbeat or backoff nap instead of waiting it out.
     let control = {
-        let server_stop = server.stop_handle();
+        let stop = server.stop_handle();
         let coordinator = cfg.coordinator.clone();
         let period = cfg.heartbeat;
         let beat = Heartbeat {
@@ -125,7 +121,7 @@ pub fn start_worker(cfg: WorkerConfig) -> io::Result<Worker> {
             load: 0,
         };
         std::thread::spawn(move || {
-            control_loop(&coordinator, beat, period, &active, &clock, &server_stop);
+            control_loop(&coordinator, beat, period, &active, &stop);
         })
     };
 
@@ -133,7 +129,6 @@ pub fn start_worker(cfg: WorkerConfig) -> io::Result<Worker> {
         server,
         addr,
         id,
-        stop,
         control: Some(control),
     })
 }
@@ -149,16 +144,16 @@ impl Worker {
         &self.id
     }
 
-    /// A handle other threads can use to request shutdown.
-    pub fn stop_handle(&self) -> StopHandle {
+    /// The server's stop token: cancelling it requests a graceful
+    /// shutdown, as `POST /admin/shutdown` does.
+    pub fn stop_handle(&self) -> CancelToken {
         self.server.stop_handle()
     }
 
-    /// Blocks until shutdown is requested (`POST /admin/shutdown` or a
-    /// stop handle), then drains. Returns the server's metrics digest.
+    /// Blocks until shutdown is requested (`POST /admin/shutdown` or the
+    /// stop token), then drains. Returns the server's metrics digest.
     pub fn wait(mut self) -> String {
         let digest = self.server.wait();
-        self.stop.cancel();
         if let Some(h) = self.control.take() {
             let _ = h.join();
         }
@@ -167,7 +162,6 @@ impl Worker {
 
     /// Shuts down the server and the control loop.
     pub fn shutdown(mut self) -> String {
-        self.stop.cancel();
         let digest = self.server.shutdown();
         if let Some(h) = self.control.take() {
             let _ = h.join();
@@ -208,8 +202,8 @@ fn route_cell(
     Some(Response::json(200, response.to_json().to_string()))
 }
 
-/// Heartbeats the coordinator every `period` until stopped. A
-/// heartbeat that goes unanswered (`cluster.register_retries`) backs
+/// Heartbeats the coordinator every `period` until `stop` is cancelled.
+/// A heartbeat that goes unanswered (`cluster.register_retries`) backs
 /// off instead, so a worker outlives its coordinator and rejoins the
 /// moment one answers again.
 fn control_loop(
@@ -217,12 +211,11 @@ fn control_loop(
     mut beat: Heartbeat,
     period: Duration,
     active: &AtomicU64,
-    clock: &Budget,
-    server_stop: &StopHandle,
+    stop: &CancelToken,
 ) {
     let backoff = Backoff::default();
     let mut misses = 0u32;
-    while !clock.is_cancelled() && !server_stop.is_stopped() {
+    while !stop.is_cancelled() {
         beat.load = active.load(Ordering::SeqCst);
         let body = beat.to_json().to_string();
         match client::request(
@@ -234,11 +227,11 @@ fn control_loop(
         ) {
             Ok(resp) if resp.status == 200 => {
                 misses = 0;
-                clock.sleep(period);
+                stop.wait(Some(period));
             }
             _ => {
                 sttlock_obs::counter("cluster.register_retries", 1);
-                clock.sleep(backoff.delay(misses));
+                stop.wait(Some(backoff.delay(misses)));
                 misses = misses.saturating_add(1);
             }
         }

@@ -372,7 +372,7 @@ impl RepairReport {
 /// Under `budget`, each round checks the budget first, every
 /// differential frame charges a step, and the exponential backoff
 /// sleeps through [`Budget::sleep`] so a cancelled request wakes (and
-/// returns) within ~10 ms instead of sleeping out the full clamped
+/// returns) at once instead of sleeping out the full clamped
 /// backoff. With an untripped budget the report does not depend on it.
 ///
 /// # Errors

@@ -18,10 +18,15 @@
 //! polled their private flags before. The first failed check per node
 //! increments one of the `exec.budget.{cancelled,deadline}` counters
 //! so cancellation is visible in `/metrics`.
+//!
+//! Waits block instead: [`Budget::sleep`] and [`CancelToken::wait`]
+//! park on one process-wide condition variable that every cancel
+//! notifies, so a sleeper wakes the moment any node on its chain is
+//! cancelled. Checks never touch it.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Why a [`Budget`] refused further work.
@@ -43,6 +48,20 @@ impl fmt::Display for BudgetError {
 }
 
 impl std::error::Error for BudgetError {}
+
+/// Serializes a cancel's notify against a sleeper's check-then-wait, so
+/// no wake-up falls between them. It guards no data.
+static WAKE_LOCK: Mutex<()> = Mutex::new(());
+/// Notified by every cancel; each waiter re-checks its own chain.
+static WAKE: Condvar = Condvar::new();
+
+/// The earlier of two optional instants (`None`: never).
+fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
 
 #[derive(Debug)]
 struct Inner {
@@ -66,6 +85,29 @@ impl Inner {
             match &cur.parent {
                 Some(p) => cur = p,
                 None => return false,
+            }
+        }
+    }
+
+    fn cancel(&self) {
+        // Relaxed suffices: a waiter re-checks the flag under
+        // `WAKE_LOCK`, which this store precedes.
+        self.cancelled.store(true, Ordering::Relaxed);
+        let _lock = WAKE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        WAKE.notify_all();
+    }
+
+    /// Blocks until this node or an ancestor is cancelled, or until
+    /// `until` passes (`None`: no time limit).
+    fn wait_until(&self, until: Option<Instant>) {
+        let lock = WAKE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let live = |_: &mut ()| !self.is_cancelled();
+        // The lock guards no data, so a poisoned result is as good.
+        match until {
+            None => drop(WAKE.wait_while(lock, live)),
+            Some(t) => {
+                let left = t.saturating_duration_since(Instant::now());
+                drop(WAKE.wait_timeout_while(lock, left, live));
             }
         }
     }
@@ -129,11 +171,10 @@ impl Budget {
     /// Derives a child with a deadline of its own: the child's
     /// effective deadline is `min(parent, own)`.
     pub fn child_with(&self, deadline: Option<Instant>) -> Budget {
-        let deadline = match (self.inner.deadline, deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        Budget::node(Some(Arc::clone(&self.inner)), deadline)
+        Budget::node(
+            Some(Arc::clone(&self.inner)),
+            earliest(self.inner.deadline, deadline),
+        )
     }
 
     /// Bills `n` steps of work to this node and every ancestor, and to
@@ -168,9 +209,10 @@ impl Budget {
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
-    /// Cancels this budget and, transitively, every descendant.
+    /// Cancels this budget and, transitively, every descendant, waking
+    /// every [`Budget::sleep`] and [`CancelToken::wait`] in the subtree.
     pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Relaxed);
+        self.inner.cancel();
     }
 
     /// True when this node or any ancestor has been cancelled.
@@ -207,23 +249,15 @@ impl Budget {
         }
     }
 
-    /// Cancel-aware sleep: naps in short slices, waking early if the
-    /// budget trips. Returns `true` when the full duration elapsed,
-    /// `false` when interrupted. This is what makes repair backoff
+    /// Cancel-aware sleep: blocks until `dur` has passed, the deadline
+    /// passes or a node on the chain is cancelled, whichever comes
+    /// first. Returns `true` when the full duration elapsed, `false`
+    /// when the budget tripped. This is what makes repair backoff
     /// interruptible.
     pub fn sleep(&self, dur: Duration) -> bool {
-        const SLICE: Duration = Duration::from_millis(10);
-        let wake = Instant::now() + dur;
-        loop {
-            if self.exhausted() {
-                return false;
-            }
-            let now = Instant::now();
-            if now >= wake {
-                return true;
-            }
-            std::thread::sleep((wake - now).min(SLICE));
-        }
+        let wake = Instant::now().checked_add(dur);
+        self.inner.wait_until(earliest(wake, self.inner.deadline));
+        !self.exhausted()
     }
 }
 
@@ -236,20 +270,31 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
-    /// A standalone token with no deadline (the serve stop flag, the
-    /// stdin watcher).
+    /// A standalone token with no deadline: a server's stop signal,
+    /// which `POST /admin/shutdown`, the CLI's stdin watcher and the
+    /// server's own shutdown cancel, and which the server's wait and a
+    /// cluster worker's heartbeat loop block on.
     pub fn new() -> CancelToken {
         Budget::unbounded().token()
     }
 
     /// Cancels the underlying budget node and all its descendants.
     pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Relaxed);
+        self.inner.cancel();
     }
 
     /// True when the node or any ancestor has been cancelled.
     pub fn is_cancelled(&self) -> bool {
         self.inner.is_cancelled()
+    }
+
+    /// Blocks until the node or an ancestor is cancelled, or until
+    /// `timeout` has passed (`None` waits without limit). Returns
+    /// [`CancelToken::is_cancelled`]. The node's deadline plays no part.
+    pub fn wait(&self, timeout: Option<Duration>) -> bool {
+        self.inner
+            .wait_until(timeout.and_then(|t| Instant::now().checked_add(t)));
+        self.is_cancelled()
     }
 }
 
@@ -342,5 +387,48 @@ mod tests {
         assert!(!c.sleep(Duration::from_secs(30)));
         assert!(t0.elapsed() < Duration::from_secs(5));
         h.join().unwrap();
+    }
+
+    #[test]
+    fn cancelling_an_ancestor_wakes_descendant_sleeps_and_token_waits() {
+        let root = Budget::unbounded();
+        let mid = root.child();
+        let sleeper = mid.child();
+        let waiter = mid.child().token();
+        let (started, ready) = std::sync::mpsc::channel();
+        let sleeping = {
+            let started = started.clone();
+            std::thread::spawn(move || {
+                started.send(()).unwrap();
+                sleeper.sleep(Duration::from_secs(30))
+            })
+        };
+        let waiting = std::thread::spawn(move || {
+            started.send(()).unwrap();
+            waiter.wait(None)
+        });
+        ready.recv().unwrap();
+        ready.recv().unwrap();
+        // Either order of cancel and park must end both waits; the pause
+        // makes the parked one the likely case.
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        root.cancel();
+        assert!(
+            !sleeping.join().unwrap(),
+            "the sleep must report the cancel"
+        );
+        assert!(waiting.join().unwrap(), "the wait must report the cancel");
+        assert!(t0.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn sleep_ends_at_the_deadline_and_a_token_wait_at_its_timeout() {
+        let t0 = Instant::now();
+        let b = Budget::with_timeout(Duration::from_millis(20));
+        assert!(!b.sleep(Duration::from_secs(30)));
+        assert_eq!(b.check(), Err(BudgetError::DeadlineExpired));
+        assert!(!CancelToken::new().wait(Some(Duration::from_millis(5))));
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 }

@@ -28,7 +28,9 @@
 //! drains every queued and in-flight request, then joins, so no
 //! accepted request is ever dropped. (The stop token is deliberately
 //! *not* an ancestor of request budgets: draining means in-flight
-//! requests run to completion under their own deadlines.)
+//! requests run to completion under their own deadlines.) Nothing
+//! polls: the accept thread blocks in `accept`, and shutdown wakes it
+//! with one connection of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +40,7 @@ pub mod handlers;
 pub mod http;
 
 use std::io::{self, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -58,8 +60,9 @@ use http::{Limits, Response};
 /// invisible rather than misparsed.
 pub const HARDEN_KEY_VERSION: u32 = 2;
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// How long the accept loop backs off after an accept error (out of
+/// descriptors, say), which returns at once and would otherwise spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Per-read socket timeout: a peer that stops sending mid-request
 /// (slowloris) costs a worker at most this long.
@@ -139,25 +142,6 @@ struct Job {
     accepted_at: Instant,
 }
 
-/// A cloneable handle that can request shutdown from another thread
-/// (the CLI's stdin watcher, signal-ish glue).
-#[derive(Clone)]
-pub struct StopHandle(Arc<Shared>);
-
-impl StopHandle {
-    /// Requests a graceful shutdown: stop accepting, drain, exit.
-    pub fn stop(&self) {
-        self.0.stop.cancel();
-    }
-
-    /// True once shutdown has been requested, whether through this
-    /// handle, `POST /admin/shutdown` or [`Server::shutdown`]. The
-    /// CLI's stdin watcher polls this to know when to stop watching.
-    pub fn is_stopped(&self) -> bool {
-        self.0.stop.is_cancelled()
-    }
-}
-
 /// A running server; dropping it shuts down gracefully if
 /// [`Server::shutdown`]/[`Server::wait`] have not run already.
 pub struct Server {
@@ -184,7 +168,6 @@ impl Server {
     /// the built-in routes on every request.
     pub fn start_with_router(cfg: ServeConfig, router: Option<Router>) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         // One collector serves `/metrics`, the shutdown digest and the
@@ -248,33 +231,37 @@ impl Server {
         &self.shared.metrics
     }
 
-    /// A handle other threads can use to request shutdown.
-    pub fn stop_handle(&self) -> StopHandle {
-        StopHandle(Arc::clone(&self.shared))
+    /// The server's stop token: cancelling it requests a graceful
+    /// shutdown, as `POST /admin/shutdown` does.
+    pub fn stop_handle(&self) -> CancelToken {
+        self.shared.stop.clone()
     }
 
-    /// Blocks until shutdown is requested (`POST /admin/shutdown` or a
-    /// [`StopHandle`]), then drains and joins. Returns a metrics digest.
+    /// Blocks until shutdown is requested (`POST /admin/shutdown` or the
+    /// [`Server::stop_handle`] token), then drains and joins. Returns a
+    /// metrics digest.
     pub fn wait(mut self) -> String {
-        while !self.shared.stop.is_cancelled() {
-            thread::sleep(Duration::from_millis(25));
-        }
+        self.shared.stop.wait(None);
         self.join_all()
     }
 
     /// Requests shutdown, drains every queued and in-flight request,
     /// joins the pool. Returns a metrics digest.
     pub fn shutdown(mut self) -> String {
-        self.shared.stop.cancel();
         self.join_all()
     }
 
+    /// Where every shutdown path ends: stops the server, drains it and
+    /// joins its threads.
     fn join_all(&mut self) -> String {
-        // The accept thread exits on the stop token and drops its pool
-        // handle; dropping ours then closes the queue, drains every
-        // admitted job and joins the workers (`Pool`'s drop contract).
-        // Nothing accepted is dropped.
+        self.shared.stop.cancel();
+        // The accept thread blocks in `accept`: one connection wakes it
+        // to see the stop, and it exits without serving that connection
+        // and drops its pool handle. Dropping ours then closes the
+        // queue, drains every admitted job and joins the workers
+        // (`Pool`'s drop contract). Nothing accepted is dropped.
         if let Some(h) = self.accept.take() {
+            let _ = TcpStream::connect(wake_addr(self.addr));
             let _ = h.join();
         }
         drop(self.pool.take());
@@ -300,26 +287,40 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         if !self.joined {
-            self.shared.stop.cancel();
             let _ = self.join_all();
         }
     }
 }
 
+/// The address a shutdown connects to in order to wake `accept`: the
+/// bound address, with a wildcard IP (`0.0.0.0`, `[::]`) replaced by
+/// its family's loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, pool: &Pool) {
-    while !shared.stop.is_cancelled() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.is_cancelled() {
+            // Shutdown's wake connection, or a client racing it: the
+            // listener closes without serving it, uncounted.
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 sttlock_obs::counter("serve.accepted", 1);
-                // The accepted socket may inherit the listener's
-                // non-blocking mode; workers want blocking reads.
-                let _ = stream.set_nonblocking(false);
                 // One-shot request/response: Nagle only adds latency.
                 let _ = stream.set_nodelay(true);
                 submit(shared, pool, stream);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }

@@ -589,3 +589,42 @@ fn admin_shutdown_drains_via_wait() {
     assert!(digest.contains("counters"), "{digest}");
     assert_eq!(metrics.counter_value("serve.accepted"), 1);
 }
+
+#[test]
+fn idle_servers_stop_promptly_on_every_path_and_never_count_the_wake() {
+    let _guard = serial();
+    // `0.0.0.0` is reached through its family's loopback, both by the
+    // admin request here and by the server's own wake connection.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        stops_promptly(bind, "shutdown()", 0, |s| drop(s.shutdown()));
+        stops_promptly(bind, "Drop", 0, drop);
+        stops_promptly(bind, "wait() after POST /admin/shutdown", 1, |s| {
+            let admin = format!("127.0.0.1:{}", s.addr().port());
+            assert_eq!(post(&admin, "/admin/shutdown", "").status, 200);
+            drop(s.wait());
+        });
+    }
+}
+
+/// Starts an idle server on `bind` and stops it through `stop`, which
+/// must take under a second and count only the `requests` it sends.
+fn stops_promptly(bind: &str, path: &str, requests: u64, stop: impl FnOnce(Server)) {
+    let server = Server::start(ServeConfig {
+        addr: bind.to_owned(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let metrics = server.metrics().clone();
+    let t0 = Instant::now();
+    stop(server);
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "{bind} via {path} took {:?}",
+        t0.elapsed()
+    );
+    assert_eq!(
+        metrics.counter_value("serve.accepted"),
+        requests,
+        "{bind} via {path}: the wake connection must not count"
+    );
+}
