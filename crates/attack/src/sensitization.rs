@@ -49,7 +49,7 @@ use sttlock_netlist::{CircuitView, HybridOverlay, Netlist, Node, NodeId, TruthTa
 use sttlock_sat::encode::{assert_some_difference, encode, equal, miter_pairs};
 use sttlock_sat::{Lit, SatResult, Solver, Var};
 use sttlock_sim::tri::{PartialLut, TriSimulator, TriWord};
-use sttlock_sim::{SimError, Simulator};
+use sttlock_sim::{SimError, Simulator, Tape};
 
 use crate::dispatch::AttackOutcome;
 use crate::error::AttackError;
@@ -394,7 +394,7 @@ fn joint_cluster_stage(
 
     // Base netlist: everything already completed is programmed in. The
     // hypotheses below only differ in LUT configurations, so they share
-    // this base behind an `Arc` and one evaluation order serves all.
+    // this base behind an `Arc` and one compiled tape serves all.
     let mut working = redacted.clone();
     for (&id, g) in &state.gates {
         if let Some(t) = g.table() {
@@ -402,7 +402,7 @@ fn joint_cluster_stage(
         }
     }
     let base = Arc::new(working);
-    let order = CircuitView::new(&base).topo_order_arc();
+    let tape = Tape::of(&CircuitView::new(&base));
 
     // One concrete netlist per joint hypothesis, expressed as a sparse
     // overlay over the shared base and materialized for SAT encoding.
@@ -449,9 +449,9 @@ fn joint_cluster_stage(
         state.test_clocks += 64;
         budget.charge(64);
         alive.retain(|&c| {
-            // All candidates are structure-identical to the base, so the
-            // precomputed order is valid for each of them.
-            let mut sim = match Simulator::with_order(&candidates[c], Arc::clone(&order)) {
+            // All candidates differ from the base in LUT contents only,
+            // so the base's tape runs each of them.
+            let mut sim = match Simulator::with_tape(&candidates[c], Arc::clone(&tape)) {
                 Ok(sim) => sim,
                 Err(_) => return false,
             };

@@ -41,31 +41,45 @@ use rand::SeedableRng;
 
 use sttlock_attack::estimate;
 use sttlock_benchgen::{profiles, Profile};
-use sttlock_core::{verify_and_repair, Flow, FlowError, FlowOutcome, RepairConfig};
+use sttlock_core::{
+    verify_and_repair, Baseline, Flow, FlowError, FlowOutcome, FlowReport, RepairConfig,
+};
 use sttlock_exec::{panic_message, Budget};
 use sttlock_fault::FaultInjector;
 use sttlock_netlist::{bench_format, Netlist};
 use sttlock_store::Cache;
 use sttlock_techlib::Library;
 
-use crate::cache::{self, cell_key};
+use crate::cache::{self, cell_key, CacheKey};
 use crate::journal::{self, Journal};
 use crate::record::{AttackMetrics, FlowMetrics, RepairMetrics, RunRecord, RunStatus};
 use crate::{circuit_seed, AttackKind, CampaignSpec, Cell, CircuitSpec};
 
-/// Shared generation pool: one immutable netlist per (circuit, seed),
-/// built once and handed to every grid cell that needs it. The grid
-/// crosses circuits×seeds with algorithms×attacks, so without the pool
-/// each circuit is regenerated for every algorithm/attack combination.
-/// Only successful generations are cached — the fault-injection specs
-/// panic/hang inside the isolation boundary before reaching the pool.
-type GenPool = Arc<Mutex<HashMap<(String, u64), Arc<Netlist>>>>;
+/// Shared generation pool: one [`Slot`] per (circuit, seed), handed to
+/// every grid cell that needs it. The grid crosses circuits×seeds with
+/// algorithms×attacks, so without the pool each circuit would be
+/// regenerated, and its baseline rebuilt, for every algorithm/attack
+/// combination. The fault-injection specs panic/hang inside the
+/// isolation boundary before reaching a slot.
+type GenPool = Arc<Mutex<HashMap<(String, u64), Arc<Mutex<Slot>>>>>;
+
+/// One (circuit, seed) entry of the [`GenPool`]: the generated netlist,
+/// then — once a cell runs the flow — its [`Baseline`]. Each part is
+/// built once, under the slot's lock: a lane reaching the slot while
+/// another builds waits for it instead of doing the same work. A build
+/// that fails (a cancelled baseline, a panic) leaves its part empty,
+/// and the next cell builds it.
+#[derive(Default)]
+struct Slot {
+    netlist: Option<Arc<Netlist>>,
+    baseline: Option<Arc<Baseline>>,
+}
 
 /// Locks a campaign mutex, recovering the guard when a panicking cell
 /// poisoned it. Every campaign mutex protects data that stays valid
 /// across an unwind (an append-only file handle, `Option` result slots,
-/// an insert-only pool), so recovery is always sound; each recovery is
-/// counted as `campaign.poison_recovered`.
+/// an insert-only pool, a pool slot's `Option` parts), so recovery is
+/// always sound; each recovery is counted as `campaign.poison_recovered`.
 fn recover_lock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(|poisoned| {
         sttlock_obs::counter("campaign.poison_recovered", 1);
@@ -386,23 +400,20 @@ pub fn cell_journal_key(cell: &Cell) -> String {
 
 /// Generates the circuit for a cell (the fault-injection cells fault
 /// here, inside the isolation boundary), serving repeats of the same
-/// (circuit, seed) pair from the shared pool.
+/// (circuit, seed) pair from its pool slot. Returns the slot, for the
+/// baseline, with the netlist.
 ///
 /// The pool key includes the full spec debug form, not just the name:
 /// two `Custom` specs sharing a name but differing in shape must not
-/// collide. The lock is never held across generation, so concurrent
-/// first-generations of the same pair may race — generation is
-/// deterministic per (spec, seed), making the duplicate work harmless.
+/// collide. The pool lock is held only to find the slot; generation
+/// runs under the slot's own lock, so a second lane needing the same
+/// circuit waits for the first rather than generating it again.
 fn generate(
     circuit: &CircuitSpec,
     seed: u64,
     pool: &GenPool,
     budget: &Budget,
-) -> Result<Arc<Netlist>, String> {
-    let key = (format!("{circuit:?}"), seed);
-    if let Some(hit) = recover_lock(pool).get(&key) {
-        return Ok(Arc::clone(hit));
-    }
+) -> Result<(Arc<Mutex<Slot>>, Arc<Netlist>), String> {
     let profile = match circuit {
         CircuitSpec::Profile(name) => {
             profiles::by_name(name).ok_or_else(|| format!("unknown benchmark profile `{name}`"))?
@@ -444,10 +455,40 @@ fn generate(
             panic!("injected poison cell");
         }
     };
-    let mut rng = StdRng::seed_from_u64(circuit_seed(seed, circuit.name()));
-    let netlist = Arc::new(profile.generate(&mut rng));
-    recover_lock(pool).insert(key, Arc::clone(&netlist));
-    Ok(netlist)
+    let key = (format!("{circuit:?}"), seed);
+    let slot = Arc::clone(recover_lock(pool).entry(key).or_default());
+    let mut parts = recover_lock(&slot);
+    let netlist = match &parts.netlist {
+        Some(hit) => Arc::clone(hit),
+        None => {
+            let mut rng = StdRng::seed_from_u64(circuit_seed(seed, circuit.name()));
+            let netlist = Arc::new(profile.generate(&mut rng));
+            parts.netlist = Some(Arc::clone(&netlist));
+            netlist
+        }
+    };
+    drop(parts);
+    Ok((slot, netlist))
+}
+
+/// The baseline of the slot's netlist at `seed`, built by the first
+/// cell that needs it (under the slot's lock, billed to that cell's
+/// budget) and shared by every later one. A failed build leaves the slot
+/// without a baseline for the next cell to build.
+fn baseline(
+    flow: &Flow,
+    slot: &Mutex<Slot>,
+    netlist: &Arc<Netlist>,
+    seed: u64,
+    budget: &Budget,
+) -> Result<Arc<Baseline>, FlowError> {
+    let mut parts = recover_lock(slot);
+    if let Some(hit) = &parts.baseline {
+        return Ok(Arc::clone(hit));
+    }
+    let built = Arc::new(flow.baseline(Arc::clone(netlist), seed, budget)?);
+    parts.baseline = Some(Arc::clone(&built));
+    Ok(built)
 }
 
 /// Runs one cell to completion: generate → cache probe → flow → attack.
@@ -464,7 +505,7 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
         ..RunRecord::for_cell(cell, status)
     };
 
-    let netlist = {
+    let (slot, netlist) = {
         let _s = sttlock_obs::span!("cell.generate");
         match generate(&cell.circuit, cell.seed, pool, budget) {
             Ok(n) => n,
@@ -476,24 +517,11 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
     }
 
     // The key covers the cell descriptor and the generated circuit text,
-    // so a generator change invalidates exactly the affected cells. The
-    // fault component joins only when the model can inject something:
-    // a no-op model must hit the same cache entries as a campaign with
-    // no fault axis at all.
-    let mut descriptor = format!(
-        "{}|{}|{}|{}|{}",
-        cell.circuit.name(),
-        cell.algorithm,
-        cell.seed,
-        cell.attack.descriptor(),
-        cell.overrides.descriptor()
-    );
-    if !cell.fault.is_noop() {
-        descriptor.push('|');
-        descriptor.push_str(&cell.fault.descriptor());
-    }
-    let key = cell_key(&descriptor, &bench_format::write(&netlist));
-    if let Some(cache) = cache {
+    // so a generator change invalidates exactly the affected cells. It
+    // serializes the whole netlist, so it is built only when a cache is
+    // open.
+    let cache = cache.map(|cache| (cache, cache_key(cell, &netlist)));
+    if let Some((cache, key)) = cache {
         if let Some(mut hit) = cache::lookup(cache, key) {
             sttlock_obs::counter("campaign.cache_hit", 1);
             hit.cached = true;
@@ -511,7 +539,9 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
     }
     let outcome = {
         let _s = sttlock_obs::span!("cell.flow");
-        match flow.run_budgeted(&netlist, cell.algorithm, cell.seed, budget) {
+        let outcome = baseline(&flow, &slot, &netlist, cell.seed, budget)
+            .and_then(|baseline| flow.run_budgeted(&baseline, cell.algorithm, budget));
+        match outcome {
             Ok(o) => o,
             // A budget trip mid-flow is the runner's abandonment, not a
             // flow defect; the record is discarded either way, but keep
@@ -523,18 +553,7 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
     if budget.is_cancelled() {
         return fail(RunStatus::TimedOut);
     }
-    let report = &outcome.report;
-    let flow_metrics = FlowMetrics {
-        perf_pct: report.performance_degradation_pct,
-        power_pct: report.power_overhead_pct,
-        leakage_pct: report.leakage_overhead_pct,
-        area_pct: report.area_overhead_pct,
-        stt_count: report.stt_count,
-        selection_ms: report.selection_time.as_secs_f64() * 1e3,
-        n_indep_log10: report.security.n_indep.log10(),
-        n_dep_log10: report.security.n_dep.log10(),
-        n_bf_log10: report.security.n_bf.log10(),
-    };
+    let flow_metrics = flow_metrics(&outcome.report);
 
     // The robustness leg: corrupt a clone of the programmed part, then
     // run the self-healing verify-and-repair loop against the golden
@@ -581,10 +600,45 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
         wall_ms: start.elapsed().as_millis() as u64,
         ..RunRecord::for_cell(cell, RunStatus::Ok)
     };
-    if let Some(cache) = cache {
+    if let Some((cache, key)) = cache {
         cache::store(cache, key, &record);
     }
     record
+}
+
+/// A flow report as the record's metrics.
+fn flow_metrics(report: &FlowReport) -> FlowMetrics {
+    FlowMetrics {
+        perf_pct: report.performance_degradation_pct,
+        power_pct: report.power_overhead_pct,
+        leakage_pct: report.leakage_overhead_pct,
+        area_pct: report.area_overhead_pct,
+        stt_count: report.stt_count,
+        selection_ms: report.selection_time.as_secs_f64() * 1e3,
+        n_indep_log10: report.security.n_indep.log10(),
+        n_dep_log10: report.security.n_dep.log10(),
+        n_bf_log10: report.security.n_bf.log10(),
+    }
+}
+
+/// The result-cache key of a cell: its descriptor and its generated
+/// netlist's `.bench` text. The fault component joins only when the
+/// model can inject something: a no-op model must hit the same cache
+/// entries as a campaign with no fault axis at all.
+fn cache_key(cell: &Cell, netlist: &Netlist) -> CacheKey {
+    let mut descriptor = format!(
+        "{}|{}|{}|{}|{}",
+        cell.circuit.name(),
+        cell.algorithm,
+        cell.seed,
+        cell.attack.descriptor(),
+        cell.overrides.descriptor()
+    );
+    if !cell.fault.is_noop() {
+        descriptor.push('|');
+        descriptor.push_str(&cell.fault.descriptor());
+    }
+    cell_key(&descriptor, &bench_format::write(netlist))
 }
 
 /// Runs the cell's fault model: clones the programmed device, corrupts
@@ -1319,6 +1373,95 @@ mod tests {
         assert_eq!(after.len(), 2);
         assert_eq!(after[0].schema, 0);
         assert_eq!(after[1].schema, JOURNAL_SCHEMA_VERSION);
+    }
+
+    #[test]
+    fn two_lanes_share_one_baseline_per_circuit_and_seed() {
+        let _guard = obs_lock();
+        let spec = CampaignSpec {
+            algorithms: sttlock_core::SelectionAlgorithm::ALL.to_vec(),
+            jobs: 2,
+            ..quick_spec(vec![small("share-a"), small("share-b")])
+        };
+        let collector = sttlock_obs::TraceCollector::new();
+        sttlock_obs::install(collector.clone());
+        let shared = execute(&spec);
+        sttlock_obs::uninstall();
+
+        // Other tests' campaigns may trace into the same collector: keep
+        // the activity spans under this grid's cells.
+        use sttlock_obs::{FieldValue, SpanData};
+        fn cell_circuit<'a>(
+            by_id: &HashMap<u64, &'a SpanData>,
+            mut span: &'a SpanData,
+        ) -> Option<String> {
+            while span.name != "campaign.cell" {
+                span = by_id.get(&span.parent?)?;
+            }
+            span.fields.iter().find_map(|(k, v)| match v {
+                FieldValue::Str(c) if *k == "circuit" => Some(c.clone()),
+                _ => None,
+            })
+        }
+        let spans = collector.spans();
+        let by_id: HashMap<u64, &SpanData> = spans.iter().map(|s| (s.id, s)).collect();
+        let mut built: Vec<String> = spans
+            .iter()
+            .filter(|s| s.name == "flow.activity")
+            .filter_map(|s| cell_circuit(&by_id, s))
+            .filter(|c| c.starts_with("share-"))
+            .collect();
+        built.sort();
+        assert_eq!(
+            built,
+            ["share-a", "share-b"],
+            "one baseline per (circuit, seed)"
+        );
+
+        let serial = execute(&CampaignSpec {
+            jobs: 1,
+            ..spec.clone()
+        });
+        let zeroed_all = |r: &CampaignResult| r.records.iter().map(zeroed).collect::<Vec<_>>();
+        assert_eq!(zeroed_all(&shared), zeroed_all(&serial));
+
+        // Every cell's metrics are those of a standalone flow run.
+        let pool = GenPool::default();
+        let flow = Flow::new(Library::predictive_90nm());
+        for (cell, record) in spec.cells().iter().zip(&shared.records) {
+            let (_, netlist) = generate(&cell.circuit, cell.seed, &pool, &Budget::unbounded())
+                .expect("small circuits generate");
+            let alone = flow.run(&netlist, cell.algorithm, cell.seed).unwrap();
+            let mut want = flow_metrics(&alone.report);
+            want.selection_ms = 0.0;
+            assert_eq!(
+                zeroed(record).flow,
+                Some(want),
+                "{}",
+                cell_journal_key(cell)
+            );
+        }
+    }
+
+    #[test]
+    fn a_cancelled_baseline_build_leaves_the_slot_for_the_next_cell() {
+        let pool = GenPool::default();
+        let (slot, netlist) = generate(&small("slot"), 3, &pool, &Budget::unbounded()).unwrap();
+        let flow = Flow::new(Library::predictive_90nm());
+        let cancelled = Budget::unbounded();
+        cancelled.cancel();
+        assert!(matches!(
+            baseline(&flow, &slot, &netlist, 3, &cancelled),
+            Err(FlowError::Budget(_))
+        ));
+        assert!(recover_lock(&slot).baseline.is_none());
+        let built = baseline(&flow, &slot, &netlist, 3, &Budget::unbounded()).unwrap();
+        // Later cells share it, even under a budget that could build none.
+        let reused = baseline(&flow, &slot, &netlist, 3, &cancelled).unwrap();
+        assert!(Arc::ptr_eq(&built, &reused));
+        // A second generation of the same pair is the pooled netlist.
+        let (again, pooled) = generate(&small("slot"), 3, &pool, &Budget::unbounded()).unwrap();
+        assert!(Arc::ptr_eq(&slot, &again) && Arc::ptr_eq(&netlist, &pooled));
     }
 
     #[test]

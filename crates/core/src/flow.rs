@@ -14,11 +14,11 @@ use sttlock_attack::estimate::security_estimate;
 use sttlock_exec::{Backoff, Budget, BudgetError};
 use sttlock_fault::ProgrammingChannel;
 use sttlock_netlist::{CircuitView, HybridOverlay, Netlist, NodeId, TruthTable};
-use sttlock_power::{analyze_area, analyze_power, OverheadReport};
+use sttlock_power::{analyze_area, analyze_power, OverheadReport, PowerBreakdown};
 use sttlock_sat::equiv::{check_equivalence, EquivResult};
-use sttlock_sim::activity::estimate_activity_with;
-use sttlock_sim::{SimError, Simulator};
-use sttlock_sta::{analyze, analyze_with, performance_degradation_pct};
+use sttlock_sim::activity::{estimate_activity_with, ActivityReport};
+use sttlock_sim::{SimError, Simulator, Tape};
+use sttlock_sta::{analyze, analyze_with, performance_degradation_pct, TimingAnalysis};
 use sttlock_techlib::Library;
 
 use crate::replace;
@@ -104,6 +104,22 @@ impl FlowOutcome {
     }
 }
 
+/// The pure-CMOS side of Table I for one netlist at one seed under one
+/// library: base timing, the switching activity behind the power
+/// columns, base power and base area. It depends on no selection
+/// algorithm, so every algorithm's run over the same (netlist, seed)
+/// starts from the same baseline: [`Flow::baseline`] builds one and
+/// [`Flow::run_budgeted`] runs over it, as often as needed.
+#[derive(Debug, PartialEq)]
+pub struct Baseline {
+    netlist: Arc<Netlist>,
+    seed: u64,
+    timing: TimingAnalysis,
+    activity: ActivityReport,
+    power: PowerBreakdown,
+    area: f64,
+}
+
 /// The security-driven hybrid STT-CMOS design flow (Figure 2).
 ///
 /// Owns the technology library and the selection tunables; [`run`](Flow::run)
@@ -146,45 +162,30 @@ impl Flow {
         algorithm: SelectionAlgorithm,
         seed: u64,
     ) -> Result<FlowOutcome, FlowError> {
-        self.run_budgeted(
-            &Arc::new(netlist.clone()),
-            algorithm,
-            seed,
-            &Budget::unbounded(),
-        )
+        let budget = Budget::unbounded();
+        let baseline = self.baseline(Arc::new(netlist.clone()), seed, &budget)?;
+        self.run_budgeted(&baseline, algorithm, &budget)
     }
 
-    /// [`run`](Flow::run) over a shared base netlist, under a cooperative
-    /// [`Budget`]. The campaign engine holds one `Arc<Netlist>` per
-    /// generated circuit and every worker/algorithm cell runs against it
-    /// without cloning; gate replacement is applied as a copy-on-write
-    /// overlay over the same base.
-    ///
-    /// The budget is checked between stages and inside the selection's
-    /// timing-oracle loop (every cone query checks and charges), so a
-    /// cancelled or expired request stops mid-selection rather than
-    /// running the stage to completion. The activity stage bills its
-    /// simulated vectors. An untripped budget never changes the outcome.
+    /// Builds the [`Baseline`] of a shared base netlist at `seed` under
+    /// this flow's library: base timing and the activity, power and area
+    /// analyses, all sharing one memoized graph view. The activity stage
+    /// simulates its random patterns on the netlist's compiled tape and
+    /// bills them to `budget`.
     ///
     /// # Errors
     ///
-    /// As [`run`](Flow::run), plus [`FlowError::Budget`] when the budget
-    /// trips.
-    pub fn run_budgeted(
+    /// Returns [`FlowError::Simulation`] if the netlist cannot be
+    /// simulated and [`FlowError::Budget`] when the budget trips.
+    pub fn baseline(
         &self,
-        base: &Arc<Netlist>,
-        algorithm: SelectionAlgorithm,
+        netlist: Arc<Netlist>,
         seed: u64,
         budget: &Budget,
-    ) -> Result<FlowOutcome, FlowError> {
-        let netlist: &Netlist = base;
-        let mut rng = StdRng::seed_from_u64(seed);
+    ) -> Result<Baseline, FlowError> {
         budget.check()?;
-
-        // Baseline analyses on the pure-CMOS netlist, all sharing one
-        // memoized graph view (fanout/topo computed once).
-        let view = CircuitView::new(netlist);
-        let base_timing = analyze_with(&view, &self.lib);
+        let view = CircuitView::new(&netlist);
+        let timing = analyze_with(&view, &self.lib);
         let mut activity_rng = StdRng::seed_from_u64(seed ^ 0x5EED_AC71);
         let activity = {
             let _s = sttlock_obs::span!("flow.activity", cycles = ACTIVITY_CYCLES as u64);
@@ -192,13 +193,52 @@ impl Flow {
         };
         // The warm-up cycle plus `ACTIVITY_CYCLES`, 64 vectors each.
         budget.charge(64 * (ACTIVITY_CYCLES as u64 + 1));
-        let base_power = analyze_power(netlist, &self.lib, &activity);
-        let base_area = analyze_area(netlist, &self.lib);
+        let power = analyze_power(&netlist, &self.lib, &activity);
+        let area = analyze_area(&netlist, &self.lib);
         budget.check()?;
+        Ok(Baseline {
+            netlist,
+            seed,
+            timing,
+            activity,
+            power,
+            area,
+        })
+    }
+
+    /// [`run`](Flow::run) over a [`Baseline`], under a cooperative
+    /// [`Budget`]. The campaign engine builds one baseline per generated
+    /// circuit and seed, and every algorithm cell runs over it without
+    /// cloning the netlist or repeating its analyses; gate replacement
+    /// is applied as a copy-on-write overlay over the same base. The
+    /// baseline's seed fixes the random selection. Build the baseline
+    /// with a flow over the same library.
+    ///
+    /// The budget is checked between stages and inside the selection's
+    /// timing-oracle loop (every cone query checks and charges), so a
+    /// cancelled or expired request stops mid-selection rather than
+    /// running the stage to completion. Activity steps are billed where
+    /// the baseline is built, so a run over a reused baseline bills no
+    /// activity steps. An untripped budget never changes the outcome.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::NothingSelected`] if no gate could be selected, and
+    /// [`FlowError::Budget`] when the budget trips.
+    pub fn run_budgeted(
+        &self,
+        baseline: &Baseline,
+        algorithm: SelectionAlgorithm,
+        budget: &Budget,
+    ) -> Result<FlowOutcome, FlowError> {
+        let netlist: &Netlist = &baseline.netlist;
+        let mut rng = StdRng::seed_from_u64(baseline.seed);
+        budget.check()?;
+        let view = CircuitView::new(netlist);
 
         // Selection (timed: this is the Table II measurement). The
-        // baseline analysis above seeds the selection's incremental
-        // timing engine instead of being recomputed.
+        // baseline's timing seeds the selection's incremental timing
+        // engine instead of being recomputed.
         let sel_span = sttlock_obs::span!("flow.selection", algorithm = algorithm.to_string());
         let t0 = Instant::now();
         let selection = select::run(
@@ -207,7 +247,7 @@ impl Flow {
             algorithm,
             &self.selection,
             &mut rng,
-            &base_timing,
+            &baseline.timing,
             budget,
         )?;
         let selection_time = t0.elapsed();
@@ -222,20 +262,24 @@ impl Flow {
         // activity anyway (it is content- and activity-independent).
         let (replaced, hybrid) = {
             let _s = sttlock_obs::span!("flow.replace", gates = selection.gates.len() as u64);
-            let replaced = replace::apply_overlay(base.clone(), &selection);
+            let replaced = replace::apply_overlay(Arc::clone(&baseline.netlist), &selection);
             let hybrid = replaced.overlay.materialize();
             (replaced, hybrid)
         };
         let _analysis = sttlock_obs::span!("flow.analysis");
         let hybrid_timing = analyze(&hybrid, &self.lib);
-        let hybrid_power = analyze_power(&hybrid, &self.lib, &activity);
+        let hybrid_power = analyze_power(&hybrid, &self.lib, &baseline.activity);
         let hybrid_area = analyze_area(&hybrid, &self.lib);
 
-        let overhead = OverheadReport::between(&base_power, base_area, &hybrid_power, hybrid_area);
+        let overhead =
+            OverheadReport::between(&baseline.power, baseline.area, &hybrid_power, hybrid_area);
         let security = security_estimate(&hybrid);
 
         let report = FlowReport {
-            performance_degradation_pct: performance_degradation_pct(&base_timing, &hybrid_timing),
+            performance_degradation_pct: performance_degradation_pct(
+                &baseline.timing,
+                &hybrid_timing,
+            ),
             power_overhead_pct: overhead.power_pct,
             leakage_overhead_pct: overhead.leakage_pct,
             area_overhead_pct: overhead.area_pct,
@@ -401,8 +445,7 @@ pub fn verify_and_repair(
     }
 
     let view = CircuitView::new(golden);
-    let order = view.topo_order_arc();
-    let mut golden_sim = Simulator::with_order(golden, Arc::clone(&order))
+    let mut golden_sim = Simulator::with_view(&view)
         .map_err(|e| FlowError::Verification(format!("golden model is not simulatable: {e}")))?;
     let n_inputs = golden.inputs().len();
     let n_state = golden_sim.dff_ids().len();
@@ -421,12 +464,18 @@ pub fn verify_and_repair(
     let mut initial_mismatches: Option<usize> = None;
     let mut last_suspects: Vec<NodeId> = Vec::new();
     let mut last_mismatches = 0usize;
+    // The device's own tape, compiled in the first round: its LUTs are
+    // gates in the golden model, so the golden tape would simulate the
+    // golden design. Re-programming changes LUT contents only, so later
+    // rounds share it.
+    let mut device_tape: Option<Arc<Tape>> = None;
 
     for round in 0..=cfg.max_retries {
         budget.check()?;
         let mut round_span = sttlock_obs::span!("repair.round", round = round as u64);
         let materialized = device.materialize();
-        let mut device_sim = Simulator::with_order(&materialized, Arc::clone(&order))
+        let tape = device_tape.get_or_insert_with(|| Tape::of(&CircuitView::new(&materialized)));
+        let mut device_sim = Simulator::with_tape(&materialized, Arc::clone(tape))
             .map_err(|e| FlowError::Verification(format!("device is not simulatable: {e}")))?;
 
         // Differential simulation: fresh random frames plus every
@@ -855,8 +904,9 @@ mod tests {
             .run(&n, SelectionAlgorithm::ParametricAware, 7)
             .unwrap();
         let budget = Budget::unbounded();
+        let baseline = flow.baseline(Arc::clone(&n), 7, &budget).unwrap();
         let budgeted = flow
-            .run_budgeted(&n, SelectionAlgorithm::ParametricAware, 7, &budget)
+            .run_budgeted(&baseline, SelectionAlgorithm::ParametricAware, &budget)
             .unwrap();
         assert_eq!(plain.hybrid, budgeted.hybrid);
         assert_eq!(plain.bitstream, budgeted.bitstream);
@@ -864,7 +914,9 @@ mod tests {
 
         let cancelled = Budget::unbounded();
         cancelled.cancel();
-        let err = flow.run_budgeted(&n, SelectionAlgorithm::ParametricAware, 7, &cancelled);
+        let err = flow.baseline(Arc::clone(&n), 7, &cancelled);
+        assert_eq!(err, Err(FlowError::Budget(BudgetError::Cancelled)));
+        let err = flow.run_budgeted(&baseline, SelectionAlgorithm::ParametricAware, &cancelled);
         assert_eq!(err, Err(FlowError::Budget(BudgetError::Cancelled)));
     }
 
@@ -924,6 +976,33 @@ mod tests {
             t0.elapsed() < Duration::from_secs(60),
             "cancel must interrupt the backoff sleep"
         );
+    }
+
+    #[test]
+    fn one_baseline_serves_every_algorithm_and_bills_activity_once() {
+        let n = Arc::new(circuit());
+        let flow = Flow::new(Library::predictive_90nm());
+        let baseline = flow
+            .baseline(Arc::clone(&n), 4, &Budget::unbounded())
+            .unwrap();
+        let activity_steps = 64 * (ACTIVITY_CYCLES as u64 + 1);
+        for alg in SelectionAlgorithm::ALL {
+            let reused = Budget::unbounded();
+            let over = flow.run_budgeted(&baseline, alg, &reused).unwrap();
+            let whole = Budget::unbounded();
+            let own = flow.baseline(Arc::clone(&n), 4, &whole).unwrap();
+            assert_eq!(whole.steps_spent(), activity_steps);
+            let fresh = flow.run_budgeted(&own, alg, &whole).unwrap();
+            let timeless = |o: &FlowOutcome| FlowReport {
+                selection_time: Duration::ZERO,
+                ..o.report
+            };
+            assert_eq!(over.hybrid, fresh.hybrid, "{alg}");
+            assert_eq!(over.bitstream, fresh.bitstream, "{alg}");
+            assert_eq!(timeless(&over), timeless(&fresh), "{alg}");
+            // The reused baseline billed no activity steps.
+            assert_eq!(reused.steps_spent() + activity_steps, whole.steps_spent());
+        }
     }
 
     #[test]

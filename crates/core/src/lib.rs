@@ -55,7 +55,8 @@ pub mod flow;
 mod report;
 
 pub use flow::{
-    verify_and_repair, Flow, FlowError, FlowOutcome, RepairConfig, RepairReport, RepairVerdict,
+    verify_and_repair, Baseline, Flow, FlowError, FlowOutcome, RepairConfig, RepairReport,
+    RepairVerdict,
 };
 pub use oracle::{FullSta, TimingOracle};
 pub use report::FlowReport;

@@ -17,10 +17,15 @@
 //! Copy-on-write edits that *preserve fan-in wiring* (gate ↔ LUT swaps,
 //! LUT reprogramming — everything
 //! [`HybridOverlay`](crate::overlay::HybridOverlay) can express) do not
-//! change any fact computed here, so one view of the base netlist remains
-//! valid for every overlay and every materialized variant of it.
+//! change any graph fact computed here, so the graph facts of one view
+//! of the base netlist remain valid for every overlay and every
+//! materialized variant of it. A [`derived`](CircuitView::derived) fact
+//! states its own rule: the simulator's compiled tape, for one, reads
+//! gate kinds and so serves only variants that differ in LUT contents.
 
-use std::sync::{Arc, OnceLock};
+use std::any::Any;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::graph;
 use crate::id::NodeId;
@@ -40,6 +45,32 @@ pub struct CircuitView<'a> {
     topo: OnceLock<Arc<Vec<NodeId>>>,
     levels: OnceLock<Arc<Vec<u32>>>,
     output_set: OnceLock<Arc<NodeSet>>,
+    derived: Derived,
+}
+
+/// The facts downstream crates derive from the view, at most one per
+/// type.
+#[derive(Default)]
+struct Derived(Mutex<Vec<Arc<dyn Any + Send + Sync>>>);
+
+impl Derived {
+    /// The list, recovered if a panic poisoned its lock: it is only ever
+    /// appended to, so every entry stays valid.
+    fn slots(&self) -> MutexGuard<'_, Vec<Arc<dyn Any + Send + Sync>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn find<T: Any + Send + Sync>(slots: &[Arc<dyn Any + Send + Sync>]) -> Option<Arc<T>> {
+        slots
+            .iter()
+            .find_map(|slot| Arc::clone(slot).downcast::<T>().ok())
+    }
+}
+
+impl fmt::Debug for Derived {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Derived")
+    }
 }
 
 impl<'a> CircuitView<'a> {
@@ -52,6 +83,7 @@ impl<'a> CircuitView<'a> {
             topo: OnceLock::new(),
             levels: OnceLock::new(),
             output_set: OnceLock::new(),
+            derived: Derived::default(),
         }
     }
 
@@ -139,6 +171,25 @@ impl<'a> CircuitView<'a> {
             .get_or_init(|| Arc::new(self.netlist.outputs().iter().copied().collect()))
     }
 
+    /// A fact a downstream crate derives from this view, memoized once
+    /// per type `T`: the first request for `T` runs `init`, and every
+    /// request returns that one value. The simulator keeps each
+    /// netlist's compiled instruction tape here. `init` runs outside any
+    /// lock, so it may query the view; two threads racing on the first
+    /// request both compute, and both get the value stored first.
+    pub fn derived<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> Arc<T> {
+        if let Some(hit) = Derived::find(&self.derived.slots()) {
+            return hit;
+        }
+        let fresh = Arc::new(init());
+        let mut slots = self.derived.slots();
+        if let Some(hit) = Derived::find(&slots) {
+            return hit;
+        }
+        slots.push(Arc::clone(&fresh) as Arc<dyn Any + Send + Sync>);
+        fresh
+    }
+
     /// The transitive fan-in cone of `roots`, crossing flip-flops if
     /// `cross_dffs` is set; the roots included. (Fan-in walks need no
     /// memoized map.)
@@ -206,6 +257,26 @@ mod tests {
             assert!(v.output_set().contains(o));
         }
         assert!(!v.output_set().contains(n.find("g1").unwrap()));
+    }
+
+    #[test]
+    fn derived_facts_are_memoized_once_per_type() {
+        let n = chain();
+        let v = CircuitView::new(&n);
+        let mut runs = 0;
+        let a = v.derived(|| {
+            runs += 1;
+            v.topo_order().len()
+        });
+        let b = v.derived(|| {
+            runs += 1;
+            0usize
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!((*a, runs), (3, 1));
+        // Another type gets its own slot.
+        assert_eq!(*v.derived(|| "other"), "other");
+        assert_eq!(*v.derived::<usize>(|| 9), 3);
     }
 
     #[test]

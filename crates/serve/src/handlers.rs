@@ -162,7 +162,10 @@ fn harden(shared: &Shared, req: &Request, budget: &Budget) -> Response {
     };
     let base = Arc::new(netlist);
     let flow = Flow::new(Library::predictive_90nm());
-    let outcome = match flow.run_budgeted(&base, fr.algorithm, fr.seed, budget) {
+    let outcome = flow
+        .baseline(Arc::clone(&base), fr.seed, budget)
+        .and_then(|baseline| flow.run_budgeted(&baseline, fr.algorithm, budget));
+    let outcome = match outcome {
         Ok(o) => o,
         Err(FlowError::Budget(_)) => {
             sttlock_obs::counter("serve.deadline_missed", 1);
@@ -265,7 +268,10 @@ fn attack(req: &Request, budget: &Budget) -> Response {
         Ok(n) => n,
         Err(resp) => return resp,
     };
-    let outcome = match flow.run_budgeted(&Arc::new(netlist), fr.algorithm, fr.seed, budget) {
+    let outcome = flow
+        .baseline(Arc::new(netlist), fr.seed, budget)
+        .and_then(|baseline| flow.run_budgeted(&baseline, fr.algorithm, budget));
+    let outcome = match outcome {
         Ok(o) => o,
         Err(FlowError::Budget(_)) => {
             sttlock_obs::counter("serve.deadline_missed", 1);

@@ -56,8 +56,8 @@ pub fn estimate_activity<R: Rng + ?Sized>(
     estimate_activity_with(&CircuitView::new(netlist), cycles, rng)
 }
 
-/// [`estimate_activity`] over a shared [`CircuitView`], reusing its
-/// memoized evaluation order instead of recomputing it.
+/// [`estimate_activity`] over a shared [`CircuitView`], running the
+/// tape compiled (once) in the view.
 pub fn estimate_activity_with<R: Rng + ?Sized>(
     view: &CircuitView<'_>,
     cycles: usize,
@@ -66,29 +66,26 @@ pub fn estimate_activity_with<R: Rng + ?Sized>(
     assert!(cycles > 0, "need at least one cycle");
     let netlist = view.netlist();
     let mut sim = Simulator::with_view(view)?;
-    let n = netlist.len();
-    let mut toggles = vec![0u64; n];
-    let mut prev: Vec<u64> = vec![0; n];
+    let mut toggles = vec![0u64; netlist.len()];
     let mut inputs = vec![0u64; netlist.inputs().len()];
 
     // Warm-up cycle establishes the baseline values.
     for w in inputs.iter_mut() {
         *w = rng.gen();
     }
-    sim.step(&inputs)?;
-    for (i, t) in prev.iter_mut().enumerate() {
-        *t = sim.value(NodeId::from_index(i));
-    }
+    sim.eval_comb(&inputs)?;
+    sim.clock();
+    let mut prev: Vec<u64> = sim.values().to_vec();
 
     for _ in 0..cycles {
         for w in inputs.iter_mut() {
             *w = rng.gen();
         }
-        sim.step(&inputs)?;
-        for i in 0..n {
-            let cur = sim.value(NodeId::from_index(i));
-            toggles[i] += (cur ^ prev[i]).count_ones() as u64;
-            prev[i] = cur;
+        sim.eval_comb(&inputs)?;
+        sim.clock();
+        for ((t, p), &cur) in toggles.iter_mut().zip(prev.iter_mut()).zip(sim.values()) {
+            *t += u64::from((cur ^ *p).count_ones());
+            *p = cur;
         }
     }
 

@@ -1,9 +1,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sttlock_netlist::{CircuitView, GateKind, Netlist, Node, NodeId, TruthTable};
+use sttlock_netlist::{CircuitView, Netlist, Node, NodeId, TruthTable, MAX_LUT_INPUTS};
 
 use crate::error::SimError;
+use crate::tape::{Instr, Masks, Tape, LUT, OPS};
 use crate::tri::PartialLut;
 
 /// A 64-lane value domain the [`Engine`] evaluates in: what differs
@@ -18,8 +19,10 @@ pub trait Logic: Copy + PartialEq + std::fmt::Debug {
     /// A fully known word: primary inputs, constants and scan state.
     fn known(word: u64) -> Self;
 
-    /// A standard cell over its fan-in values, in one pass.
-    fn gate(kind: GateKind, fanin: impl Iterator<Item = Self>) -> Self;
+    /// One two-input tape instruction: the AND, OR or XOR of `a` and `b`
+    /// that `masks` picks, inverted on the lanes `masks.invert` sets.
+    /// Evaluated by mask arithmetic alone, with no branch on the op.
+    fn op(a: Self, b: Self, masks: &Masks) -> Self;
 
     /// A programmed LUT over its fan-in values.
     fn lut(table: &TruthTable, fanin: &[Self]) -> Self;
@@ -40,18 +43,8 @@ impl Logic for u64 {
     }
 
     #[inline]
-    fn gate(kind: GateKind, mut it: impl Iterator<Item = u64>) -> u64 {
-        use GateKind::*;
-        match kind {
-            Buf => it.next().unwrap_or(0),
-            Not => !it.next().unwrap_or(0),
-            And => it.fold(u64::MAX, |a, b| a & b),
-            Nand => !it.fold(u64::MAX, |a, b| a & b),
-            Or => it.fold(0, |a, b| a | b),
-            Nor => !it.fold(0, |a, b| a | b),
-            Xor => it.fold(0, |a, b| a ^ b),
-            Xnor => !it.fold(0, |a, b| a ^ b),
-        }
+    fn op(a: u64, b: u64, m: &Masks) -> u64 {
+        ((a & b & m.and) | ((a | b) & m.or) | ((a ^ b) & m.xor)) ^ m.invert
     }
 
     #[inline]
@@ -71,25 +64,28 @@ impl Logic for u64 {
 /// through [`Simulator`](crate::Simulator) (two-valued, flip-flops power
 /// up at 0) or [`TriSimulator`](crate::tri::TriSimulator) (0/1/X,
 /// flip-flops power up at X).
+///
+/// Every evaluation runs the netlist's compiled [`Tape`]: sources are
+/// loaded from precomputed lists, then the instructions run in order.
 #[derive(Debug, Clone)]
 pub struct Engine<'a, V: Logic> {
     netlist: &'a Netlist,
-    order: Arc<Vec<NodeId>>,
+    tape: Arc<Tape>,
     /// Current net values, one word per node.
     values: Vec<V>,
-    /// Registered state for DFF nodes (indexed like `values`; other
-    /// entries are unused).
+    /// Registered state, one word per flip-flop in arena order.
     state: Vec<V>,
-    /// Overrides sorted by node id: the node's value is pinned to the
-    /// given word in every evaluation (all 64 lanes independently, so a
-    /// lane mask can model per-lane faults).
-    forces: Vec<(NodeId, V)>,
+    /// Overrides as `(tape position, node, word)`, sorted: the node's
+    /// value is pinned to the word in every evaluation, written just past
+    /// the node's last instruction so its whole fan-out reads it (all 64
+    /// lanes independently, so a lane mask can model per-lane faults).
+    forces: Vec<(u32, NodeId, V)>,
     /// Partial truth-table knowledge of redacted LUTs.
     partial: HashMap<NodeId, PartialLut>,
 }
 
 impl<'a, V: Logic> Engine<'a, V> {
-    /// Prepares an engine for `netlist`.
+    /// Prepares an engine for `netlist`, compiling its tape.
     ///
     /// # Errors
     ///
@@ -100,30 +96,43 @@ impl<'a, V: Logic> Engine<'a, V> {
         Self::with_view(&CircuitView::new(netlist))
     }
 
-    /// Prepares an engine against a shared [`CircuitView`], reusing its
-    /// memoized topological order instead of recomputing one.
+    /// Prepares an engine against a shared [`CircuitView`], running the
+    /// tape memoized there (compiled on the view's first engine).
     ///
     /// # Errors
     ///
     /// As [`new`](Engine::new).
     pub fn with_view(view: &CircuitView<'a>) -> Result<Self, SimError> {
-        Self::with_order(view.netlist(), view.topo_order_arc())
+        Self::build(view.netlist(), Tape::of(view))
     }
 
-    /// Prepares an engine from an explicit topological order — for
-    /// callers holding many structure-identical netlist variants (e.g.
-    /// the attack's hypothesis candidates) that share one order.
-    ///
-    /// The order must be a valid topological order of `netlist`'s
-    /// combinational nodes, which holds for any netlist produced by
-    /// wiring-preserving edits of the netlist the order came from.
+    /// Prepares an engine that runs an already compiled tape — for
+    /// callers holding many variants of one netlist that differ only in
+    /// LUT contents (e.g. the attack's hypothesis candidates), which
+    /// share the tape instead of compiling one each. See [`Tape`] for
+    /// which variants may share one.
     ///
     /// # Errors
     ///
-    /// As [`new`](Engine::new).
-    pub fn with_order(netlist: &'a Netlist, order: Arc<Vec<NodeId>>) -> Result<Self, SimError> {
+    /// As [`new`](Engine::new), plus [`SimError::TapeMismatch`] if
+    /// `netlist` disagrees with the tape's netlist on its node count,
+    /// outputs or LUT nodes.
+    pub fn with_tape(netlist: &'a Netlist, tape: Arc<Tape>) -> Result<Self, SimError> {
+        if !tape.fits(netlist) {
+            return Err(SimError::TapeMismatch {
+                netlist: netlist.name().to_owned(),
+            });
+        }
+        Self::build(netlist, tape)
+    }
+
+    fn build(netlist: &'a Netlist, tape: Arc<Tape>) -> Result<Self, SimError> {
         if !V::REDACTED_LUTS {
-            if let Some(id) = netlist.first_unprogrammed_lut() {
+            if let Some(&id) = tape
+                .luts
+                .iter()
+                .find(|&&id| netlist.lut_config(id).is_none())
+            {
                 return Err(SimError::UnprogrammedLut {
                     name: netlist.node_name(id).to_owned(),
                 });
@@ -131,9 +140,9 @@ impl<'a, V: Logic> Engine<'a, V> {
         }
         Ok(Engine {
             netlist,
-            order,
             values: vec![V::POWER_UP; netlist.len()],
-            state: vec![V::POWER_UP; netlist.len()],
+            state: vec![V::POWER_UP; tape.dffs.len()],
+            tape,
             forces: Vec::new(),
             partial: HashMap::new(),
         })
@@ -155,6 +164,11 @@ impl<'a, V: Logic> Engine<'a, V> {
         self.values[id.index()]
     }
 
+    /// Every net's current value word, indexed by [`NodeId::index`].
+    pub(crate) fn values(&self) -> &[V] {
+        &self.values
+    }
+
     /// Pins the node's value to `word` in every subsequent evaluation —
     /// masked (faulty) evaluation of stuck-at nodes, or an attack's
     /// hypothesis for a missing gate, without editing the netlist. Bit
@@ -162,15 +176,23 @@ impl<'a, V: Logic> Engine<'a, V> {
     /// in only some pattern streams. Replaces any earlier force on the
     /// same node.
     pub fn force(&mut self, id: NodeId, word: V) {
-        match self.forces.binary_search_by_key(&id, |&(n, _)| n) {
-            Ok(k) => self.forces[k].1 = word,
-            Err(k) => self.forces.insert(k, (id, word)),
+        let key = (self.tape.end[id.index()], id);
+        match self
+            .forces
+            .binary_search_by_key(&key, |&(at, n, _)| (at, n))
+        {
+            Ok(k) => self.forces[k].2 = word,
+            Err(k) => self.forces.insert(k, (key.0, id, word)),
         }
     }
 
     /// Removes the force on `id`, if any.
     pub fn unforce(&mut self, id: NodeId) {
-        if let Ok(k) = self.forces.binary_search_by_key(&id, |&(n, _)| n) {
+        let key = (self.tape.end[id.index()], id);
+        if let Ok(k) = self
+            .forces
+            .binary_search_by_key(&key, |&(at, n, _)| (at, n))
+        {
             self.forces.remove(k);
         }
     }
@@ -178,14 +200,6 @@ impl<'a, V: Logic> Engine<'a, V> {
     /// Removes every force.
     pub fn clear_forces(&mut self) {
         self.forces.clear();
-    }
-
-    /// The override for `id`, if one is active.
-    fn forced(&self, id: NodeId) -> Option<V> {
-        self.forces
-            .binary_search_by_key(&id, |&(n, _)| n)
-            .ok()
-            .map(|k| self.forces[k].1)
     }
 
     /// Registers partial truth-table knowledge for a redacted LUT; its
@@ -204,61 +218,57 @@ impl<'a, V: Logic> Engine<'a, V> {
     /// Returns [`SimError::InputCountMismatch`] if `inputs` does not have
     /// one word per primary input.
     pub fn eval_comb(&mut self, inputs: &[u64]) -> Result<(), SimError> {
-        let pis = self.netlist.inputs();
-        if inputs.len() != pis.len() {
+        self.check_inputs(inputs)?;
+        self.eval(inputs);
+        Ok(())
+    }
+
+    fn check_inputs(&self, inputs: &[u64]) -> Result<(), SimError> {
+        let expected = self.netlist.inputs().len();
+        if inputs.len() != expected {
             return Err(SimError::InputCountMismatch {
-                expected: pis.len(),
+                expected,
                 got: inputs.len(),
             });
         }
-        for (&pi, &word) in pis.iter().zip(inputs) {
-            self.values[pi.index()] = V::known(word);
-        }
-        for (id, node) in self.netlist.iter() {
-            match node {
-                Node::Const(v) => self.values[id.index()] = V::known(if *v { u64::MAX } else { 0 }),
-                Node::Dff { .. } => self.values[id.index()] = self.state[id.index()],
-                _ => {}
-            }
-        }
-        if !self.forces.is_empty() {
-            for &(id, word) in &self.forces {
-                self.values[id.index()] = word;
-            }
-        }
-        let mut scratch: Vec<V> = Vec::with_capacity(8);
-        for &id in self.order.iter() {
-            let mut out = match self.netlist.node(id) {
-                Node::Gate { kind, fanin } => {
-                    V::gate(*kind, fanin.iter().map(|f| self.values[f.index()]))
-                }
-                Node::Lut { fanin, config } => {
-                    scratch.clear();
-                    scratch.extend(fanin.iter().map(|f| self.values[f.index()]));
-                    match config {
-                        Some(table) => V::lut(table, &scratch),
-                        None => V::redacted(self.partial.get(&id), &scratch),
-                    }
-                }
-                _ => continue,
-            };
-            if !self.forces.is_empty() {
-                if let Some(word) = self.forced(id) {
-                    out = word;
-                }
-            }
-            self.values[id.index()] = out;
-        }
         Ok(())
+    }
+
+    /// Loads the sources and runs the tape, writing each force just past
+    /// its node's last instruction. `inputs` has been checked.
+    fn eval(&mut self, inputs: &[u64]) {
+        let Engine {
+            netlist,
+            tape,
+            values,
+            state,
+            forces,
+            partial,
+        } = self;
+        for (&pi, &word) in netlist.inputs().iter().zip(inputs) {
+            values[pi.index()] = V::known(word);
+        }
+        for &(id, word) in &tape.consts {
+            values[id.index()] = V::known(word);
+        }
+        for (&ff, &word) in tape.dffs.iter().zip(state.iter()) {
+            values[ff.index()] = word;
+        }
+        let mut pc = 0;
+        for &(at, id, word) in forces.iter() {
+            let at = at as usize;
+            exec(netlist, partial, values, &tape.instrs[pc..at]);
+            values[id.index()] = word;
+            pc = at;
+        }
+        exec(netlist, partial, values, &tape.instrs[pc..]);
     }
 
     /// Clocks every flip-flop: the D values computed by the last
     /// [`eval_comb`](Engine::eval_comb) become the new state.
     pub fn clock(&mut self) {
-        for (id, node) in self.netlist.iter() {
-            if let Node::Dff { d } = node {
-                self.state[id.index()] = self.values[d.index()];
-            }
+        for (s, d) in self.state.iter_mut().zip(self.tape.d_pins()) {
+            *s = self.values[d.index()];
         }
     }
 
@@ -271,9 +281,7 @@ impl<'a, V: Logic> Engine<'a, V> {
     /// Returns [`SimError::InputCountMismatch`] on an input arity mismatch.
     pub fn step(&mut self, inputs: &[u64]) -> Result<Vec<V>, SimError> {
         self.eval_comb(inputs)?;
-        let outs = self
-            .netlist
-            .outputs()
+        let outs = self.tape.observed[..self.tape.outputs]
             .iter()
             .map(|&o| self.values[o.index()])
             .collect();
@@ -295,11 +303,7 @@ impl<'a, V: Logic> Engine<'a, V> {
     /// Flip-flop ids in arena order — the state vector layout used by
     /// [`eval_frame`](Engine::eval_frame).
     pub fn dff_ids(&self) -> Vec<NodeId> {
-        self.netlist
-            .iter()
-            .filter(|(_, n)| n.is_dff())
-            .map(|(id, _)| id)
-            .collect()
+        self.tape.dffs.clone()
     }
 
     /// Single-frame (full-scan) evaluation: flip-flop outputs are set to
@@ -313,43 +317,88 @@ impl<'a, V: Logic> Engine<'a, V> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InputCountMismatch`] if `inputs` or `state`
-    /// have the wrong length (the error reports the input mismatch).
+    /// Returns [`SimError::InputCountMismatch`] if `inputs` and
+    /// [`SimError::StateCountMismatch`] if `state` has the wrong length.
+    /// Both are checked before anything is written, so a failed call
+    /// leaves the engine as it was.
     pub fn eval_frame(&mut self, inputs: &[u64], state: &[u64]) -> Result<(), SimError> {
-        let dffs = self.dff_ids();
-        if state.len() != dffs.len() {
-            return Err(SimError::InputCountMismatch {
-                expected: dffs.len(),
+        self.check_inputs(inputs)?;
+        if state.len() != self.state.len() {
+            return Err(SimError::StateCountMismatch {
+                expected: self.state.len(),
                 got: state.len(),
             });
         }
-        for (&ff, &w) in dffs.iter().zip(state) {
-            self.state[ff.index()] = V::known(w);
+        for (s, &word) in self.state.iter_mut().zip(state) {
+            *s = V::known(word);
         }
-        self.eval_comb(inputs)
-    }
-
-    /// The nets the full-scan model observes, in
-    /// [`observation`](Engine::observation) order: primary-output
-    /// drivers, then flip-flop D drivers (arena order).
-    fn observed(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let d_pins = self.netlist.iter().filter_map(|(_, node)| match node {
-            Node::Dff { d } => Some(*d),
-            _ => None,
-        });
-        self.netlist.outputs().iter().copied().chain(d_pins)
+        self.eval(inputs);
+        Ok(())
     }
 
     /// The node observed at each index of
-    /// [`observation`](Engine::observation).
+    /// [`observation`](Engine::observation): primary-output drivers,
+    /// then flip-flop D drivers (arena order).
     pub fn observation_points(&self) -> Vec<NodeId> {
-        self.observed().collect()
+        self.tape.observed.clone()
     }
 
     /// The observation vector of the full-scan model: primary-output
     /// words followed by flip-flop D-pin words (arena order).
     pub fn observation(&self) -> Vec<V> {
-        self.observed().map(|id| self.values[id.index()]).collect()
+        self.tape
+            .observed
+            .iter()
+            .map(|id| self.values[id.index()])
+            .collect()
+    }
+}
+
+/// Runs a stretch of the tape. Two-input instructions index the op table
+/// and never branch on the op; a LUT reads its truth table from
+/// `netlist`, the engine's own.
+fn exec<V: Logic>(
+    netlist: &Netlist,
+    partial: &HashMap<NodeId, PartialLut>,
+    values: &mut [V],
+    instrs: &[Instr],
+) {
+    for ins in instrs {
+        let out = if ins.op == LUT {
+            lut(
+                netlist,
+                partial,
+                values,
+                NodeId::from_index(ins.dst as usize),
+            )
+        } else {
+            let (a, b) = (values[ins.a as usize], values[ins.b as usize]);
+            V::op(a, b, &OPS[usize::from(ins.op & 7)])
+        };
+        values[ins.dst as usize] = out;
+    }
+}
+
+/// The LUT at `id` over its fan-in values.
+fn lut<V: Logic>(
+    netlist: &Netlist,
+    partial: &HashMap<NodeId, PartialLut>,
+    values: &[V],
+    id: NodeId,
+) -> V {
+    // The tape fits the netlist (its LUT nodes are checked), and a valid
+    // netlist caps LUT fan-in at `MAX_LUT_INPUTS`.
+    let Node::Lut { fanin, config } = netlist.node(id) else {
+        return V::POWER_UP;
+    };
+    let mut words = [V::POWER_UP; MAX_LUT_INPUTS];
+    for (w, f) in words.iter_mut().zip(fanin) {
+        *w = values[f.index()];
+    }
+    let fanin = &words[..fanin.len().min(MAX_LUT_INPUTS)];
+    match config {
+        Some(table) => V::lut(table, fanin),
+        None => V::redacted(partial.get(&id), fanin),
     }
 }
 
@@ -357,7 +406,7 @@ impl<'a, V: Logic> Engine<'a, V> {
 mod tests {
     use super::*;
     use crate::Simulator;
-    use sttlock_netlist::NetlistBuilder;
+    use sttlock_netlist::{GateKind, NetlistBuilder};
 
     fn comb() -> Netlist {
         let mut b = NetlistBuilder::new("comb");
@@ -500,6 +549,79 @@ mod tests {
                 got: 2
             })
         ));
+    }
+
+    /// `q1`, `q2` capture `d`; the outputs show them.
+    fn two_flops() -> Netlist {
+        let mut b = NetlistBuilder::new("reg2");
+        b.input("d");
+        b.dff("q1", "d");
+        b.dff("q2", "d");
+        b.output("q1");
+        b.output("q2");
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn a_wrong_length_state_is_a_state_count_mismatch() {
+        let n = two_flops();
+        let mut sim = Simulator::new(&n).unwrap();
+        let err = sim.eval_frame(&[0], &[0]).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::StateCountMismatch {
+                expected: 2,
+                got: 1
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "expected 2 state words (one per flip-flop), got 1"
+        );
+    }
+
+    #[test]
+    fn a_failed_frame_leaves_the_flip_flops_unchanged() {
+        let n = two_flops();
+        let mut sim = Simulator::new(&n).unwrap();
+        // Right state, wrong inputs: the call fails before loading state.
+        assert_eq!(
+            sim.eval_frame(&[0, 0], &[u64::MAX, u64::MAX]),
+            Err(SimError::InputCountMismatch {
+                expected: 1,
+                got: 2
+            })
+        );
+        assert_eq!(sim.step(&[0]).unwrap(), vec![0, 0], "still the reset state");
+        // Right inputs, wrong state: same.
+        sim.reset();
+        assert!(sim.eval_frame(&[0], &[u64::MAX]).is_err());
+        assert_eq!(sim.step(&[0]).unwrap(), vec![0, 0]);
+    }
+
+    #[test]
+    fn a_hybrid_cannot_run_on_its_sources_tape() {
+        let n = comb();
+        let mut hybrid = n.clone();
+        hybrid
+            .replace_gate_with_lut(hybrid.find("g2").unwrap())
+            .unwrap();
+        let tape = Tape::of(&CircuitView::new(&n));
+        assert!(matches!(
+            Simulator::with_tape(&hybrid, Arc::clone(&tape)),
+            Err(SimError::TapeMismatch { .. })
+        ));
+        // A variant differing only in LUT contents shares the hybrid's tape.
+        let hybrid_tape = Tape::of(&CircuitView::new(&hybrid));
+        let mut flipped = hybrid.clone();
+        let g2 = flipped.find("g2").unwrap();
+        let table = flipped.lut_config(g2).unwrap();
+        flipped.set_lut_config(g2, table.complement());
+        let mut own = Simulator::new(&flipped).unwrap();
+        let mut shared = Simulator::with_tape(&flipped, hybrid_tape).unwrap();
+        for pat in [[0, 0, 0], [u64::MAX, 5, 99], [7, 7, 7]] {
+            assert_eq!(own.step(&pat).unwrap(), shared.step(&pat).unwrap());
+        }
     }
 
     #[test]

@@ -21,6 +21,21 @@ pub enum SimError {
         /// Words supplied.
         got: usize,
     },
+    /// The number of supplied state words does not match the flip-flop
+    /// count.
+    StateCountMismatch {
+        /// Flip-flops the netlist declares.
+        expected: usize,
+        /// Words supplied.
+        got: usize,
+    },
+    /// An engine was handed a compiled tape of another design: the
+    /// netlist disagrees with the tape's on its node count, outputs or
+    /// LUT nodes.
+    TapeMismatch {
+        /// Name of the netlist the tape could not run.
+        netlist: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -31,6 +46,18 @@ impl fmt::Display for SimError {
             }
             SimError::InputCountMismatch { expected, got } => {
                 write!(f, "expected {expected} input words, got {got}")
+            }
+            SimError::StateCountMismatch { expected, got } => {
+                write!(
+                    f,
+                    "expected {expected} state words (one per flip-flop), got {got}"
+                )
+            }
+            SimError::TapeMismatch { netlist } => {
+                write!(
+                    f,
+                    "netlist `{netlist}` does not fit the compiled tape it was given"
+                )
             }
         }
     }

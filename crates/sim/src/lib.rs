@@ -7,7 +7,10 @@
 //!   its [`Logic`] domain. Each word carries 64 independent pattern
 //!   streams, so one pass over the netlist evaluates 64 test vectors.
 //!   It owns the evaluation loop, clocking, full-scan frames, the
-//!   observation layout and per-node forces for both domains:
+//!   observation layout and per-node forces for both domains, and runs
+//!   each netlist's compiled [`Tape`]: every gate becomes two-input
+//!   instructions that pick their op by mask words, so evaluation never
+//!   branches on the gate kind:
 //!   * [`Simulator`] — two-valued (`u64`). This is the oracle the
 //!     attacks query and the engine behind activity estimation.
 //!   * [`tri::TriSimulator`] — three-valued (0/1/X, [`tri::TriWord`]),
@@ -51,9 +54,11 @@ pub mod tri;
 
 mod engine;
 mod error;
+mod tape;
 
 pub use engine::{Engine, Logic};
 pub use error::SimError;
+pub use tape::{Masks, Tape};
 
 /// The two-valued [`Engine`]: flip-flops power up at 0 (all lanes),
 /// matching the usual reset assumption of the ISCAS '89 benchmarks, and

@@ -9,9 +9,10 @@
 //! Values are encoded as (value, known) word pairs per lane: `known=0`
 //! means X; when `known=1`, `value` holds the binary value.
 
-use sttlock_netlist::{GateKind, TruthTable, MAX_LUT_INPUTS};
+use sttlock_netlist::{TruthTable, MAX_LUT_INPUTS};
 
 use crate::engine::{Engine, Logic};
+use crate::tape::Masks;
 
 /// A 64-lane three-valued word: bit `l` of `known` says whether lane `l`
 /// carries a binary value (in `value`) or X.
@@ -78,36 +79,19 @@ impl Logic for TriWord {
         TriWord::known(word)
     }
 
-    /// Three-valued gate evaluation with controlling-value shortcuts: an
-    /// AND with any known-0 input is known-0 even if other inputs are X.
-    fn gate(kind: GateKind, mut it: impl Iterator<Item = TriWord>) -> TriWord {
-        use GateKind::*;
-        let w = match kind {
-            Buf | Not => it.next().unwrap_or(TriWord::known(0)),
-            And | Nand => {
-                let (any_zero, all_one) = it.fold((0, u64::MAX), |(z, o), w| {
-                    (z | (!w.value & w.known), o & w.value & w.known)
-                });
-                TriWord::known_on(all_one, any_zero | all_one)
-            }
-            Or | Nor => {
-                let (any_one, all_zero) = it.fold((0, u64::MAX), |(o, z), w| {
-                    (o | (w.value & w.known), z & !w.value & w.known)
-                });
-                TriWord::known_on(any_one, any_one | all_zero)
-            }
-            Xor | Xnor => {
-                // Parity is known only when every input is known.
-                let (known, parity) =
-                    it.fold((u64::MAX, 0), |(k, p), w| (k & w.known, p ^ w.value));
-                TriWord::known_on(parity, known)
-            }
-        };
-        if kind.is_inverting() {
-            TriWord::known_on(!w.value, w.known)
-        } else {
-            w
-        }
+    /// Kleene AND, OR or XOR with controlling-value shortcuts: an AND
+    /// with a known-0 input is known-0 even if the other input is X, an
+    /// OR with a known 1 is known-1, and XOR is known only where both
+    /// inputs are. All three are computed and the masks pick one.
+    #[inline]
+    fn op(a: TriWord, b: TriWord, m: &Masks) -> TriWord {
+        let (av, bv) = (a.value & a.known, b.value & b.known);
+        let both = a.known & b.known;
+        let and_known = both | (a.known & !av) | (b.known & !bv);
+        let or_known = both | av | bv;
+        let value = (av & bv & m.and) | ((av | bv) & m.or) | ((av ^ bv) & m.xor);
+        let known = (and_known & m.and) | (or_known & m.or) | (both & m.xor);
+        TriWord::known_on(value ^ m.invert, known)
     }
 
     /// Known only where every input is known.
@@ -142,7 +126,8 @@ fn split(fanin: &[TriWord]) -> ([u64; MAX_LUT_INPUTS], u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sttlock_netlist::{Netlist, NetlistBuilder, NodeId};
+    use crate::tape::OPS;
+    use sttlock_netlist::{GateKind, Netlist, NetlistBuilder, NodeId};
 
     fn tri(v: Option<bool>) -> TriWord {
         match v {
@@ -157,17 +142,19 @@ mod tests {
         let x = tri(None);
         let zero = tri(Some(false));
         let one = tri(Some(true));
-        let gate = |kind, ins: &[TriWord]| TriWord::gate(kind, ins.iter().copied());
+        // The tape's op codes: AND, OR, XOR, then the inverted three.
+        let [and, or, xor, nand, ..] = OPS;
         // 0 AND X = 0
-        assert_eq!(gate(GateKind::And, &[zero, x]), tri(Some(false)));
+        assert_eq!(TriWord::op(zero, x, &and), tri(Some(false)));
         // 1 OR X = 1
-        assert_eq!(gate(GateKind::Or, &[one, x]), tri(Some(true)));
+        assert_eq!(TriWord::op(one, x, &or), tri(Some(true)));
         // 1 AND X = X
-        assert_eq!(gate(GateKind::And, &[one, x]).known, 0);
+        assert_eq!(TriWord::op(one, x, &and).known, 0);
         // X XOR 1 = X
-        assert_eq!(gate(GateKind::Xor, &[x, one]).known, 0);
-        // NOT X = X
-        assert_eq!(gate(GateKind::Not, &[x]).known, 0);
+        assert_eq!(TriWord::op(x, one, &xor).known, 0);
+        // NOT X = X: a one-input gate runs as AND(f, f)
+        assert_eq!(TriWord::op(x, x, &nand).known, 0);
+        assert_eq!(TriWord::op(zero, zero, &nand), tri(Some(true)));
     }
 
     /// `g = AND(a, b)` turned into a LUT and redacted.
