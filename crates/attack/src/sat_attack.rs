@@ -79,6 +79,7 @@ pub fn run(
     AttackError::check_same_design(redacted, oracle)?;
     let mut oracle_sim = Simulator::new(oracle)?;
 
+    let encode_span = sttlock_obs::span!("sat_attack.encode");
     let mut solver = Solver::new();
     let e1 = encode(redacted, &mut solver);
     let e2 = encode(redacted, &mut solver);
@@ -86,6 +87,7 @@ pub fn run(
     // keys independent, some observable output must differ.
     let pairs = miter_pairs(&mut solver, &e1, &e2);
     let miter_active = assert_some_difference_gated(&mut solver, &pairs);
+    drop(encode_span);
 
     let learn = |solver: &mut Solver| {
         // Extract the DIP (inputs + state) from the model.
@@ -99,11 +101,15 @@ pub fn run(
             .iter()
             .map(|(_, v)| full_word(solver.value(*v)))
             .collect();
-        oracle_sim.eval_frame(&inputs, &state)?;
-        let response = oracle_sim.observation();
+        let response = {
+            let _s = sttlock_obs::span!("sat_attack.oracle");
+            oracle_sim.eval_frame(&inputs, &state)?;
+            oracle_sim.observation()
+        };
         // Both key hypotheses must now agree with the oracle on this
         // frame: constrain each copy with a fresh encoding whose keys
         // are tied to that copy.
+        let _s = sttlock_obs::span!("sat_attack.encode");
         for enc in [&e1, &e2] {
             if !add_io_constraint(solver, redacted, enc, &inputs, &state, &response) {
                 return Err(AttackError::OracleContradiction);
@@ -151,6 +157,7 @@ pub fn run_sequential(
     }
     let mut oracle_sim = Simulator::new(oracle)?;
 
+    let encode_span = sttlock_obs::span!("sat_attack.encode");
     let mut solver = Solver::new();
     let u1 = encode_unrolled(redacted, &mut solver, frames);
     let u2 = encode_unrolled(redacted, &mut solver, frames);
@@ -171,6 +178,7 @@ pub fn run_sequential(
     // Keys of the two unrolled copies are internally shared per copy;
     // between copies they stay free.
     let miter_active = assert_some_difference_gated(&mut solver, &pairs);
+    drop(encode_span);
 
     let learn = |solver: &mut Solver| {
         // Extract the distinguishing input sequence.
@@ -183,9 +191,13 @@ pub fn run_sequential(
             })
             .collect();
         // Oracle responses from reset.
-        let responses = oracle_sim.run(&sequence)?;
+        let responses = {
+            let _s = sttlock_obs::span!("sat_attack.oracle");
+            oracle_sim.run(&sequence)?
+        };
         // Constrain both copies to reproduce the oracle on this
         // sequence: one fresh unrolled copy per key side.
+        let _s = sttlock_obs::span!("sat_attack.encode");
         for base in [&u1, &u2] {
             let copy = encode_unrolled(redacted, solver, frames);
             tie_keys(solver, &base.frames[0], &copy.frames[0]);
@@ -221,6 +233,10 @@ pub fn run_sequential(
 /// constraints that make both key hypotheses agree with the response.
 /// Once the miter is unsatisfiable, one more solve without it extracts a
 /// key from `keys`.
+///
+/// However the attack ends, its DIPs and solver counters go to the
+/// `sat.dips`, `sat.conflicts`, `sat.decisions` and `sat.propagations`
+/// trace counters once; each solve runs under a `sat_attack.solve` span.
 fn dip_loop(
     mut solver: Solver,
     miter_active: Lit,
@@ -228,7 +244,7 @@ fn dip_loop(
     frames: usize,
     max_dips: usize,
     budget: &Budget,
-    mut learn: impl FnMut(&mut Solver) -> Result<(), AttackError>,
+    learn: impl FnMut(&mut Solver) -> Result<(), AttackError>,
 ) -> Result<SatAttackOutcome, AttackError> {
     let mut out = SatAttackOutcome {
         bitstream: None,
@@ -236,35 +252,69 @@ fn dip_loop(
         frames,
         solver_stats: SolverStats::default(),
     };
+    let found = find_key(
+        &mut solver,
+        miter_active,
+        keys,
+        &mut out,
+        max_dips,
+        budget,
+        learn,
+    );
+    out.solver_stats = solver.stats();
+    sttlock_obs::counter("sat.dips", out.dips as u64);
+    sttlock_obs::counter("sat.conflicts", out.solver_stats.conflicts);
+    sttlock_obs::counter("sat.decisions", out.solver_stats.decisions);
+    sttlock_obs::counter("sat.propagations", out.solver_stats.propagations);
+    out.bitstream = found?;
+    Ok(out)
+}
+
+/// [`dip_loop`]'s search, counting DIPs in `out`: the recovered key, or
+/// `None` at the DIP limit.
+fn find_key(
+    solver: &mut Solver,
+    miter_active: Lit,
+    keys: &Encoding,
+    out: &mut SatAttackOutcome,
+    max_dips: usize,
+    budget: &Budget,
+    mut learn: impl FnMut(&mut Solver) -> Result<(), AttackError>,
+) -> Result<Option<Vec<(NodeId, TruthTable)>>, AttackError> {
     loop {
         if let Err(reason) = budget.check() {
-            out.solver_stats = solver.stats();
+            let partial = SatAttackOutcome {
+                solver_stats: solver.stats(),
+                ..out.clone()
+            };
             return Err(AttackError::Budget {
                 reason,
-                partial: Box::new(AttackOutcome::Sat(out)),
+                partial: Box::new(AttackOutcome::Sat(partial)),
             });
         }
         if max_dips != 0 && out.dips >= max_dips {
-            out.solver_stats = solver.stats();
-            return Ok(out);
+            return Ok(None);
         }
-        match solver.solve_with(&[miter_active]) {
+        let found = {
+            let _s = sttlock_obs::span!("sat_attack.solve");
+            solver.solve_with(&[miter_active])
+        };
+        match found {
             SatResult::Unsat => break,
             SatResult::Sat => {
                 out.dips += 1;
-                learn(&mut solver)?;
+                learn(solver)?;
             }
         }
     }
 
     // Key space collapsed: any remaining key is functionally correct.
     // Solve without the miter to extract one.
+    let _s = sttlock_obs::span!("sat_attack.solve");
     if solver.solve() != SatResult::Sat {
         return Err(AttackError::Unsatisfiable);
     }
-    out.bitstream = Some(keys.decode_keys(&solver));
-    out.solver_stats = solver.stats();
-    Ok(out)
+    Ok(Some(keys.decode_keys(solver)))
 }
 
 /// Verifies a recovered bitstream against the oracle by random

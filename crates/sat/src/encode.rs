@@ -87,6 +87,10 @@ pub fn encode(netlist: &Netlist, solver: &mut Solver) -> Encoding {
     let mut keys = BTreeMap::new();
     let mut state_inputs = Vec::new();
     let mut next_state = Vec::new();
+    // Reused for every gate: its fan-in variables and the clause being
+    // built, so encoding allocates nothing per clause.
+    let mut ins: Vec<Var> = Vec::new();
+    let mut clause: Vec<Lit> = Vec::new();
 
     for (id, node) in netlist.iter() {
         let out = net_var[id.index()];
@@ -102,17 +106,19 @@ pub fn encode(netlist: &Netlist, solver: &mut Solver) -> Encoding {
                 next_state.push((id, net_var[d.index()]));
             }
             Node::Gate { kind, fanin } => {
-                let ins: Vec<Var> = fanin.iter().map(|f| net_var[f.index()]).collect();
-                encode_gate(solver, *kind, out, &ins);
+                ins.clear();
+                ins.extend(fanin.iter().map(|f| net_var[f.index()]));
+                encode_gate(solver, &mut clause, *kind, out, &ins);
             }
             Node::Lut { fanin, config } => {
-                let ins: Vec<Var> = fanin.iter().map(|f| net_var[f.index()]).collect();
+                ins.clear();
+                ins.extend(fanin.iter().map(|f| net_var[f.index()]));
                 match config {
-                    Some(table) => encode_table(solver, *table, out, &ins),
+                    Some(table) => encode_table(solver, &mut clause, *table, out, &ins),
                     None => {
                         let rows = 1usize << ins.len();
                         let key: Vec<Var> = (0..rows).map(|_| solver.new_var()).collect();
-                        encode_keyed_lut(solver, out, &ins, &key);
+                        encode_keyed_lut(solver, &mut clause, out, &ins, &key);
                         keys.insert(id, key);
                     }
                 }
@@ -212,8 +218,8 @@ pub fn assert_some_difference_gated(solver: &mut Solver, pairs: &[(Var, Var)]) -
     Lit::pos(act)
 }
 
-/// Tseitin clauses for one standard gate.
-fn encode_gate(solver: &mut Solver, kind: GateKind, out: Var, ins: &[Var]) {
+/// Tseitin clauses for one standard gate; `clause` is scratch space.
+fn encode_gate(solver: &mut Solver, clause: &mut Vec<Lit>, kind: GateKind, out: Var, ins: &[Var]) {
     use GateKind::*;
     match kind {
         Buf => equal(solver, out, ins[0]),
@@ -227,18 +233,20 @@ fn encode_gate(solver: &mut Solver, kind: GateKind, out: Var, ins: &[Var]) {
             for &i in ins {
                 solver.add_clause(&[Lit::new(out, o), Lit::pos(i)]);
             }
-            let mut big: Vec<Lit> = vec![Lit::new(out, !o)];
-            big.extend(ins.iter().map(|&i| Lit::neg(i)));
-            solver.add_clause(&big);
+            clause.clear();
+            clause.push(Lit::new(out, !o));
+            clause.extend(ins.iter().map(|&i| Lit::neg(i)));
+            solver.add_clause(clause);
         }
         Or | Nor => {
             let o = kind == Or;
             for &i in ins {
                 solver.add_clause(&[Lit::new(out, !o), Lit::neg(i)]);
             }
-            let mut big: Vec<Lit> = vec![Lit::new(out, o)];
-            big.extend(ins.iter().map(|&i| Lit::pos(i)));
-            solver.add_clause(&big);
+            clause.clear();
+            clause.push(Lit::new(out, o));
+            clause.extend(ins.iter().map(|&i| Lit::pos(i)));
+            solver.add_clause(clause);
         }
         Xor | Xnor => {
             // Chain pairwise XORs through auxiliaries; cheap because real
@@ -270,33 +278,47 @@ fn encode_xor2(solver: &mut Solver, out: Var, a: Var, b: Var) {
     solver.add_clause(&[Lit::pos(out), Lit::neg(a), Lit::pos(b)]);
 }
 
+/// Writes into `clause` the literals that are all false exactly when
+/// the inputs `ins` match the bits of `row`.
+fn row_lits(clause: &mut Vec<Lit>, ins: &[Var], row: usize) {
+    clause.clear();
+    clause.extend(
+        ins.iter()
+            .enumerate()
+            .map(|(i, &v)| Lit::new(v, (row >> i) & 1 == 1)),
+    );
+}
+
 /// Clauses for a programmed LUT: for every row, `(inputs = row) → out = f(row)`.
-fn encode_table(solver: &mut Solver, table: TruthTable, out: Var, ins: &[Var]) {
+fn encode_table(
+    solver: &mut Solver,
+    clause: &mut Vec<Lit>,
+    table: TruthTable,
+    out: Var,
+    ins: &[Var],
+) {
     for row in 0..table.rows() {
-        let mut clause: Vec<Lit> = Vec::with_capacity(ins.len() + 1);
-        for (i, &v) in ins.iter().enumerate() {
-            // Literal false exactly when input i matches the row bit.
-            clause.push(Lit::new(v, (row >> i) & 1 == 1));
-        }
+        row_lits(clause, ins, row);
         clause.push(Lit::new(out, !table.eval(row)));
-        solver.add_clause(&clause);
+        solver.add_clause(clause);
     }
 }
 
 /// Clauses for a redacted LUT with one key bit per row:
 /// `(inputs = row) → (out ↔ key[row])`.
-fn encode_keyed_lut(solver: &mut Solver, out: Var, ins: &[Var], key: &[Var]) {
+fn encode_keyed_lut(
+    solver: &mut Solver,
+    clause: &mut Vec<Lit>,
+    out: Var,
+    ins: &[Var],
+    key: &[Var],
+) {
     for (row, &k) in key.iter().enumerate() {
-        let row_lits = |extra: [Lit; 2]| -> Vec<Lit> {
-            let mut clause: Vec<Lit> = Vec::with_capacity(ins.len() + 2);
-            for (i, &v) in ins.iter().enumerate() {
-                clause.push(Lit::new(v, (row >> i) & 1 == 1));
-            }
+        for extra in [[Lit::neg(out), Lit::pos(k)], [Lit::pos(out), Lit::neg(k)]] {
+            row_lits(clause, ins, row);
             clause.extend(extra);
-            clause
-        };
-        solver.add_clause(&row_lits([Lit::neg(out), Lit::pos(k)]));
-        solver.add_clause(&row_lits([Lit::pos(out), Lit::neg(k)]));
+            solver.add_clause(clause);
+        }
     }
 }
 

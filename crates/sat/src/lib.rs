@@ -9,11 +9,17 @@
 //! * [`Solver`] — MiniSat-style CDCL: two-literal watching, VSIDS
 //!   decision heuristic, first-UIP clause learning, non-chronological
 //!   backjumping, Luby restarts and phase saving. Supports incremental
-//!   solving under assumptions.
+//!   solving under assumptions. Storage is flat: clauses of three or
+//!   more literals share one `u32` arena, a binary clause lives only in
+//!   its two watch-list entries, and truth values are one byte per
+//!   literal. The search is deterministic: literal order, watch-list
+//!   order and heap tie-breaks fix every decision, so the same clauses
+//!   in the same order give the same [`SolverStats`] and model.
 //! * [`encode`] — Tseitin encoding of a netlist's combinational core.
 //!   Redacted LUTs contribute *key variables* (one per truth-table row),
 //!   so a model of the CNF is a consistent hypothesis about the missing
-//!   gates.
+//!   gates. Encoding reuses one clause buffer, and [`Solver::add_clause`]
+//!   another, so neither allocates per clause.
 //!
 //! # Example
 //!

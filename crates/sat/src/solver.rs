@@ -25,28 +25,68 @@ pub struct SolverStats {
     pub learnt_clauses: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-}
-
 const VAR_DECAY: f64 = 0.95;
 const ACTIVITY_RESCALE: f64 = 1e100;
 const LUBY_UNIT: u64 = 64;
 
+/// Truth values, one byte per literal.
+const FALSE: u8 = 0;
+const TRUE: u8 = 1;
+const UNDEF: u8 = 2;
+
+/// Tag of a binary-clause reason; the low 31 bits are the clause's
+/// false literal. Untagged reasons are arena offsets.
+const BINARY: u32 = 1 << 31;
+/// The reason of a decision or of a level-0 fact.
+const NO_REASON: u32 = u32::MAX;
+/// Variables stay below this, so every literal index stays below
+/// 2^31 - 1 and a tagged binary reason below [`NO_REASON`].
+const MAX_VARS: usize = (1 << 30) - 1;
+
+/// One entry of a watch list: the arena offset of a clause of three or
+/// more literals or, tagged with `BINARY`, the other literal of a binary
+/// clause, which lives only in its two watches.
+#[derive(Debug, Clone, Copy)]
+struct Watch(u32);
+
+/// The clause a propagation stopped on, in the order analysis reads it.
+enum Conflict {
+    /// A long clause, normalized in the arena: its two false watches
+    /// first, the one that just became false in slot 1.
+    Long(u32),
+    /// A binary clause: the other literal, then the one that just became
+    /// false.
+    Binary([Lit; 2]),
+}
+
 /// A CDCL SAT solver: two-literal watching, VSIDS, first-UIP learning,
 /// Luby restarts, phase saving, incremental solving under assumptions.
+///
+/// Storage is flat. Clauses of three or more literals sit back to back
+/// in one `u32` arena as `[len, lit…]`, addressed by offset. A binary
+/// clause lives only in its two 4-byte watch-list entries, each holding
+/// the literal the clause implies when the watched one becomes false,
+/// so a binary reason is just the clause's false literal. Truth values
+/// are one byte per literal and reasons one `u32` per variable. No
+/// clause is ever deleted, so offsets stay valid for the solver's life.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Clauses of three or more literals: `[len, lit…]` each, addressed
+    /// by the offset of `len`. Slots 0 and 1 hold the watched literals.
+    arena: Vec<u32>,
+    /// Problem plus learnt clauses, binary ones included.
+    clauses: usize,
     /// `watches[l.index()]` lists clauses currently watching literal `l`;
     /// they are inspected when `l` becomes false.
-    watches: Vec<Vec<u32>>,
-    assign: Vec<Option<bool>>,
+    watches: Vec<Vec<Watch>>,
+    /// Truth value per literal (`TRUE`, `FALSE` or `UNDEF`).
+    value: Vec<u8>,
     level: Vec<u32>,
-    reason: Vec<Option<u32>>,
+    /// Per variable: the implying clause's arena offset, `BINARY` | the
+    /// false literal of an implying binary clause, or `NO_REASON`.
+    reason: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -55,7 +95,11 @@ pub struct Solver {
     heap: OrderHeap,
     phase: Vec<bool>,
     seen: Vec<bool>,
-    model: Vec<Option<bool>>,
+    /// Literal values of the last satisfying assignment.
+    model: Vec<u8>,
+    /// One clause buffer, reused: `add_clause`'s simplified clause, then
+    /// each learnt clause.
+    scratch: Vec<Lit>,
     ok: bool,
     stats: SolverStats,
 }
@@ -72,12 +116,12 @@ impl Solver {
 
     /// Number of variables allocated so far.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Number of problem plus learnt clauses currently stored.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.clauses
     }
 
     /// Solver counters.
@@ -86,23 +130,28 @@ impl Solver {
     }
 
     /// Allocates a fresh variable.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 2^30 - 1 variables, the width a tagged binary reason
+    /// leaves for a literal.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assign.len());
-        self.assign.push(None);
+        // Invariant: literal indices stay below 2^31 - 1 (see BINARY).
+        // A variable costs ~80 bytes of solver state, so the limit sits
+        // at ~80 GiB, far past any encoding here.
+        assert!(self.num_vars() < MAX_VARS, "more than 2^30 - 1 variables");
+        let v = Var::from_index(self.num_vars());
+        self.value.extend([UNDEF, UNDEF]);
+        self.model.extend([UNDEF, UNDEF]);
         self.level.push(0);
-        self.reason.push(None);
+        self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.phase.push(false);
         self.seen.push(false);
-        self.model.push(None);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.heap.insert(v, &self.activity);
         v
-    }
-
-    fn value_lit(&self, l: Lit) -> Option<bool> {
-        self.assign[l.var().index()].map(|b| b ^ l.is_neg())
     }
 
     /// The model value of `v` after a [`SatResult::Sat`] answer.
@@ -115,7 +164,11 @@ impl Solver {
     /// `sat_models_are_total` regression test pins this invariant, which
     /// DIP extraction in `sttlock-attack` relies on).
     pub fn value(&self, v: Var) -> Option<bool> {
-        self.model[v.index()]
+        match self.model[Lit::pos(v).index()] {
+            TRUE => Some(true),
+            FALSE => Some(false),
+            _ => None,
+        }
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -130,48 +183,77 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        assert_eq!(self.decision_level(), 0, "clauses must be added at level 0");
+        // Every solve returns at level 0, so clauses always arrive there.
+        debug_assert_eq!(self.decision_level(), 0);
         // Simplify: dedupe, drop false literals, detect tautology/satisfied.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
+        let mut c = std::mem::take(&mut self.scratch);
+        c.clear();
+        let mut satisfied = false;
         for &l in lits {
             assert!(
                 l.var().index() < self.num_vars(),
                 "unallocated variable {l}"
             );
-            match self.value_lit(l) {
-                Some(true) => return true, // satisfied at level 0
-                Some(false) => continue,   // false at level 0: drop literal
-                None => {}
+            match self.value[l.index()] {
+                TRUE => {
+                    satisfied = true; // satisfied at level 0
+                    break;
+                }
+                FALSE => continue, // false at level 0: drop literal
+                _ => {}
             }
             if c.contains(&!l) {
-                return true; // tautology
+                satisfied = true; // tautology
+                break;
             }
             if !c.contains(&l) {
                 c.push(l);
             }
         }
-        match c.len() {
-            0 => {
-                self.ok = false;
-                false
+        let ok = if satisfied {
+            true
+        } else {
+            match c[..] {
+                [] => {
+                    self.ok = false;
+                    false
+                }
+                [unit] => {
+                    self.enqueue(unit, NO_REASON);
+                    self.ok = self.propagate().is_none();
+                    self.ok
+                }
+                _ => {
+                    self.attach(&c);
+                    true
+                }
             }
-            1 => {
-                self.enqueue(c[0], None);
-                self.ok = self.propagate().is_none();
-                self.ok
-            }
-            _ => {
-                self.attach(c);
-                true
-            }
-        }
+        };
+        self.scratch = c;
+        ok
     }
 
-    fn attach(&mut self, lits: Vec<Lit>) -> u32 {
-        let cref = self.clauses.len() as u32;
-        self.watches[lits[0].index()].push(cref);
-        self.watches[lits[1].index()].push(cref);
-        self.clauses.push(Clause { lits });
+    /// Stores a clause of two or more literals and watches its first two.
+    /// Returns the reason under which the clause implies `lits[0]`.
+    fn attach(&mut self, lits: &[Lit]) -> u32 {
+        self.clauses += 1;
+        if let [a, b] = *lits {
+            self.watches[a.index()].push(Watch(BINARY | b.0));
+            self.watches[b.index()].push(Watch(BINARY | a.0));
+            return BINARY | b.0;
+        }
+        // Invariant: arena offsets stay below 2^31, so a long reason
+        // never carries the BINARY tag. That is 8 GiB of clauses, far
+        // past any encoding here.
+        assert!(
+            self.arena.len() < BINARY as usize,
+            "clause arena past 2^31 words"
+        );
+        let cref = self.arena.len() as u32;
+        self.arena.push(lits.len() as u32);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.watches[lits[0].index()].push(Watch(cref));
+        self.watches[lits[1].index()].push(Watch(cref));
         cref
     }
 
@@ -179,54 +261,88 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    fn enqueue(&mut self, l: Lit, reason: Option<u32>) {
-        debug_assert!(self.value_lit(l).is_none());
-        let v = l.var();
-        self.assign[v.index()] = Some(!l.is_neg());
-        self.level[v.index()] = self.decision_level();
-        self.reason[v.index()] = reason;
+    fn enqueue(&mut self, l: Lit, reason: u32) {
+        debug_assert_eq!(self.value[l.index()], UNDEF);
+        self.value[l.index()] = TRUE;
+        self.value[(!l).index()] = FALSE;
+        let v = l.var().index();
+        self.level[v] = self.decision_level();
+        self.reason[v] = reason;
         self.trail.push(l);
         self.stats.propagations += 1;
     }
 
-    /// Unit propagation; returns a conflicting clause reference, if any.
-    fn propagate(&mut self) -> Option<u32> {
+    /// Unit propagation; returns the conflicting clause, if any.
+    fn propagate(&mut self) -> Option<Conflict> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
-            let false_lit = !p; // literals equal to `false_lit` just became false
-            let mut i = 0;
-            'clauses: while i < self.watches[false_lit.index()].len() {
-                let cref = self.watches[false_lit.index()][i];
-                let ci = cref as usize;
-                // Normalize: watched false literal at position 1.
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
-                }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
-                if self.value_lit(first) == Some(true) {
-                    i += 1;
-                    continue;
-                }
-                // Look for a replacement watch.
-                for k in 2..self.clauses[ci].lits.len() {
-                    let cand = self.clauses[ci].lits[k];
-                    if self.value_lit(cand) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
-                        self.watches[false_lit.index()].swap_remove(i);
-                        self.watches[cand.index()].push(cref);
-                        continue 'clauses;
-                    }
-                }
-                // No replacement: clause is unit or conflicting.
-                if self.value_lit(first) == Some(false) {
-                    self.qhead = self.trail.len();
-                    return Some(cref);
-                }
-                self.enqueue(first, Some(cref));
-                i += 1;
+            // Literals equal to `false_lit` just became false. Their list
+            // is detached while it is walked: a moved watch only ever
+            // lands on a literal that is not false.
+            let false_lit = !p;
+            let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
+            let conflict = self.propagate_watches(false_lit, &mut ws);
+            self.watches[false_lit.index()] = ws;
+            if conflict.is_some() {
+                self.qhead = self.trail.len();
+                return conflict;
             }
+        }
+        None
+    }
+
+    /// Visits the clauses watching `false_lit`, in list order. A clause
+    /// whose other watch is true is skipped as it stands; one that finds
+    /// a replacement watch leaves the list by `swap_remove`; one that
+    /// implies or conflicts is written with its false watch in slot 1,
+    /// the order conflict analysis reads.
+    fn propagate_watches(&mut self, false_lit: Lit, ws: &mut Vec<Watch>) -> Option<Conflict> {
+        let mut i = 0;
+        while i < ws.len() {
+            let Watch(w) = ws[i];
+            i += 1;
+            if w & BINARY != 0 {
+                let other = Lit(w & !BINARY);
+                match self.value[other.index()] {
+                    TRUE => {}
+                    FALSE => return Some(Conflict::Binary([other, false_lit])),
+                    _ => self.enqueue(other, BINARY | false_lit.0),
+                }
+                continue;
+            }
+            // The skip test reads only the two watches, ahead of the
+            // length: most visits end here.
+            let c = w as usize;
+            let (w0, w1) = (self.arena[c + 1], self.arena[c + 2]);
+            let other = if w0 == false_lit.0 { w1 } else { w0 };
+            let other_value = self.value[other as usize];
+            if other_value == TRUE {
+                continue;
+            }
+            let len = self.arena[c] as usize;
+            let lits = &mut self.arena[c + 1..c + 1 + len];
+            // Look for a replacement watch.
+            let value = &self.value;
+            if let Some(k) = (2..len).find(|&k| value[lits[k] as usize] != FALSE) {
+                let cand = lits[k];
+                lits[0] = other;
+                lits[1] = cand;
+                lits[k] = false_lit.0;
+                // The list's last watch moves into this slot: visit it
+                // next.
+                i -= 1;
+                ws.swap_remove(i);
+                self.watches[cand as usize].push(Watch(w));
+                continue;
+            }
+            // No replacement: clause is unit or conflicting.
+            lits[0] = other;
+            lits[1] = false_lit.0;
+            if other_value == FALSE {
+                return Some(Conflict::Long(w));
+            }
+            self.enqueue(Lit(other), w);
         }
         None
     }
@@ -242,31 +358,44 @@ impl Solver {
         self.heap.bumped(v, &self.activity);
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(Var::from_index(0))]; // placeholder slot 0
+    /// One literal of a clause under analysis: a current-level literal
+    /// counts toward the UIP, a lower-level one joins the learnt clause.
+    fn analyze_lit(&mut self, q: Lit, counter: &mut usize, learnt: &mut Vec<Lit>) {
+        let v = q.var();
+        if !self.seen[v.index()] && self.level[v.index()] > 0 {
+            self.seen[v.index()] = true;
+            self.bump_var(v);
+            if self.level[v.index()] == self.decision_level() {
+                *counter += 1;
+            } else {
+                learnt.push(q);
+            }
+        }
+    }
+
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `scratch` and returns the backjump level.
+    fn analyze(&mut self, conflict: Conflict) -> u32 {
+        let mut learnt = std::mem::take(&mut self.scratch);
+        learnt.clear();
+        learnt.push(Lit(0)); // placeholder slot 0
         let mut counter = 0usize;
-        let mut p: Option<Lit> = None;
-        let mut cref = conflict;
         let mut index = self.trail.len();
 
-        loop {
-            let ci = cref as usize;
-            let start = usize::from(p.is_some()); // skip the asserting literal slot
-            for k in start..self.clauses[ci].lits.len() {
-                let q = self.clauses[ci].lits[k];
-                let v = q.var();
-                if !self.seen[v.index()] && self.level[v.index()] > 0 {
-                    self.seen[v.index()] = true;
-                    self.bump_var(v);
-                    if self.level[v.index()] == self.decision_level() {
-                        counter += 1;
-                    } else {
-                        learnt.push(q);
-                    }
+        match conflict {
+            Conflict::Long(cref) => {
+                let c = cref as usize;
+                for k in c + 1..c + 1 + self.arena[c] as usize {
+                    self.analyze_lit(Lit(self.arena[k]), &mut counter, &mut learnt);
                 }
             }
+            Conflict::Binary(pair) => {
+                for q in pair {
+                    self.analyze_lit(q, &mut counter, &mut learnt);
+                }
+            }
+        }
+        let uip = loop {
             // Pick the next seen literal on the trail.
             loop {
                 index -= 1;
@@ -278,17 +407,24 @@ impl Solver {
             self.seen[pl.var().index()] = false;
             counter -= 1;
             if counter == 0 {
-                p = Some(pl);
-                break;
+                break pl;
             }
-            cref =
-                self.reason[pl.var().index()].expect("non-decision implied literal has a reason");
-            p = Some(pl);
-            // Slot 0 of a reason clause is the implied literal itself; the
-            // `start` offset above skips it next iteration.
-            debug_assert_eq!(self.clauses[cref as usize].lits[0], pl);
-        }
-        learnt[0] = !p.expect("conflict at decision level > 0 yields a UIP");
+            // A current-level literal before the UIP was implied, so it
+            // has a reason. Slot 0 of a reason is the implied literal
+            // itself: read from slot 1.
+            let reason = self.reason[pl.var().index()];
+            debug_assert_ne!(reason, NO_REASON);
+            if reason & BINARY != 0 {
+                self.analyze_lit(Lit(reason & !BINARY), &mut counter, &mut learnt);
+            } else {
+                let c = reason as usize;
+                debug_assert_eq!(self.arena[c + 1], pl.0);
+                for k in c + 2..c + 1 + self.arena[c] as usize {
+                    self.analyze_lit(Lit(self.arena[k]), &mut counter, &mut learnt);
+                }
+            }
+        };
+        learnt[0] = !uip;
 
         // Backjump level: second-highest level in the learnt clause.
         let backjump = if learnt.len() == 1 {
@@ -306,7 +442,8 @@ impl Solver {
         for &l in &learnt {
             self.seen[l.var().index()] = false;
         }
-        (learnt, backjump)
+        self.scratch = learnt;
+        backjump
     }
 
     fn cancel_until(&mut self, target: u32) {
@@ -315,10 +452,11 @@ impl Solver {
         }
         let lim = self.trail_lim[target as usize];
         for k in (lim..self.trail.len()).rev() {
-            let v = self.trail[k].var();
-            self.phase[v.index()] = self.assign[v.index()].unwrap_or(false);
-            self.assign[v.index()] = None;
-            self.reason[v.index()] = None;
+            let l = self.trail[k];
+            let v = l.var();
+            self.phase[v.index()] = !l.is_neg();
+            self.value[l.index()] = UNDEF;
+            self.value[(!l).index()] = UNDEF;
             self.heap.insert(v, &self.activity);
         }
         self.trail.truncate(lim);
@@ -328,7 +466,7 @@ impl Solver {
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assign[v.index()].is_none() {
+            if self.value[Lit::pos(v).index()] == UNDEF {
                 return Some(Lit::new(v, !self.phase[v.index()]));
             }
         }
@@ -361,30 +499,30 @@ impl Solver {
                     self.cancel_until(0);
                     return SatResult::Unsat;
                 }
-                let (learnt, backjump) = self.analyze(conflict);
+                let backjump = self.analyze(conflict);
                 self.cancel_until(backjump);
                 // Backjumping may remove assumption decisions; the decide
                 // branch below re-applies them (levels stay aligned
                 // because lower assumption levels survive the backjump).
-                if learnt.len() == 1 {
+                let learnt = std::mem::take(&mut self.scratch);
+                if let [unit] = learnt[..] {
                     // Learnt clauses are consequences of the formula alone
                     // (assumptions surface as literals, not resolutions),
                     // so a unit learnt clause is a global fact.
                     debug_assert_eq!(backjump, 0);
-                    match self.value_lit(learnt[0]) {
-                        Some(false) => {
-                            self.ok = false;
-                            return SatResult::Unsat;
-                        }
-                        Some(true) => {}
-                        None => self.enqueue(learnt[0], None),
+                    match self.value[unit.index()] {
+                        FALSE => self.ok = false,
+                        TRUE => {}
+                        _ => self.enqueue(unit, NO_REASON),
                     }
                 } else {
                     self.stats.learnt_clauses += 1;
-                    let cref = self.attach(learnt);
-                    let l0 = self.clauses[cref as usize].lits[0];
-                    debug_assert!(self.value_lit(l0).is_none());
-                    self.enqueue(l0, Some(cref));
+                    let reason = self.attach(&learnt);
+                    self.enqueue(learnt[0], reason);
+                }
+                self.scratch = learnt;
+                if !self.ok {
+                    return SatResult::Unsat;
                 }
                 conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
                 self.var_inc /= VAR_DECAY;
@@ -397,18 +535,18 @@ impl Solver {
                 let dl = self.decision_level() as usize;
                 let next = if dl < assumptions.len() {
                     let a = assumptions[dl];
-                    match self.value_lit(a) {
-                        Some(true) => {
+                    match self.value[a.index()] {
+                        TRUE => {
                             // Already implied: open an empty level so the
                             // assumption indexing stays aligned.
                             self.trail_lim.push(self.trail.len());
                             continue;
                         }
-                        Some(false) => {
+                        FALSE => {
                             self.cancel_until(0);
                             return SatResult::Unsat;
                         }
-                        None => Some(a),
+                        _ => Some(a),
                     }
                 } else {
                     self.stats.decisions += 1;
@@ -417,13 +555,13 @@ impl Solver {
                 match next {
                     None => {
                         // Fully assigned: record the model.
-                        self.model.clone_from(&self.assign);
+                        self.model.clone_from(&self.value);
                         self.cancel_until(0);
                         return SatResult::Sat;
                     }
                     Some(l) => {
                         self.trail_lim.push(self.trail.len());
-                        self.enqueue(l, None);
+                        self.enqueue(l, NO_REASON);
                     }
                 }
             }
@@ -474,11 +612,13 @@ impl OrderHeap {
     }
 
     fn pop(&mut self, act: &[f64]) -> Option<Var> {
-        let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("nonempty");
+        let last = self.heap.pop()?;
+        let top = match self.heap.first_mut() {
+            Some(root) => std::mem::replace(root, last),
+            None => last,
+        };
         self.pos[top.index()] = -1;
         if !self.heap.is_empty() {
-            self.heap[0] = last;
             self.pos[last.index()] = 0;
             self.sift_down(0, act);
         }

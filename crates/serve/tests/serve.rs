@@ -438,20 +438,24 @@ fn blown_deadline_is_a_504_with_partial_state() {
 #[test]
 fn blown_deadline_cancels_the_in_flight_flow() {
     let _guard = serial();
+    // A circuit big enough (seconds of flow time) that the request
+    // budget must trip *inside* selection/STA — the specific 504
+    // message distinguishes a mid-flow cancel from the cheap
+    // pre-compute and post-compute deadline checks. Its flow takes
+    // ~1 s in an optimized build and ~8 s in a debug build; the budget
+    // first has to cover reading and parsing the 0.5 MB body, which a
+    // debug build also does ~8x slower.
+    let timeout_ms = if cfg!(debug_assertions) { 1600 } else { 200 };
     let cfg = ServeConfig {
-        request_timeout: Duration::from_millis(200),
+        request_timeout: Duration::from_millis(timeout_ms),
         ..ServeConfig::default()
     };
     let server = Server::start(cfg).unwrap();
     let addr = server.addr().to_string();
     let metrics = server.metrics().clone();
 
-    // A circuit big enough (seconds of flow time) that the 200ms
-    // request budget must trip *inside* selection/STA — the specific
-    // 504 message distinguishes a mid-flow cancel from the cheap
-    // pre-compute and post-compute deadline checks.
     let mut rng = StdRng::seed_from_u64(11);
-    let bench = bench_format::write(&Profile::custom("big", 2500, 8, 10, 6).generate(&mut rng));
+    let bench = bench_format::write(&Profile::custom("big", 20_000, 8, 10, 6).generate(&mut rng));
     let body = format!(
         "{{\"bench\":{},\"algorithm\":\"para\",\"seed\":5}}",
         Json::from(bench.as_str())
