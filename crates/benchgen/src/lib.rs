@@ -16,6 +16,11 @@
 //! the previous flip-flop), so the paper's ≥2-flip-flop path sampling
 //! always succeeds.
 //!
+//! The generator tracks signals as node ids in declaration order
+//! (inputs `I*`, gates `N*`, flip-flops `F*`) and hands the finished
+//! nodes to [`Netlist::from_nodes`], so no fan-in is ever looked up by
+//! name; a circuit is one pass of random draws plus one validation.
+//!
 //! # Example
 //!
 //! ```
@@ -35,7 +40,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use sttlock_netlist::{GateKind, Netlist, NetlistBuilder};
+use sttlock_netlist::{GateKind, Netlist, Node, NodeId};
 
 pub mod profiles;
 
@@ -124,23 +129,25 @@ impl Profile {
     /// `outputs > gates`.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Netlist {
         self.validate();
-        let mut b = NetlistBuilder::new(self.name);
-
-        let input_names: Vec<String> = (0..self.inputs).map(|i| format!("I{i}")).collect();
-        for n in &input_names {
-            b.input(n);
-        }
-        // Flip-flops are declared up front (their D drivers are gates that
-        // come later — forward references the builder resolves).
-        let ff_names: Vec<String> = (0..self.dffs).map(|i| format!("F{i}")).collect();
+        // Signals are node ids in declaration order: primary inputs
+        // `I*`, then gates `N*`, then flip-flops `F*`. The flip-flops
+        // come last, but gates read them from the start.
+        let gate_id = |g: usize| NodeId::from_index(self.inputs + g);
+        let ff_id = |ff: usize| NodeId::from_index(self.inputs + self.gates + ff);
+        let mut nodes: Vec<(String, Node)> =
+            Vec::with_capacity(self.inputs + self.gates + self.dffs);
+        nodes.extend((0..self.inputs).map(|i| (format!("I{i}"), Node::Input)));
 
         // `pool` = signals a gate may read: inputs, flip-flop outputs and
-        // already-generated gates. Recency bias creates logic depth.
-        let mut pool: Vec<String> = input_names.clone();
-        pool.extend(ff_names.iter().cloned());
+        // already-generated gates. Recency bias creates logic depth. Its
+        // first `inputs` entries stay the primary inputs.
+        let mut pool: Vec<NodeId> = (0..self.inputs)
+            .map(NodeId::from_index)
+            .chain((0..self.dffs).map(ff_id))
+            .collect();
         // Signals not yet read by anyone — preferred as fan-ins so the
         // circuit stays connected instead of sprouting dangling cones.
-        let mut unread: Vec<String> = pool.clone();
+        let mut unread: Vec<NodeId> = pool.clone();
 
         // Backbone: evenly spaced gate positions serve as flip-flop
         // D-drivers. Flip-flops are organized into pipeline *chains* of
@@ -163,9 +170,8 @@ impl Profile {
             d_driver_of[pos.min(self.gates - 1)] = Some(ff);
         }
 
-        let mut ff_d_name: Vec<Option<String>> = vec![None; self.dffs];
+        let mut ff_d: Vec<Option<NodeId>> = vec![None; self.dffs];
         for (g, &d_ff) in d_driver_of.iter().enumerate() {
-            let name = format!("N{g}");
             let kind = random_kind(rng);
             let fanin_n = if kind.is_unary() {
                 1
@@ -173,16 +179,16 @@ impl Profile {
                 random_fanin(rng)
             };
 
-            let mut fanin: Vec<String> = Vec::with_capacity(fanin_n);
+            let mut fanin: Vec<NodeId> = Vec::with_capacity(fanin_n);
             if let Some(ff) = d_ff {
                 // Forced backbone input: the previous flip-flop of this
                 // chain, or a primary input for a chain's first stage.
                 // Flip-flop `ff` belongs to chain `ff % n_chains`; its
                 // predecessor is `ff - n_chains`.
                 let forced = if ff < n_chains {
-                    input_names.choose(rng).expect("inputs nonempty").clone()
+                    *pool[..self.inputs].choose(rng).expect("inputs nonempty")
                 } else {
-                    ff_names[ff - n_chains].clone()
+                    ff_id(ff - n_chains)
                 };
                 fanin.push(forced);
             }
@@ -192,12 +198,9 @@ impl Profile {
                     unread.swap_remove(i)
                 } else if rng.gen_bool(0.5) && pool.len() > 32 {
                     // Recency bias: draw from the newest 32 signals.
-                    pool[pool.len() - 32..]
-                        .choose(rng)
-                        .expect("nonempty")
-                        .clone()
+                    *pool[pool.len() - 32..].choose(rng).expect("nonempty")
                 } else {
-                    pool.choose(rng).expect("nonempty").clone()
+                    *pool.choose(rng).expect("nonempty")
                 };
                 if !fanin.contains(&pick) {
                     fanin.push(pick);
@@ -214,50 +217,42 @@ impl Profile {
             } else {
                 kind
             };
-            {
-                let refs: Vec<&str> = fanin.iter().map(String::as_str).collect();
-                b.gate(&name, kind, &refs);
-            }
             for f in &fanin {
                 unread.retain(|u| u != f);
             }
+            let id = gate_id(g);
             if let Some(ff) = d_ff {
-                ff_d_name[ff] = Some(name.clone());
+                ff_d[ff] = Some(id);
                 // The D pin reads this gate, so it is not dangling.
             } else {
-                unread.push(name.clone());
+                unread.push(id);
             }
-            pool.push(name);
+            pool.push(id);
+            nodes.push((format!("N{g}"), Node::Gate { kind, fanin }));
         }
 
-        for (ff, d) in ff_d_name.iter().enumerate() {
-            let d = d.as_ref().expect("every flip-flop got a backbone driver");
-            b.dff(&ff_names[ff], d);
+        for (ff, d) in ff_d.into_iter().enumerate() {
+            let d = d.expect("every flip-flop got a backbone driver");
+            nodes.push((format!("F{ff}"), Node::Dff { d }));
         }
 
         // Primary outputs: prefer unread gates (newest first), then fall
         // back to the newest gates overall. The last flip-flop's fan-out
         // cone ends here via the backbone.
-        let mut po_candidates: Vec<String> = unread
-            .iter()
-            .filter(|s| s.starts_with('N'))
-            .rev()
-            .cloned()
-            .collect();
+        let is_gate = |id: &NodeId| (self.inputs..self.inputs + self.gates).contains(&id.index());
+        let mut outputs: Vec<NodeId> = unread.iter().copied().filter(is_gate).rev().collect();
         for g in (0..self.gates).rev() {
-            let name = format!("N{g}");
-            if !po_candidates.contains(&name) {
-                po_candidates.push(name);
+            if !outputs.contains(&gate_id(g)) {
+                outputs.push(gate_id(g));
             }
-            if po_candidates.len() >= self.outputs {
+            if outputs.len() >= self.outputs {
                 break;
             }
         }
-        for name in po_candidates.into_iter().take(self.outputs) {
-            b.output(&name);
-        }
+        outputs.truncate(self.outputs);
 
-        b.finish().expect("generated circuit is structurally valid")
+        Netlist::from_nodes(self.name, nodes, outputs)
+            .expect("generated circuit is structurally valid")
     }
 }
 
@@ -360,7 +355,7 @@ mod tests {
         let dangling = n
             .iter()
             .filter(|(id, node)| {
-                node.is_combinational() && fo[id.index()].is_empty() && !outputs.contains(*id)
+                node.is_combinational() && fo.readers(*id).is_empty() && !outputs.contains(*id)
             })
             .count();
         // The unread-first fan-in policy keeps dangling cones rare.

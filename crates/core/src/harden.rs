@@ -21,6 +21,7 @@ use std::fmt;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use sttlock_netlist::view::Fanout;
 use sttlock_netlist::{CircuitView, Netlist, Node, NodeId, TruthTable};
 
 /// Why the hardening pass refused to run.
@@ -174,19 +175,14 @@ pub fn harden<R: Rng + ?Sized>(
 }
 
 /// Absorbs one single-fan-out driving gate into the LUT, if any fits.
-fn try_absorb(
-    netlist: &mut Netlist,
-    fanout: &[Vec<NodeId>],
-    lut: NodeId,
-    max_fanin: usize,
-) -> bool {
+fn try_absorb(netlist: &mut Netlist, fanout: &Fanout, lut: NodeId, max_fanin: usize) -> bool {
     let lut_fanin = netlist.node(lut).fanin().to_vec();
     let table = netlist.lut_config(lut).expect("programmed");
     for (pin, &driver) in lut_fanin.iter().enumerate() {
         let Node::Gate { kind, fanin: g_in } = netlist.node(driver) else {
             continue;
         };
-        if fanout[driver.index()].len() != 1 {
+        if fanout.readers(driver).len() != 1 {
             continue; // other readers still need the gate's output
         }
         let g_kind = *kind;

@@ -464,7 +464,7 @@ fn closure_candidates(view: &CircuitView<'_>, draws: &PathDraws) -> Vec<NodeId> 
     let mut neighbours: Vec<NodeId> = Vec::new();
     for &u in &draws.usl {
         neighbours.extend(netlist.node(u).fanin().iter().copied());
-        neighbours.extend(fanout[u.index()].iter().copied());
+        neighbours.extend(fanout.readers(u).iter().copied());
     }
     neighbours.sort_unstable();
     neighbours.dedup();

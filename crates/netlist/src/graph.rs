@@ -12,19 +12,21 @@ use std::collections::VecDeque;
 
 use crate::id::NodeId;
 use crate::netlist::Netlist;
+use crate::view::Fanout;
 
 /// A topological order of the combinational nodes (gates and LUTs) such
 /// that every node appears after all of its combinational fan-ins, given
-/// the fan-out map.
+/// the fan-out map (Kahn's algorithm, first in first out, seeded in arena
+/// order).
 ///
 /// Sources (inputs, constants, flip-flops) are not included; they may be
 /// treated as level 0.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the netlist contains a combinational cycle, which a validated
-/// [`Netlist`] cannot.
-pub(crate) fn topo_order_with(netlist: &Netlist, fanout: &[Vec<NodeId>]) -> Vec<NodeId> {
+/// On a combinational cycle, the first combinational node in arena order
+/// that lies on a cycle or behind one.
+pub(crate) fn topo_order(netlist: &Netlist, fanout: &Fanout) -> Result<Vec<NodeId>, NodeId> {
     let n = netlist.len();
     let mut indeg = vec![0u32; n];
     for (id, node) in netlist.iter() {
@@ -44,7 +46,7 @@ pub(crate) fn topo_order_with(netlist: &Netlist, fanout: &[Vec<NodeId>]) -> Vec<
     let mut order = Vec::with_capacity(n);
     while let Some(id) = queue.pop_front() {
         order.push(id);
-        for &o in &fanout[id.index()] {
+        for &o in fanout.readers(id) {
             if !netlist.node(o).is_combinational() {
                 continue;
             }
@@ -54,21 +56,15 @@ pub(crate) fn topo_order_with(netlist: &Netlist, fanout: &[Vec<NodeId>]) -> Vec<
             }
         }
     }
-    let comb = netlist.iter().filter(|(_, x)| x.is_combinational()).count();
-    assert_eq!(order.len(), comb, "netlist contains a combinational cycle");
-    order
-}
-
-/// The fan-out map: `fanout[i]` lists every node that reads node `i`
-/// (combinational readers *and* flip-flop D pins).
-pub(crate) fn fanout_map(netlist: &Netlist) -> Vec<Vec<NodeId>> {
-    let mut fanout: Vec<Vec<NodeId>> = vec![Vec::new(); netlist.len()];
-    for (id, node) in netlist.iter() {
-        for &f in node.fanin() {
-            fanout[f.index()].push(id);
-        }
+    // Every combinational node whose in-degree reached zero was ordered;
+    // one that kept an unordered fan-in sits on or behind a cycle.
+    match netlist
+        .iter()
+        .find(|(id, node)| node.is_combinational() && indeg[id.index()] > 0)
+    {
+        Some((on, _)) => Err(on),
+        None => Ok(order),
     }
-    fanout
 }
 
 /// Logic level of every node, given a topological order: sources are
@@ -122,7 +118,7 @@ pub(crate) fn fanin_cone(netlist: &Netlist, roots: &[NodeId], cross_dffs: bool) 
 /// themselves.
 pub(crate) fn fanout_cone_with(
     netlist: &Netlist,
-    fanout: &[Vec<NodeId>],
+    fanout: &Fanout,
     roots: &[NodeId],
     cross_dffs: bool,
 ) -> Vec<NodeId> {
@@ -135,7 +131,7 @@ pub(crate) fn fanout_cone_with(
         }
         seen[id.index()] = true;
         cone.push(id);
-        for &o in &fanout[id.index()] {
+        for &o in fanout.readers(id) {
             if netlist.node(o).is_dff() && !cross_dffs {
                 // Record the flip-flop as a cone boundary but do not cross.
                 if !seen[o.index()] {
@@ -157,7 +153,7 @@ pub(crate) fn fanout_cone_with(
 /// logic.
 pub(crate) fn comb_reachable_with(
     netlist: &Netlist,
-    fanout: &[Vec<NodeId>],
+    fanout: &Fanout,
     from: NodeId,
     target: NodeId,
 ) -> bool {
@@ -171,7 +167,7 @@ pub(crate) fn comb_reachable_with(
             continue;
         }
         seen[id.index()] = true;
-        for &o in &fanout[id.index()] {
+        for &o in fanout.readers(id) {
             if o == target {
                 return true;
             }
@@ -229,14 +225,23 @@ mod tests {
     }
 
     #[test]
-    fn fanout_map_lists_readers() {
+    fn topo_order_names_a_cycle_node() {
         let n = chain();
-        let fo = fanout_map(&n);
-        let a = n.find("a").unwrap();
-        let readers = &fo[a.index()];
-        assert!(readers.contains(&n.find("g1").unwrap()));
-        assert!(readers.contains(&n.find("g2").unwrap()));
-        assert_eq!(readers.len(), 2);
+        let order = topo_order(&n, &Fanout::of(&n)).unwrap();
+        assert_eq!(order.len(), 3);
+        // Rewiring g1 to read g2 closes the loop g1 -> g2 -> g1: the
+        // order names g1, the first node on it, not a partial order.
+        let mut n2 = chain();
+        let g1 = n2.find("g1").unwrap();
+        let g2 = n2.find("g2").unwrap();
+        n2.set_node(
+            g1,
+            crate::node::Node::Gate {
+                kind: GateKind::Not,
+                fanin: vec![g2],
+            },
+        );
+        assert_eq!(topo_order(&n2, &Fanout::of(&n2)), Err(g1));
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //!   primary outputs, combinational gates, D flip-flops, and reconfigurable
 //!   [`Node::Lut`] nodes (the "missing gates" of the paper).
 //! * [`NetlistBuilder`] — a name-resolving builder that tolerates forward
-//!   references and flip-flop feedback loops.
+//!   references and flip-flop feedback loops. Generators that already
+//!   know every node's id skip the names with [`Netlist::from_nodes`];
+//!   both paths validate through the same checks.
 //! * [`TruthTable`] — up-to-6-input truth tables with the pairwise
 //!   *similarity* measure the paper uses to derive the α attack constants.
 //! * [`view::CircuitView`] — the shared analysis layer over the
-//!   combinational core: topological order, logic levels, fan-out maps
-//!   and cones. Each graph fact is computed at most once per circuit and
+//!   combinational core: topological order, logic levels, a flat fan-out
+//!   map and cones. Each graph fact is computed at most once per circuit and
 //!   every consumer (simulation, timing, SAT encoding, selection,
 //!   attacks) reads the same memo.
 //! * [`overlay::HybridOverlay`] — copy-on-write hybrid variants: one

@@ -3,9 +3,11 @@ use std::fmt;
 use std::ops;
 
 use crate::error::NetlistError;
+use crate::graph;
 use crate::id::NodeId;
 use crate::node::{GateKind, Node};
 use crate::truth::{TruthTable, MAX_LUT_INPUTS};
+use crate::view::Fanout;
 
 /// A validated gate-level netlist.
 ///
@@ -15,8 +17,9 @@ use crate::truth::{TruthTable, MAX_LUT_INPUTS};
 /// [`Node::Dff`]), all fan-in references resolve, and all gate arities are
 /// legal.
 ///
-/// Construct one with [`NetlistBuilder`] or the parsers in
-/// [`bench_format`](crate::bench_format) and [`verilog`](crate::verilog).
+/// Construct one with [`NetlistBuilder`], the parsers in
+/// [`bench_format`](crate::bench_format) and [`verilog`](crate::verilog),
+/// or from nodes already wired by id with [`Netlist::from_nodes`].
 ///
 /// # Example
 ///
@@ -45,6 +48,93 @@ pub struct Netlist {
 }
 
 impl Netlist {
+    /// Builds a netlist from nodes whose fan-ins are already ids: entry
+    /// `i` of `nodes` is the node with id `i` and its name, and `outputs`
+    /// lists the primary-output drivers in declaration order. The primary
+    /// inputs are the [`Node::Input`]s in arena order. Every netlist,
+    /// [`NetlistBuilder::finish`]'s included, is checked here.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first of: a duplicate name
+    /// ([`NetlistError::DuplicateName`]); then, node by node, an illegal
+    /// gate arity, an over-wide LUT, a LUT table whose width disagrees
+    /// with its fan-in, or a fan-in id out of range (an
+    /// [`NetlistError::UnresolvedName`] naming the id); an output id out
+    /// of range ([`NetlistError::UnknownOutput`]); or a combinational
+    /// cycle.
+    pub fn from_nodes(
+        name: impl Into<String>,
+        nodes: Vec<(String, Node)>,
+        outputs: Vec<NodeId>,
+    ) -> Result<Netlist, NetlistError> {
+        let (names, nodes): (Vec<String>, Vec<Node>) = nodes.into_iter().unzip();
+        let name_index = index_names(&names)?;
+        Netlist::validated(name.into(), nodes, names, name_index, outputs)
+    }
+
+    /// The rules every netlist keeps, checked over resolved nodes whose
+    /// names are already indexed without duplicates.
+    fn validated(
+        name: String,
+        nodes: Vec<Node>,
+        names: Vec<String>,
+        name_index: HashMap<String, NodeId>,
+        outputs: Vec<NodeId>,
+    ) -> Result<Netlist, NetlistError> {
+        let mut inputs = Vec::new();
+        for (i, (node, name)) in nodes.iter().zip(&names).enumerate() {
+            match node {
+                Node::Input => inputs.push(NodeId::from_index(i)),
+                Node::Gate { kind, fanin } if !kind.arity_ok(fanin.len()) => {
+                    return Err(NetlistError::BadArity {
+                        name: name.clone(),
+                        kind: kind.to_string(),
+                        fanin: fanin.len(),
+                    });
+                }
+                Node::Lut { fanin, .. } if fanin.len() > MAX_LUT_INPUTS => {
+                    return Err(NetlistError::LutTooWide {
+                        name: name.clone(),
+                        fanin: fanin.len(),
+                    });
+                }
+                Node::Lut {
+                    fanin,
+                    config: Some(t),
+                } if t.inputs() != fanin.len() => {
+                    return Err(NetlistError::ConfigWidthMismatch {
+                        name: name.clone(),
+                        config_inputs: t.inputs(),
+                        fanin: fanin.len(),
+                    });
+                }
+                _ => {}
+            }
+            if let Some(f) = node.fanin().iter().find(|f| f.index() >= nodes.len()) {
+                return Err(NetlistError::UnresolvedName {
+                    name: f.to_string(),
+                    referenced_by: name.clone(),
+                });
+            }
+        }
+        if let Some(o) = outputs.iter().find(|o| o.index() >= nodes.len()) {
+            return Err(NetlistError::UnknownOutput {
+                name: o.to_string(),
+            });
+        }
+        let netlist = Netlist {
+            name,
+            nodes,
+            names,
+            name_index,
+            inputs,
+            outputs,
+        };
+        netlist.check_acyclic()?;
+        Ok(netlist)
+    }
+
     /// The design name.
     pub fn name(&self) -> &str {
         &self.name
@@ -335,55 +425,12 @@ impl Netlist {
     /// Returns [`NetlistError::CombinationalCycle`] naming a node on a
     /// cycle if one exists.
     pub fn check_acyclic(&self) -> Result<(), NetlistError> {
-        // Kahn's algorithm over combinational nodes only; inputs, constants
-        // and flip-flop outputs are sources. The in-degree of a
-        // combinational node is its number of combinational fan-ins.
-        let n = self.nodes.len();
-        let mut indeg = vec![0u32; n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.is_combinational() {
-                indeg[i] = node
-                    .fanin()
-                    .iter()
-                    .filter(|f| self.nodes[f.index()].is_combinational())
-                    .count() as u32;
-            }
+        match graph::topo_order(self, &Fanout::of(self)) {
+            Ok(_) => Ok(()),
+            Err(on) => Err(NetlistError::CombinationalCycle {
+                on: self.names[on.index()].clone(),
+            }),
         }
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.is_combinational() {
-                for &f in node.fanin() {
-                    if self.nodes[f.index()].is_combinational() {
-                        fanout[f.index()].push(i as u32);
-                    }
-                }
-            }
-        }
-        let mut queue: Vec<u32> = (0..n as u32)
-            .filter(|&i| self.nodes[i as usize].is_combinational() && indeg[i as usize] == 0)
-            .collect();
-        let mut seen = 0usize;
-        let total = self.nodes.iter().filter(|x| x.is_combinational()).count();
-        while let Some(i) = queue.pop() {
-            seen += 1;
-            for &o in &fanout[i as usize] {
-                indeg[o as usize] -= 1;
-                if indeg[o as usize] == 0 {
-                    queue.push(o);
-                }
-            }
-        }
-        if seen != total {
-            let on = self
-                .nodes
-                .iter()
-                .enumerate()
-                .find(|(i, nd)| nd.is_combinational() && indeg[*i] > 0)
-                .map(|(i, _)| self.names[i].clone())
-                .unwrap_or_default();
-            return Err(NetlistError::CombinationalCycle { on });
-        }
-        Ok(())
     }
 }
 
@@ -524,24 +571,17 @@ impl NetlistBuilder {
         self.decls.is_empty()
     }
 
-    /// Resolves names, validates arities and acyclicity, and produces the
-    /// final [`Netlist`].
+    /// Resolves names and produces the final [`Netlist`], validated by
+    /// [`Netlist::from_nodes`]'s rules.
     ///
     /// # Errors
     ///
-    /// Returns the first of: duplicate definitions, unresolved references,
-    /// illegal arities, over-wide LUTs, unknown outputs, or a combinational
-    /// cycle.
+    /// Returns the first of: duplicate definitions, unresolved references
+    /// (node by node), unknown outputs, then what
+    /// [`Netlist::from_nodes`] rejects: illegal arities, over-wide LUTs
+    /// or tables, or a combinational cycle.
     pub fn finish(&self) -> Result<Netlist, NetlistError> {
-        let mut name_index: HashMap<String, NodeId> = HashMap::with_capacity(self.decls.len());
-        for (i, (name, _)) in self.decls.iter().enumerate() {
-            if name_index
-                .insert(name.clone(), NodeId::from_index(i))
-                .is_some()
-            {
-                return Err(NetlistError::DuplicateName { name: name.clone() });
-            }
-        }
+        let name_index = index_names(self.decls.iter().map(|(name, _)| name))?;
         let resolve = |referenced_by: &str, name: &str| -> Result<NodeId, NetlistError> {
             name_index
                 .get(name)
@@ -551,84 +591,63 @@ impl NetlistBuilder {
                     referenced_by: referenced_by.to_owned(),
                 })
         };
+        let resolve_all = |referenced_by: &str, names: &[String]| {
+            names
+                .iter()
+                .map(|f| resolve(referenced_by, f))
+                .collect::<Result<Vec<_>, _>>()
+        };
 
         let mut nodes = Vec::with_capacity(self.decls.len());
         let mut names = Vec::with_capacity(self.decls.len());
-        let mut inputs = Vec::new();
-        for (i, (name, decl)) in self.decls.iter().enumerate() {
-            let node = match decl {
-                Decl::Input => {
-                    inputs.push(NodeId::from_index(i));
-                    Node::Input
-                }
+        for (name, decl) in &self.decls {
+            nodes.push(match decl {
+                Decl::Input => Node::Input,
                 Decl::Const(v) => Node::Const(*v),
-                Decl::Gate(kind, fanin_names) => {
-                    if !kind.arity_ok(fanin_names.len()) {
-                        return Err(NetlistError::BadArity {
-                            name: name.clone(),
-                            kind: kind.to_string(),
-                            fanin: fanin_names.len(),
-                        });
-                    }
-                    let fanin = fanin_names
-                        .iter()
-                        .map(|f| resolve(name, f))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Node::Gate { kind: *kind, fanin }
-                }
+                Decl::Gate(kind, fanin) => Node::Gate {
+                    kind: *kind,
+                    fanin: resolve_all(name, fanin)?,
+                },
                 Decl::Dff(d) => Node::Dff {
                     d: resolve(name, d)?,
                 },
-                Decl::Lut(fanin_names, config) => {
-                    if fanin_names.len() > MAX_LUT_INPUTS {
-                        return Err(NetlistError::LutTooWide {
-                            name: name.clone(),
-                            fanin: fanin_names.len(),
-                        });
-                    }
-                    if let Some(t) = config {
-                        if t.inputs() != fanin_names.len() {
-                            return Err(NetlistError::ConfigWidthMismatch {
-                                name: name.clone(),
-                                config_inputs: t.inputs(),
-                                fanin: fanin_names.len(),
-                            });
-                        }
-                    }
-                    let fanin = fanin_names
-                        .iter()
-                        .map(|f| resolve(name, f))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Node::Lut {
-                        fanin,
-                        config: *config,
-                    }
-                }
-            };
-            nodes.push(node);
+                Decl::Lut(fanin, config) => Node::Lut {
+                    fanin: resolve_all(name, fanin)?,
+                    config: *config,
+                },
+            });
             names.push(name.clone());
         }
-
-        let mut outputs = Vec::with_capacity(self.outputs.len());
-        for out in &self.outputs {
-            let id = name_index
-                .get(out)
-                .copied()
-                .ok_or_else(|| NetlistError::UnknownOutput { name: out.clone() })?;
-            outputs.push(id);
-        }
-
-        let netlist = Netlist {
-            name: self.name.clone(),
-            nodes,
-            names,
-            name_index,
-            inputs,
-            outputs,
-        };
-        netlist.check_acyclic()?;
-        Ok(netlist)
+        let outputs = self
+            .outputs
+            .iter()
+            .map(|out| {
+                name_index
+                    .get(out)
+                    .copied()
+                    .ok_or_else(|| NetlistError::UnknownOutput { name: out.clone() })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Netlist::validated(self.name.clone(), nodes, names, name_index, outputs)
     }
+}
+
+/// Maps each name to its arena id.
+///
+/// # Errors
+///
+/// [`NetlistError::DuplicateName`] for the first name seen twice.
+fn index_names<'n>(
+    names: impl IntoIterator<Item = &'n String>,
+) -> Result<HashMap<String, NodeId>, NetlistError> {
+    let names = names.into_iter();
+    let mut index = HashMap::with_capacity(names.size_hint().0);
+    for (i, name) in names.enumerate() {
+        if index.insert(name.clone(), NodeId::from_index(i)).is_some() {
+            return Err(NetlistError::DuplicateName { name: name.clone() });
+        }
+    }
+    Ok(index)
 }
 
 #[cfg(test)]
@@ -760,6 +779,110 @@ mod tests {
                 config_inputs: 3,
                 fanin: 2,
             })
+        );
+    }
+
+    /// `toy()`'s nodes wired by id: a, b, g1 = NAND(a, b), q = DFF(g1),
+    /// g2 = XOR(q, a).
+    fn toy_nodes() -> Vec<(String, Node)> {
+        let id = NodeId::from_index;
+        vec![
+            ("a".into(), Node::Input),
+            ("b".into(), Node::Input),
+            (
+                "g1".into(),
+                Node::Gate {
+                    kind: GateKind::Nand,
+                    fanin: vec![id(0), id(1)],
+                },
+            ),
+            ("q".into(), Node::Dff { d: id(2) }),
+            (
+                "g2".into(),
+                Node::Gate {
+                    kind: GateKind::Xor,
+                    fanin: vec![id(3), id(0)],
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn from_nodes_builds_what_the_builder_builds() {
+        let n = Netlist::from_nodes("toy", toy_nodes(), vec![NodeId::from_index(4)]).unwrap();
+        assert_eq!(n, toy());
+        assert_eq!(n.find("g1"), Some(NodeId::from_index(2)));
+    }
+
+    #[test]
+    fn from_nodes_rejects_what_finish_rejects() {
+        let id = NodeId::from_index;
+        let out = vec![id(4)];
+        let with = |i: usize, name: &str, node: Node| {
+            let mut nodes = toy_nodes();
+            nodes[i] = (name.into(), node);
+            nodes
+        };
+        let check = |nodes: Vec<(String, Node)>, outputs: Vec<NodeId>| {
+            Netlist::from_nodes("bad", nodes, outputs).unwrap_err()
+        };
+        assert_eq!(
+            check(with(1, "a", Node::Input), out.clone()),
+            NetlistError::DuplicateName { name: "a".into() }
+        );
+        let ghost = Node::Dff { d: id(9) };
+        assert_eq!(
+            check(with(3, "q", ghost), out.clone()),
+            NetlistError::UnresolvedName {
+                name: "n9".into(),
+                referenced_by: "q".into(),
+            }
+        );
+        let unary_and = Node::Gate {
+            kind: GateKind::And,
+            fanin: vec![id(0)],
+        };
+        assert!(matches!(
+            check(with(2, "g1", unary_and), out.clone()),
+            NetlistError::BadArity { .. }
+        ));
+        let wide = Node::Lut {
+            fanin: vec![id(0); MAX_LUT_INPUTS + 1],
+            config: None,
+        };
+        assert!(matches!(
+            check(with(2, "g1", wide), out.clone()),
+            NetlistError::LutTooWide { .. }
+        ));
+        let mismatched = Node::Lut {
+            fanin: vec![id(0), id(1)],
+            config: Some(TruthTable::new(3, 0x96)),
+        };
+        assert!(matches!(
+            check(with(2, "g1", mismatched), out.clone()),
+            NetlistError::ConfigWidthMismatch { .. }
+        ));
+        assert_eq!(
+            check(toy_nodes(), vec![id(5)]),
+            NetlistError::UnknownOutput { name: "n5".into() }
+        );
+        // g1 = NAND(a, g2) and g2 = XOR(g1, a): a loop no flip-flop
+        // breaks.
+        let mut looped = with(
+            2,
+            "g1",
+            Node::Gate {
+                kind: GateKind::Nand,
+                fanin: vec![id(0), id(4)],
+            },
+        );
+        looped[4].1 = Node::Gate {
+            kind: GateKind::Xor,
+            fanin: vec![id(2), id(0)],
+        };
+        assert_eq!(
+            check(looped, out),
+            NetlistError::CombinationalCycle { on: "g1".into() }
         );
     }
 

@@ -8,6 +8,12 @@
 //! Unique paths are collected, paths touching the critical path are
 //! discarded, and the survivors are sorted by *depth* — the number of
 //! flip-flops between the primary input and the primary output.
+//!
+//! Both searches of every attempt run on one walker per sampling run:
+//! visits are stamped with a per-walk epoch instead of a fresh visited
+//! array, and the untried children of the whole branch share one flat
+//! stack. The backward walk reads each node's fan-in; the forward walk
+//! reads the [`CircuitView`]'s flat fan-out map.
 
 use std::collections::HashSet;
 
@@ -166,20 +172,29 @@ pub fn sample_io_paths_with<R: Rng + ?Sized>(
 
     let fanout = view.fanout();
     let output_set = view.output_set();
+    let fanin_of = |id: NodeId| netlist.node(id).fanin();
+    let is_input = |id: NodeId| netlist.node(id).is_input();
+    let fanout_of = |id: NodeId| fanout.readers(id);
+    let is_output = |id: NodeId| output_set.contains(id);
 
+    let mut walker = Walker::new(netlist.len());
+    let mut nodes: Vec<NodeId> = Vec::new();
     let mut unique: HashSet<Vec<NodeId>> = HashSet::new();
     let mut paths = Vec::new();
     for seed in seeds {
         for _ in 0..cfg.attempts_per_seed {
-            let Some(back) = dfs_to_input(netlist, seed, rng) else {
-                break; // no PI reachable at all; retrying will not help much
-            };
-            let Some(fwd) = dfs_to_output(netlist, fanout, output_set, seed, rng) else {
+            // Backward to a primary input, then forward to an output
+            // driver: a seed with no route to one will not find one on
+            // a retry either.
+            if !walker.walk(seed, fanin_of, is_input, rng) {
                 break;
-            };
-            // back ends at seed; fwd starts at seed.
-            let mut nodes = back;
-            nodes.extend_from_slice(&fwd[1..]);
+            }
+            nodes.clear();
+            nodes.extend(walker.path().rev());
+            if !walker.walk(seed, fanout_of, is_output, rng) {
+                break;
+            }
+            nodes.extend(walker.path().skip(1));
             let ff_count = nodes
                 .iter()
                 .filter(|&&id| netlist.node(id).is_dff())
@@ -187,8 +202,9 @@ pub fn sample_io_paths_with<R: Rng + ?Sized>(
             if ff_count < cfg.min_ffs {
                 continue; // randomized retry may find a deeper route
             }
-            if unique.insert(nodes.clone()) {
-                paths.push(IoPath::new(nodes, ff_count));
+            if !unique.contains(nodes.as_slice()) {
+                unique.insert(nodes.clone());
+                paths.push(IoPath::new(nodes.clone(), ff_count));
                 break;
             }
         }
@@ -205,76 +221,87 @@ pub fn retain_avoiding(paths: &mut Vec<IoPath>, avoid: &[NodeId]) {
     paths.retain(|p| !p.nodes.iter().any(|n| avoid.contains(n)));
 }
 
-/// Randomized DFS from `start` backward through fan-ins to a primary
-/// input. Returns the path PI → … → start, or `None` if no primary input
-/// is reachable (e.g. the cone is rooted only in constants).
-fn dfs_to_input<R: Rng + ?Sized>(
-    netlist: &Netlist,
-    start: NodeId,
-    rng: &mut R,
-) -> Option<Vec<NodeId>> {
-    // Iterative DFS; `trail` holds (node, remaining shuffled fan-ins).
-    let mut visited = vec![false; netlist.len()];
-    let mut trail: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-    visited[start.index()] = true;
-    trail.push((start, shuffled(netlist.node(start).fanin(), rng)));
-    while let Some((node, children)) = trail.last_mut() {
-        if netlist.node(*node).is_input() {
-            let mut path: Vec<NodeId> = trail.iter().map(|(n, _)| *n).collect();
-            path.reverse();
-            return Some(path);
-        }
-        match children.pop() {
-            Some(next) if !visited[next.index()] => {
-                visited[next.index()] = true;
-                let grand = shuffled(netlist.node(next).fanin(), rng);
-                trail.push((next, grand));
-            }
-            Some(_) => {}
-            None => {
-                trail.pop();
-            }
-        }
-    }
-    None
+/// Randomized depth-first search, reused by every walk of one sampling
+/// run so a walk allocates nothing once its buffers have grown.
+///
+/// A node's children are copied and shuffled when the node is pushed,
+/// and tried from the back of the shuffle, so every random draw of a
+/// walk happens in the order of the first visit of each node.
+struct Walker {
+    /// Visit stamps: node `i` is visited in the current walk when
+    /// `mark[i] == epoch`, so a new walk forgets the old by a bump.
+    mark: Vec<u32>,
+    epoch: u32,
+    /// The current branch from the start: each node and where its
+    /// untried children begin in `children`.
+    trail: Vec<(NodeId, usize)>,
+    /// The untried children of every trail node, back to back.
+    children: Vec<NodeId>,
 }
 
-/// Randomized DFS from `start` forward through fan-outs to a node driving
-/// a primary output. Returns the path start → … → output driver.
-fn dfs_to_output<R: Rng + ?Sized>(
-    netlist: &Netlist,
-    fanout: &[Vec<NodeId>],
-    outputs: &NodeSet,
-    start: NodeId,
-    rng: &mut R,
-) -> Option<Vec<NodeId>> {
-    let mut visited = vec![false; netlist.len()];
-    let mut trail: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-    visited[start.index()] = true;
-    trail.push((start, shuffled(&fanout[start.index()], rng)));
-    while let Some((node, children)) = trail.last_mut() {
-        if outputs.contains(*node) {
-            return Some(trail.iter().map(|(n, _)| *n).collect());
-        }
-        match children.pop() {
-            Some(next) if !visited[next.index()] => {
-                visited[next.index()] = true;
-                let grand = shuffled(&fanout[next.index()], rng);
-                trail.push((next, grand));
-            }
-            Some(_) => {}
-            None => {
-                trail.pop();
-            }
+impl Walker {
+    fn new(nodes: usize) -> Self {
+        Walker {
+            mark: vec![0; nodes],
+            epoch: 0,
+            trail: Vec::new(),
+            children: Vec::new(),
         }
     }
-    None
-}
 
-fn shuffled<R: Rng + ?Sized>(items: &[NodeId], rng: &mut R) -> Vec<NodeId> {
-    let mut v = items.to_vec();
-    v.shuffle(rng);
-    v
+    /// Walks from `start` over `next` until `is_goal` holds at the top
+    /// of the trail. Returns `false` when no goal is reachable;
+    /// otherwise [`path`](Walker::path) is start → … → goal.
+    fn walk<'g, R: Rng + ?Sized>(
+        &mut self,
+        start: NodeId,
+        next: impl Fn(NodeId) -> &'g [NodeId],
+        is_goal: impl Fn(NodeId) -> bool,
+        rng: &mut R,
+    ) -> bool {
+        if self.epoch == u32::MAX {
+            self.mark.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.trail.clear();
+        self.children.clear();
+        self.push(start, next(start), rng);
+        while let Some(&(node, untried)) = self.trail.last() {
+            if is_goal(node) {
+                return true;
+            }
+            let child = if self.children.len() > untried {
+                self.children.pop()
+            } else {
+                None
+            };
+            match child {
+                Some(child) if self.mark[child.index()] != self.epoch => {
+                    self.push(child, next(child), rng);
+                }
+                Some(_) => {}
+                None => {
+                    self.trail.pop();
+                }
+            }
+        }
+        false
+    }
+
+    /// Visits `node`: marks it and queues its children in shuffled order.
+    fn push<R: Rng + ?Sized>(&mut self, node: NodeId, children: &[NodeId], rng: &mut R) {
+        self.mark[node.index()] = self.epoch;
+        let untried = self.children.len();
+        self.children.extend_from_slice(children);
+        self.children[untried..].shuffle(rng);
+        self.trail.push((node, untried));
+    }
+
+    /// The nodes of the last successful walk, start first.
+    fn path(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
+        self.trail.iter().map(|&(node, _)| node)
+    }
 }
 
 #[cfg(test)]

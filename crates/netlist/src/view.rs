@@ -7,12 +7,13 @@
 //! a grid of analyses over one circuit into a grid of O(V+E) passes.
 //!
 //! [`CircuitView`] computes each fact at most once, on first use, behind
-//! [`OnceLock`] interior mutability, and hands out either borrowed slices
-//! or [`Arc`] handles (for consumers that outlive the view or cross
-//! threads). The memoization contract is enforced by the borrow checker:
-//! a view holds `&Netlist`, so no mutation entry point of [`Netlist`]
-//! (which all take `&mut self`) can run while the view exists. There is
-//! no partial invalidation — mutate the netlist, then build a fresh view.
+//! [`OnceLock`] interior mutability, and hands out either borrowed
+//! references or [`Arc`] handles (for consumers that outlive the view or
+//! cross threads). The memoization contract is enforced by the borrow
+//! checker: a view holds `&Netlist`, so no mutation entry point of
+//! [`Netlist`] (which all take `&mut self`) can run while the view
+//! exists. There is no partial invalidation — mutate the netlist, then
+//! build a fresh view.
 //!
 //! Copy-on-write edits that *preserve fan-in wiring* (gate ↔ LUT swaps,
 //! LUT reprogramming — everything
@@ -40,8 +41,7 @@ use crate::set::NodeSet;
 #[derive(Debug)]
 pub struct CircuitView<'a> {
     netlist: &'a Netlist,
-    fanout: OnceLock<Arc<Vec<Vec<NodeId>>>>,
-    comb_fanout: OnceLock<Arc<Vec<Vec<NodeId>>>>,
+    fanout: OnceLock<Arc<Fanout>>,
     topo: OnceLock<Arc<Vec<NodeId>>>,
     levels: OnceLock<Arc<Vec<u32>>>,
     output_set: OnceLock<Arc<NodeSet>>,
@@ -73,13 +73,59 @@ impl fmt::Debug for Derived {
     }
 }
 
+/// The fan-out map of a netlist, flat: the readers of every node sit
+/// back to back in one array, in arena order of the reader, and a
+/// second array holds where each node's run starts (compressed sparse
+/// rows). A node read twice by one gate lists that gate twice.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fanout {
+    /// `start[i]..start[i + 1]` is node `i`'s run in `readers`.
+    start: Vec<usize>,
+    readers: Vec<NodeId>,
+}
+
+impl Fanout {
+    /// Counts every node's readers, then places each reader in its
+    /// driver's run, visiting readers in arena order.
+    pub(crate) fn of(netlist: &Netlist) -> Fanout {
+        let n = netlist.len();
+        let mut start = vec![0usize; n + 1];
+        for (_, node) in netlist.iter() {
+            for &f in node.fanin() {
+                start[f.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start[..n].to_vec();
+        let mut readers = vec![NodeId::from_index(0); start[n]];
+        for (id, node) in netlist.iter() {
+            for &f in node.fanin() {
+                readers[next[f.index()]] = id;
+                next[f.index()] += 1;
+            }
+        }
+        Fanout { start, readers }
+    }
+
+    /// Every node that reads `id`, in arena order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range for the netlist the map was built
+    /// from.
+    pub fn readers(&self, id: NodeId) -> &[NodeId] {
+        &self.readers[self.start[id.index()]..self.start[id.index() + 1]]
+    }
+}
+
 impl<'a> CircuitView<'a> {
     /// Wraps `netlist` without computing anything yet.
     pub fn new(netlist: &'a Netlist) -> Self {
         CircuitView {
             netlist,
             fanout: OnceLock::new(),
-            comb_fanout: OnceLock::new(),
             topo: OnceLock::new(),
             levels: OnceLock::new(),
             output_set: OnceLock::new(),
@@ -92,53 +138,28 @@ impl<'a> CircuitView<'a> {
         self.netlist
     }
 
-    fn fanout_handle(&self) -> &Arc<Vec<Vec<NodeId>>> {
+    fn fanout_handle(&self) -> &Arc<Fanout> {
         self.fanout
-            .get_or_init(|| Arc::new(graph::fanout_map(self.netlist)))
+            .get_or_init(|| Arc::new(Fanout::of(self.netlist)))
     }
 
-    /// The fan-out map: `fanout()[i]` lists every reader of node `i`
-    /// (combinational readers *and* flip-flop D pins).
-    pub fn fanout(&self) -> &[Vec<NodeId>] {
+    /// The fan-out map: [`readers`](Fanout::readers) of a node lists
+    /// every node that reads it (combinational readers *and* flip-flop
+    /// D pins).
+    pub fn fanout(&self) -> &Fanout {
         self.fanout_handle()
     }
 
     /// Shared handle to the fan-out map.
-    pub fn fanout_arc(&self) -> Arc<Vec<Vec<NodeId>>> {
+    pub fn fanout_arc(&self) -> Arc<Fanout> {
         Arc::clone(self.fanout_handle())
     }
 
-    fn comb_fanout_handle(&self) -> &Arc<Vec<Vec<NodeId>>> {
-        self.comb_fanout.get_or_init(|| {
-            let filtered = self
-                .fanout()
-                .iter()
-                .map(|readers| {
-                    readers
-                        .iter()
-                        .copied()
-                        .filter(|&r| self.netlist.node(r).is_combinational())
-                        .collect()
-                })
-                .collect();
-            Arc::new(filtered)
-        })
-    }
-
-    /// The fan-out map restricted to combinational readers — the
-    /// propagation frontier of incremental timing.
-    pub fn comb_fanout(&self) -> &[Vec<NodeId>] {
-        self.comb_fanout_handle()
-    }
-
-    /// Shared handle to the combinational fan-out map.
-    pub fn comb_fanout_arc(&self) -> Arc<Vec<Vec<NodeId>>> {
-        Arc::clone(self.comb_fanout_handle())
-    }
-
     fn topo_handle(&self) -> &Arc<Vec<NodeId>> {
-        self.topo
-            .get_or_init(|| Arc::new(graph::topo_order_with(self.netlist, self.fanout())))
+        self.topo.get_or_init(|| {
+            let order = graph::topo_order(self.netlist, self.fanout());
+            Arc::new(order.expect("a validated netlist has no combinational cycle"))
+        })
     }
 
     /// A topological order of the combinational nodes (gates and LUTs):
@@ -240,13 +261,14 @@ mod tests {
     }
 
     #[test]
-    fn comb_fanout_drops_dff_readers() {
+    fn fanout_lists_every_reader_in_arena_order() {
         let n = chain();
         let v = CircuitView::new(&n);
-        let g2 = n.find("g2").unwrap();
-        // g2 is read only by the DFF q — its combinational fan-out is empty.
-        assert!(v.comb_fanout()[g2.index()].is_empty());
-        assert_eq!(v.fanout()[g2.index()], vec![n.find("q").unwrap()]);
+        let id = |name| n.find(name).unwrap();
+        // g2 is read only by the DFF q; a is read by g1, then g2.
+        assert_eq!(v.fanout().readers(id("g2")), [id("q")]);
+        assert_eq!(v.fanout().readers(id("a")), [id("g1"), id("g2")]);
+        assert!(v.fanout().readers(id("g3")).is_empty());
     }
 
     #[test]

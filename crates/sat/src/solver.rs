@@ -71,7 +71,7 @@ enum Conflict {
 /// clause is ever deleted, so offsets stay valid for the solver's life.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Solver {
     /// Clauses of three or more literals: `[len, lit…]` each, addressed
     /// by the offset of `len`. Slots 0 and 1 hold the watched literals.
@@ -104,13 +104,35 @@ pub struct Solver {
     stats: SolverStats,
 }
 
+impl Default for Solver {
+    /// An empty solver, the same as [`Solver::new`].
+    fn default() -> Self {
+        Solver::new()
+    }
+}
+
 impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Solver {
+            arena: Vec::new(),
+            clauses: 0,
+            watches: Vec::new(),
+            value: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            qhead: 0,
+            activity: Vec::new(),
             var_inc: 1.0,
+            heap: OrderHeap::default(),
+            phase: Vec::new(),
+            seen: Vec::new(),
+            model: Vec::new(),
+            scratch: Vec::new(),
             ok: true,
-            ..Solver::default()
+            stats: SolverStats::default(),
         }
     }
 
@@ -725,6 +747,16 @@ mod tests {
     fn empty_formula_is_sat() {
         let mut s = Solver::new();
         assert_eq!(s.solve(), SatResult::Sat);
+    }
+
+    #[test]
+    fn a_default_solver_is_a_live_solver() {
+        let mut s = Solver::default();
+        assert_eq!(s.solve(), SatResult::Sat);
+        let a = lit(&mut s, 0, false);
+        assert!(s.add_clause(&[a]));
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.value(a.var()), Some(true));
     }
 
     #[test]

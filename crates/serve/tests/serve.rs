@@ -41,13 +41,19 @@ fn get(addr: &str, path: &str) -> HttpResponse {
     client::request(addr, "GET", path, None, TIMEOUT).expect("request should get a response")
 }
 
-fn bench_body(seed: u64) -> String {
-    let mut rng = StdRng::seed_from_u64(7);
-    let bench = bench_format::write(&Profile::custom("t", 40, 3, 5, 3).generate(&mut rng));
+/// A parametric `/v1/harden` body at `seed` for the circuit `profile`
+/// generates at `circuit_seed`.
+fn harden_body(profile: Profile, circuit_seed: u64, seed: u64) -> String {
+    let circuit = profile.generate(&mut StdRng::seed_from_u64(circuit_seed));
+    let bench = bench_format::write(&circuit);
     format!(
         "{{\"bench\":{},\"algorithm\":\"para\",\"seed\":{seed}}}",
         Json::from(bench.as_str())
     )
+}
+
+fn bench_body(seed: u64) -> String {
+    harden_body(Profile::custom("t", 40, 3, 5, 3), 7, seed)
 }
 
 #[test]
@@ -76,7 +82,12 @@ fn harden_round_trips_and_cache_hits_are_fast() {
     };
     let server = Server::start(cfg).unwrap();
     let addr = server.addr().to_string();
-    let body = bench_body(3);
+    // A cold parse and flow of ~0.26 s optimized (~1.4 s in a debug
+    // build) against a hit of ~5 ms (~15 ms): a host stall during the
+    // hit would have to outlast the whole cold flow to reverse the
+    // order, as one did with a 40-gate circuit's few-ms flow.
+    let big = Profile::custom("t", 20_000, 8, 10, 6);
+    let body = harden_body(big, 11, 3);
 
     let t0 = Instant::now();
     let cold = post(&addr, "/v1/harden", &body);
@@ -105,7 +116,7 @@ fn harden_round_trips_and_cache_hits_are_fast() {
     );
 
     // A different seed is a different cache key.
-    let other = post(&addr, "/v1/harden", &bench_body(4));
+    let other = post(&addr, "/v1/harden", &harden_body(big, 11, 4));
     assert!(other.body_text().contains("\"cached\":false"));
 
     let metrics = get(&addr, "/metrics").body_text();
@@ -438,14 +449,15 @@ fn blown_deadline_is_a_504_with_partial_state() {
 #[test]
 fn blown_deadline_cancels_the_in_flight_flow() {
     let _guard = serial();
-    // A circuit big enough (seconds of flow time) that the request
-    // budget must trip *inside* selection/STA — the specific 504
-    // message distinguishes a mid-flow cancel from the cheap
-    // pre-compute and post-compute deadline checks. Its flow takes
-    // ~1 s in an optimized build and ~8 s in a debug build; the budget
-    // first has to cover reading and parsing the 0.5 MB body, which a
-    // debug build also does ~8x slower.
-    let timeout_ms = if cfg!(debug_assertions) { 1600 } else { 200 };
+    // A circuit big enough that the request budget must trip *inside*
+    // selection/STA — the specific 504 message distinguishes a
+    // mid-flow cancel from the cheap pre-compute and post-compute
+    // deadline checks. The budget first covers parsing the 1.2 MB body,
+    // ~60-75 ms optimized and ~0.26 s in a debug build, and trips in a
+    // flow of ~0.66-0.88 s (~2.9 s): about a 3x margin on either side,
+    // in both builds. Selection time swings with the seeds; these
+    // circuit and flow seeds give one of the long selections.
+    let timeout_ms = if cfg!(debug_assertions) { 1000 } else { 250 };
     let cfg = ServeConfig {
         request_timeout: Duration::from_millis(timeout_ms),
         ..ServeConfig::default()
@@ -454,12 +466,7 @@ fn blown_deadline_cancels_the_in_flight_flow() {
     let addr = server.addr().to_string();
     let metrics = server.metrics().clone();
 
-    let mut rng = StdRng::seed_from_u64(11);
-    let bench = bench_format::write(&Profile::custom("big", 20_000, 8, 10, 6).generate(&mut rng));
-    let body = format!(
-        "{{\"bench\":{},\"algorithm\":\"para\",\"seed\":5}}",
-        Json::from(bench.as_str())
-    );
+    let body = harden_body(Profile::custom("big", 40_000, 8, 10, 6), 11, 5);
     let resp = post(&addr, "/v1/harden", &body);
     assert_eq!(resp.status, 504, "{}", resp.body_text());
     assert!(

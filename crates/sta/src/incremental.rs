@@ -8,6 +8,14 @@
 //! heap; a swap then only recomputes the **fanout cone** of the touched
 //! node, terminating early on every branch whose arrival is unchanged.
 //!
+//! The wave runs over flat arrays indexed by topological position: each
+//! position's fan-in node indices and its combinational readers'
+//! positions, as `u32` runs, and a bitset of the positions still to
+//! re-evaluate. A combinational reader always sits later in topological
+//! order than the node it reads, so the wave only marks positions ahead
+//! of the one it evaluates, and one forward scan of the bitset visits
+//! the cone in topological order.
+//!
 //! The recomputation evaluates the *identical* expression `analyze`
 //! uses (`fold(0.0, f64::max)` over fan-in arrivals plus the node
 //! delay) on the identical operand sets, so arrivals and the clock
@@ -18,7 +26,6 @@
 //! hypothetical delay changes, so a probe (swap, measure, restore)
 //! leaves the engine exactly as it found it.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -69,6 +76,33 @@ impl Ord for OrdF64 {
     }
 }
 
+/// Per-position `u32` runs, flat: row `p` is
+/// `items[start[p]..start[p + 1]]`.
+#[derive(Debug)]
+struct Rows {
+    start: Vec<usize>,
+    items: Vec<u32>,
+}
+
+impl Rows {
+    fn new() -> Self {
+        Rows {
+            start: vec![0],
+            items: Vec::new(),
+        }
+    }
+
+    /// Appends the next row.
+    fn push(&mut self, row: impl IntoIterator<Item = u32>) {
+        self.items.extend(row);
+        self.start.push(self.items.len());
+    }
+
+    fn row(&self, p: usize) -> &[u32] {
+        &self.items[self.start[p]..self.start[p + 1]]
+    }
+}
+
 /// Incremental STA engine over a fixed netlist structure.
 ///
 /// Construction reuses an existing [`TimingAnalysis`] (see
@@ -90,11 +124,15 @@ pub struct IncrementalSta<'a> {
     /// Cached combinational topological order, shared with the
     /// [`CircuitView`] it came from.
     order: Arc<Vec<NodeId>>,
-    /// Node index → position in `order` (`usize::MAX` for non-comb).
-    topo_pos: Vec<usize>,
-    /// Node index → combinational readers (propagation frontier),
-    /// shared with the view.
-    comb_fanout: Arc<Vec<Vec<NodeId>>>,
+    /// Node index → position in `order` (`u32::MAX` for sources).
+    topo_pos: Vec<u32>,
+    /// Position → fan-in node indices, in pin order.
+    fanin: Rows,
+    /// Position → positions of the combinational readers.
+    readers: Rows,
+    /// The wave's pending positions, one bit each; all clear between
+    /// calls.
+    pending: Vec<u64>,
     /// Current hypothetical per-node delay.
     delay: Vec<f64>,
     /// Current arrival times.
@@ -109,17 +147,14 @@ pub struct IncrementalSta<'a> {
     /// Lazy max-heap over `(endpoint_time, node)`; stale entries are
     /// discarded on pop by comparing against `endpoint_time`.
     heap: BinaryHeap<(OrdF64, NodeId)>,
-    /// Epoch stamps deduplicating pushes within one propagation.
-    epoch_mark: Vec<u64>,
-    epoch: u64,
     /// Invalidation/re-eval tallies, flushed to obs on drop.
     stats: ObsStats,
 }
 
 impl<'a> IncrementalSta<'a> {
     /// Builds the engine from an existing full analysis of the view's
-    /// netlist, consuming the view's memoized topological order and
-    /// combinational fan-out map instead of constructing duplicates.
+    /// netlist, laying its wave arrays out over the view's memoized
+    /// topological order and fan-out map.
     pub fn from_analysis_with(
         view: &CircuitView<'a>,
         lib: &'a Library,
@@ -128,11 +163,24 @@ impl<'a> IncrementalSta<'a> {
         let netlist = view.netlist();
         let n = netlist.len();
         let order = view.topo_order_arc();
-        let mut topo_pos = vec![usize::MAX; n];
+        // Positions and node indices fit `u32`: a `NodeId` is one.
+        let mut topo_pos = vec![u32::MAX; n];
         for (pos, &id) in order.iter().enumerate() {
-            topo_pos[id.index()] = pos;
+            topo_pos[id.index()] = pos as u32;
         }
-        let comb_fanout = view.comb_fanout_arc();
+        let fanout = view.fanout();
+        let mut fanin = Rows::new();
+        let mut readers = Rows::new();
+        for &id in order.iter() {
+            fanin.push(netlist.node(id).fanin().iter().map(|f| f.index() as u32));
+            readers.push(
+                fanout
+                    .readers(id)
+                    .iter()
+                    .filter(|r| netlist.node(**r).is_combinational())
+                    .map(|r| topo_pos[r.index()]),
+            );
+        }
         let delay: Vec<f64> = (0..n)
             .map(|i| node_delay(netlist, lib, NodeId::from_index(i)))
             .collect();
@@ -157,17 +205,17 @@ impl<'a> IncrementalSta<'a> {
         let mut engine = IncrementalSta {
             netlist,
             lib,
+            pending: vec![0; order.len().div_ceil(64)],
             order,
             topo_pos,
-            comb_fanout,
+            fanin,
+            readers,
             delay,
             arrival: analysis.arrival.clone(),
             endpoints,
             endpoint_extra,
             endpoint_time: vec![f64::NAN; n],
             heap: BinaryHeap::new(),
-            epoch_mark: vec![0; n],
-            epoch: 0,
             stats: ObsStats::default(),
         };
         engine.rebuild_endpoint_heap();
@@ -193,19 +241,29 @@ impl<'a> IncrementalSta<'a> {
     ///
     /// Panics if `id` is not a gate or LUT.
     pub fn swap_to_lut(&mut self, id: NodeId) {
-        let fanin = match self.netlist.node(id) {
-            Node::Gate { fanin, .. } | Node::Lut { fanin, .. } => fanin.len(),
-            other => panic!("swap_to_lut on non-combinational node {other:?}"),
-        };
+        let fanin = self.comb_fanin(id);
         self.set_delay(id, self.lib.lut(fanin).delay_ns);
     }
 
     /// Reverts a hypothetical swap: `id` times as a CMOS gate of `kind`
     /// again. `kind` is usually recovered from the original netlist via
     /// [`Node::gate_kind`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a gate or LUT.
     pub fn restore_gate(&mut self, id: NodeId, kind: GateKind) {
-        let fanin = self.netlist.node(id).fanin().len();
+        let fanin = self.comb_fanin(id);
         self.set_delay(id, self.lib.gate(kind, fanin).delay_ns);
+    }
+
+    /// The fan-in width of the gate or LUT `id`; only those have a
+    /// topological position to start a wave from.
+    fn comb_fanin(&self, id: NodeId) -> usize {
+        match self.netlist.node(id) {
+            Node::Gate { fanin, .. } | Node::Lut { fanin, .. } => fanin.len(),
+            other => panic!("timing swap on non-combinational node {other:?}"),
+        }
     }
 
     /// Current arrival time at `id`'s output, nanoseconds.
@@ -221,10 +279,11 @@ impl<'a> IncrementalSta<'a> {
     /// Sets `id`'s hypothetical delay and incrementally repairs the
     /// arrival times of its fanout cone.
     ///
-    /// Nodes are pulled off a min-heap keyed by topological position, so
-    /// each cone node is visited at most once with all its predecessors
-    /// final; a node whose recomputed arrival is bit-identical to the
-    /// cached one stops the wave on that branch (early termination).
+    /// The wave marks topological positions in a bitset and one forward
+    /// scan pops them, lowest first, so each cone node is visited at
+    /// most once with all its predecessors final; a node whose
+    /// recomputed arrival is bit-identical to the cached one stops the
+    /// wave on that branch (early termination).
     fn set_delay(&mut self, id: NodeId, delay_ns: f64) {
         if self.delay[id.index()].to_bits() == delay_ns.to_bits() {
             return;
@@ -232,17 +291,25 @@ impl<'a> IncrementalSta<'a> {
         self.delay[id.index()] = delay_ns;
         self.stats.invalidations += 1;
 
-        self.epoch += 1;
-        let mut frontier: BinaryHeap<Reverse<(usize, NodeId)>> = BinaryHeap::new();
-        self.epoch_mark[id.index()] = self.epoch;
-        frontier.push(Reverse((self.topo_pos[id.index()], id)));
-        while let Some(Reverse((_, nid))) = frontier.pop() {
+        let first = self.topo_pos[id.index()] as usize;
+        self.pending[first / 64] |= 1 << (first % 64);
+        let mut last = first;
+        let mut word = first / 64;
+        while word <= last / 64 {
+            let bits = self.pending[word];
+            if bits == 0 {
+                word += 1;
+                continue;
+            }
+            self.pending[word] = bits & (bits - 1);
+            let pos = word * 64 + bits.trailing_zeros() as usize;
+            let nid = self.order[pos];
             self.stats.node_reevals += 1;
-            let node = self.netlist.node(nid);
-            let input_arrival = node
-                .fanin()
+            let input_arrival = self
+                .fanin
+                .row(pos)
                 .iter()
-                .map(|f| self.arrival[f.index()])
+                .map(|&f| self.arrival[f as usize])
                 .fold(0.0f64, f64::max);
             let new_arrival = input_arrival + self.delay[nid.index()];
             if new_arrival.to_bits() == self.arrival[nid.index()].to_bits() {
@@ -256,11 +323,13 @@ impl<'a> IncrementalSta<'a> {
                 self.endpoint_time[nid.index()] = t;
                 self.heap.push((OrdF64(t), nid));
             }
-            for &r in &self.comb_fanout[nid.index()] {
-                if self.epoch_mark[r.index()] != self.epoch {
-                    self.epoch_mark[r.index()] = self.epoch;
-                    frontier.push(Reverse((self.topo_pos[r.index()], r)));
-                }
+            for &r in self.readers.row(pos) {
+                let r = r as usize;
+                // The scan never looks back: a reader comes later in
+                // topological order than the node it reads.
+                debug_assert!(r > pos, "reader at {r} precedes its driver at {pos}");
+                self.pending[r / 64] |= 1 << (r % 64);
+                last = last.max(r);
             }
         }
 
