@@ -4,8 +4,6 @@
 //! `sttlock-cli campaign --table table1|table2|fig3|attacks|faults`
 //! prints them, and EXPERIMENTS.md quotes this output.
 
-use std::time::Duration;
-
 use sttlock_attack::estimate::BigEffort;
 use sttlock_core::SelectionAlgorithm;
 
@@ -150,18 +148,13 @@ pub fn render_table1(records: &[RunRecord], seed: u64) -> String {
     out
 }
 
-fn fmt_mmss(d: Duration) -> String {
-    let total = d.as_secs_f64();
-    let minutes = (total / 60.0).floor() as u64;
-    let seconds = total - (minutes as f64) * 60.0;
-    format!("{minutes:02}:{seconds:04.1}")
-}
-
-/// Renders Table II — selection CPU time per benchmark × algorithm.
+/// Renders Table II — selection CPU time per benchmark × algorithm, in
+/// milliseconds with one decimal: the selections take milliseconds, and
+/// the paper's MM:SS.s would print nearly every cell as `00:00.0`.
 pub fn render_table2(records: &[RunRecord], seed: u64) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "Table II — CPU time (MM:SS.s) for gate selection (seed {seed})\n"
+        "Table II — CPU time (ms) for gate selection (seed {seed})\n"
     ));
     out.push_str(&format!(
         "{:<9} | {:>12} | {:>12} | {:>12}\n",
@@ -175,10 +168,10 @@ pub fn render_table2(records: &[RunRecord], seed: u64) -> String {
             .iter()
             .map(|f| match f {
                 // Journals can be hand-edited or torn mid-float; a
-                // negative, NaN or absurd selection time must render a
-                // placeholder, not panic `Duration::from_secs_f64`.
+                // negative, NaN or absurd selection time renders a
+                // placeholder, not a number.
                 Some(m) if m.selection_ms.is_finite() && (0.0..=1e15).contains(&m.selection_ms) => {
-                    fmt_mmss(Duration::from_secs_f64(m.selection_ms / 1e3))
+                    format!("{:.1}", m.selection_ms)
                 }
                 Some(_) => "(invalid)".to_owned(),
                 None => "(failed)".to_owned(),
@@ -190,7 +183,9 @@ pub fn render_table2(records: &[RunRecord], seed: u64) -> String {
         ));
     }
     out.push('\n');
-    out.push_str("Paper: all selections finish under ~1:31, s38584 parametric in 00:44.0.\n");
+    out.push_str(
+        "Paper: all selections finish under ~91000 ms, s38584 parametric in 44000.0 ms.\n",
+    );
     out
 }
 
@@ -443,9 +438,13 @@ mod tests {
     }
 
     #[test]
-    fn table2_formats_selection_time_as_mmss() {
+    fn table2_formats_selection_time_in_milliseconds() {
         let text = render_table2(&grid(), 42);
-        assert!(text.contains("00:01.5"), "{text}");
+        assert!(text.contains("CPU time (ms)"), "{text}");
+        assert!(
+            text.contains("s27       |       1500.0 |       1500.0 |       1500.0"),
+            "{text}"
+        );
         assert!(text.contains("Paper: all selections finish"));
     }
 
@@ -575,8 +574,7 @@ mod tests {
     #[test]
     fn table2_renders_placeholders_for_corrupt_selection_times() {
         // Negative, NaN or absurd selection times replay verbatim from
-        // hand-edited resume journals; pre-fix each of these panicked
-        // inside Duration::from_secs_f64.
+        // hand-edited resume journals; each renders a placeholder.
         let mut neg = record("s27", SelectionAlgorithm::Independent, 5);
         neg.flow.as_mut().unwrap().selection_ms = -1500.0;
         let mut nan = record("s298", SelectionAlgorithm::Dependent, 5);

@@ -269,9 +269,11 @@ commands:
            [--run-timeout-secs N]
            + the campaign flags but --jobs, --cache and
            --trace-summary (cells run uncached on the workers)
-                                         shard a campaign across the
-                                         heartbeating workers and merge
-                                         the records in grid order;
+                                         run a campaign on the
+                                         heartbeating workers, each
+                                         taking the next pending cell
+                                         from one queue, and merge the
+                                         records in grid order;
                                          --journal is a campaign journal
                                          (`campaign --resume` resumes
                                          it, and `--resume` here resumes

@@ -1,25 +1,27 @@
-//! The cluster coordinator: worker registry, campaign sharding with
+//! The cluster coordinator: worker registry, campaign dispatch with
 //! redispatch-on-failure, journaling, and `/v1/harden` fan-out.
 //!
-//! # Sharding and merge
+//! # Dispatch and merge
 //!
-//! Cells are assigned to workers by content hash of their journal key
-//! (the same [`sttlock_exec::KeyBuilder`] scheme the caches use), so
-//! the assignment is deterministic given the live worker set. Results
-//! are merged positionally against [`CampaignSpec::cells`] order — the
-//! merged JSONL is byte-identical to a single-node run no matter which
-//! worker finished first, because ordering comes from the grid, never
-//! from arrival.
+//! Each round, every live worker gets one dispatch lane, and the lanes
+//! pull the pending cells, in grid order, from one shared queue: a lane
+//! takes the next cell the moment its worker answers, so no lane idles
+//! while cells wait. Which worker runs a cell therefore depends on
+//! timing, but the output does not: results are merged positionally
+//! against [`CampaignSpec::cells`] order, so the merged JSONL is
+//! byte-identical to a single-node run no matter which worker ran or
+//! finished a cell first.
 //!
 //! # Failure handling
 //!
 //! A dispatch that fails — connection refused/dropped, a non-200, a
 //! response that does not decode under the current protocol version,
 //! a record for some other cell — evicts the worker from the registry
-//! and leaves the cell pending; the next round re-shards pending cells
-//! over the survivors, with a capped exponential backoff between barren
-//! rounds. A worker that was only transiently slow rejoins the pool
-//! with its next heartbeat.
+//! and leaves the cell pending; that worker's lane stops, the other
+//! lanes keep draining the queue, and the next round dispatches what is
+//! left over the survivors, with a capped exponential backoff between
+//! barren rounds. A worker that was only transiently slow rejoins the
+//! pool with its next heartbeat.
 //!
 //! # Crash recovery
 //!
@@ -34,22 +36,18 @@
 use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use sttlock_campaign::journal::record_key;
 use sttlock_campaign::json::Json;
 use sttlock_campaign::{cell_journal_key, CampaignResult, CampaignSpec, Cell, GridRun, RunRecord};
-use sttlock_exec::{Backoff, Budget, KeyBuilder};
+use sttlock_exec::{Backoff, Budget};
 use sttlock_serve::http::Response;
 use sttlock_serve::{client, ServeConfig, Server};
 
 use crate::protocol::{CellRequest, CellResponse, Heartbeat};
-
-/// Salt of the shard-assignment hash. It is protocol version 1's, kept
-/// when the protocol moved on so that which worker gets which cell
-/// does not change with the message shapes.
-const SHARD_SALT: u32 = 1;
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -106,8 +104,7 @@ struct WorkerInfo {
     load: u64,
 }
 
-/// The live worker registry. BTreeMap: snapshots iterate in worker-id
-/// order, making shard assignment deterministic for a given live set.
+/// The live worker registry, iterated in worker-id order.
 #[derive(Default)]
 struct Registry {
     workers: BTreeMap<String, WorkerInfo>,
@@ -215,24 +212,18 @@ impl Coordinator {
                 continue;
             }
 
-            // Deterministic content-hash sharding over the live set.
-            let mut shards: Vec<Vec<usize>> = vec![Vec::new(); alive.len()];
-            for &i in &pending {
-                shards[(shard_hash(&keys[i]) % alive.len() as u64) as usize].push(i);
-            }
-
+            // One lane per live worker, all pulling from one queue: the
+            // pending cells in grid order behind a shared cursor.
+            let next = AtomicUsize::new(0);
             let failed: Mutex<Vec<String>> = Mutex::new(Vec::new());
             std::thread::scope(|s| {
-                for ((worker_id, addr), shard) in alive.iter().zip(&shards) {
-                    if shard.is_empty() {
-                        continue;
-                    }
-                    let run = &run;
-                    let failed = &failed;
-                    let keys = &keys;
-                    let dispatched_once = &dispatched_once;
+                for (worker_id, addr) in &alive {
+                    let (run, failed, keys) = (&run, &failed, &keys);
+                    let (next, pending, dispatched_once) = (&next, &pending, &dispatched_once);
                     s.spawn(move || {
-                        for &i in shard {
+                        // Relaxed: the cursor only hands out indices; a
+                        // cell's record is published by `GridRun`'s lock.
+                        while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
                             if budget.exhausted() {
                                 return;
                             }
@@ -252,8 +243,9 @@ impl Coordinator {
                                 None => {
                                     // The worker died, timed out or
                                     // answered skewed: evict it and
-                                    // leave this shard's remaining
-                                    // cells pending for the next round.
+                                    // leave this cell pending for the
+                                    // next round; the other lanes keep
+                                    // draining the queue.
                                     failed
                                         .lock()
                                         .unwrap_or_else(PoisonError::into_inner)
@@ -301,16 +293,6 @@ impl Coordinator {
             alive
         });
     }
-}
-
-/// The shard assignment hash: the cache-key scheme over the cell's
-/// journal key, folded to the first 64 bits.
-fn shard_hash(key: &str) -> u64 {
-    let hex = KeyBuilder::new(SHARD_SALT)
-        .field("cell", &key)
-        .finish()
-        .hex();
-    u64::from_str_radix(&hex[..16], 16).unwrap_or(0)
 }
 
 /// Ships one cell to a worker and decodes the record. `None` covers

@@ -4,8 +4,9 @@
 //! One coordinator process owns the campaign grid; any number of
 //! worker processes join it by heartbeating it over HTTP
 //! (`POST /cluster/heartbeat`, which doubles as registration). The
-//! coordinator shards cells across workers by content hash and ships
-//! each cell as a [`protocol::CellRequest`]. Everything else — the
+//! coordinator keeps one dispatch lane per live worker, the lanes pull
+//! pending cells from one queue in grid order, and each cell ships as a
+//! [`protocol::CellRequest`]. Everything else — the
 //! campaign journal every returned record is appended to, the replay
 //! rule and the merge in grid order — is [`sttlock_campaign::GridRun`],
 //! the bookkeeping a single-node [`sttlock_campaign::execute`] run uses

@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -13,6 +13,7 @@ use rand::{Rng, SeedableRng};
 use sttlock_attack::estimate::security_estimate;
 use sttlock_exec::{Backoff, Budget, BudgetError};
 use sttlock_fault::ProgrammingChannel;
+use sttlock_netlist::paths::{IoPath, PathSamplerConfig};
 use sttlock_netlist::{CircuitView, HybridOverlay, Netlist, NodeId, TruthTable};
 use sttlock_power::{analyze_area, analyze_power, OverheadReport, PowerBreakdown};
 use sttlock_sat::equiv::{check_equivalence, EquivResult};
@@ -110,7 +111,15 @@ impl FlowOutcome {
 /// algorithm, so every algorithm's run over the same (netlist, seed)
 /// starts from the same baseline: [`Flow::baseline`] builds one and
 /// [`Flow::run_budgeted`] runs over it, as often as needed.
-#[derive(Debug, PartialEq)]
+///
+/// Every algorithm also begins with the same draw: the candidate paths
+/// [`select::candidate_paths`] samples from a generator seeded with the
+/// baseline's seed. The first run over the baseline makes that draw and
+/// the baseline keeps the paths with the generator state the draw left;
+/// every run continues from a clone of it, so each selection equals one
+/// made from scratch. Equality ignores the kept draw, which the other
+/// fields determine.
+#[derive(Debug)]
 pub struct Baseline {
     netlist: Arc<Netlist>,
     seed: u64,
@@ -118,6 +127,42 @@ pub struct Baseline {
     activity: ActivityReport,
     power: PowerBreakdown,
     area: f64,
+    sampled: OnceLock<Sampled>,
+}
+
+impl PartialEq for Baseline {
+    fn eq(&self, other: &Baseline) -> bool {
+        self.netlist == other.netlist
+            && self.seed == other.seed
+            && self.timing == other.timing
+            && self.activity == other.activity
+            && self.power == other.power
+            && self.area == other.area
+    }
+}
+
+/// The candidate paths drawn at a baseline's seed under one sampler,
+/// the generator as the draw left it, and what the draw took.
+#[derive(Debug)]
+struct Sampled {
+    sampler: PathSamplerConfig,
+    paths: Vec<IoPath>,
+    rng: StdRng,
+    time: Duration,
+}
+
+impl Sampled {
+    fn draw(view: &CircuitView<'_>, baseline: &Baseline, cfg: &SelectionConfig) -> Sampled {
+        let t0 = Instant::now();
+        let mut rng = StdRng::seed_from_u64(baseline.seed);
+        let paths = select::candidate_paths(view, &baseline.timing, cfg, &mut rng);
+        Sampled {
+            sampler: cfg.sampler,
+            paths,
+            rng,
+            time: t0.elapsed(),
+        }
+    }
 }
 
 /// The security-driven hybrid STT-CMOS design flow (Figure 2).
@@ -203,6 +248,7 @@ impl Flow {
             activity,
             power,
             area,
+            sampled: OnceLock::new(),
         })
     }
 
@@ -213,6 +259,14 @@ impl Flow {
     /// is applied as a copy-on-write overlay over the same base. The
     /// baseline's seed fixes the random selection. Build the baseline
     /// with a flow over the same library.
+    ///
+    /// The first run samples the candidate paths, inside its
+    /// `flow.selection` span, and the baseline keeps them; later runs
+    /// continue from the kept draw. A flow whose
+    /// [`sampler`](sttlock_netlist::paths::PathSamplerConfig) differs
+    /// from the kept draw's samples its own paths. Either way the
+    /// selection is the one a fresh baseline gives, and
+    /// [`FlowReport::selection_time`] includes the draw's time.
     ///
     /// The budget is checked between stages and inside the selection's
     /// timing-oracle loop (every cone query checks and charges), so a
@@ -232,25 +286,35 @@ impl Flow {
         budget: &Budget,
     ) -> Result<FlowOutcome, FlowError> {
         let netlist: &Netlist = &baseline.netlist;
-        let mut rng = StdRng::seed_from_u64(baseline.seed);
         budget.check()?;
         let view = CircuitView::new(netlist);
 
-        // Selection (timed: this is the Table II measurement). The
-        // baseline's timing seeds the selection's incremental timing
-        // engine instead of being recomputed.
+        // Selection (timed: this is the Table II measurement, the path
+        // draw included). The baseline's timing seeds the selection's
+        // incremental timing engine instead of being recomputed.
         let sel_span = sttlock_obs::span!("flow.selection", algorithm = algorithm.to_string());
+        let kept = baseline
+            .sampled
+            .get_or_init(|| Sampled::draw(&view, baseline, &self.selection));
+        let own;
+        let sampled = if kept.sampler == self.selection.sampler {
+            kept
+        } else {
+            own = Sampled::draw(&view, baseline, &self.selection);
+            &own
+        };
         let t0 = Instant::now();
-        let selection = select::run(
+        let selection = select::run_over(
             &view,
             &self.lib,
             algorithm,
             &self.selection,
-            &mut rng,
+            &sampled.paths,
+            &mut sampled.rng.clone(),
             &baseline.timing,
             budget,
         )?;
-        let selection_time = t0.elapsed();
+        let selection_time = sampled.time + t0.elapsed();
         drop(sel_span);
         if selection.gates.is_empty() {
             return Err(FlowError::NothingSelected);
@@ -978,31 +1042,70 @@ mod tests {
         );
     }
 
+    /// `o` with its selection time zeroed: nothing else may depend on
+    /// which run drew the candidate paths.
+    fn timeless(mut o: FlowOutcome) -> FlowOutcome {
+        o.report.selection_time = Duration::ZERO;
+        o
+    }
+
     #[test]
-    fn one_baseline_serves_every_algorithm_and_bills_activity_once() {
+    fn one_baseline_serves_every_algorithm_in_any_order_and_bills_activity_once() {
         let n = Arc::new(circuit());
         let flow = Flow::new(Library::predictive_90nm());
-        let baseline = flow
-            .baseline(Arc::clone(&n), 4, &Budget::unbounded())
-            .unwrap();
         let activity_steps = 64 * (ACTIVITY_CYCLES as u64 + 1);
-        for alg in SelectionAlgorithm::ALL {
-            let reused = Budget::unbounded();
-            let over = flow.run_budgeted(&baseline, alg, &reused).unwrap();
+        // Each algorithm over a baseline of its own, and the steps billed.
+        let fresh = SelectionAlgorithm::ALL.map(|alg| {
             let whole = Budget::unbounded();
             let own = flow.baseline(Arc::clone(&n), 4, &whole).unwrap();
             assert_eq!(whole.steps_spent(), activity_steps);
-            let fresh = flow.run_budgeted(&own, alg, &whole).unwrap();
-            let timeless = |o: &FlowOutcome| FlowReport {
-                selection_time: Duration::ZERO,
-                ..o.report
-            };
-            assert_eq!(over.hybrid, fresh.hybrid, "{alg}");
-            assert_eq!(over.bitstream, fresh.bitstream, "{alg}");
-            assert_eq!(timeless(&over), timeless(&fresh), "{alg}");
-            // The reused baseline billed no activity steps.
-            assert_eq!(reused.steps_spent() + activity_steps, whole.steps_spent());
+            let out = flow.run_budgeted(&own, alg, &whole).unwrap();
+            (timeless(out), whole.steps_spent())
+        });
+        // Each continues the generator where its own path draw left it,
+        // as `select::run` does when it draws the paths itself.
+        let (view, budget) = (CircuitView::new(&n), Budget::unbounded());
+        let timing = analyze(&n, flow.library());
+        for (alg, (out, _)) in SelectionAlgorithm::ALL.iter().zip(&fresh) {
+            let mut rng = StdRng::seed_from_u64(4);
+            let cfg = &flow.selection;
+            let own = select::run(&view, flow.library(), *alg, cfg, &mut rng, &timing, &budget);
+            assert_eq!(own.unwrap(), out.selection, "{alg}");
         }
+        // All six orders over one shared baseline.
+        for (first, second) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
+            let order = [first, second, 3 - first - second];
+            let shared = flow
+                .baseline(Arc::clone(&n), 4, &Budget::unbounded())
+                .unwrap();
+            for i in order {
+                let reused = Budget::unbounded();
+                let over = flow.run_budgeted(&shared, SelectionAlgorithm::ALL[i], &reused);
+                assert_eq!(timeless(over.unwrap()), fresh[i].0, "{order:?}");
+                // The shared baseline billed no activity steps, and the
+                // path draw bills none either.
+                assert_eq!(reused.steps_spent() + activity_steps, fresh[i].1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_flow_with_another_sampler_draws_its_own_paths() {
+        let n = Arc::new(circuit());
+        let flow = Flow::new(Library::predictive_90nm());
+        let mut wider = flow.clone();
+        wider.selection.sampler.min_samples *= 4;
+        let budget = Budget::unbounded();
+        let shared = flow.baseline(Arc::clone(&n), 8, &budget).unwrap();
+        let mut differs = false;
+        for alg in SelectionAlgorithm::ALL {
+            // The default flow runs first, so the baseline keeps its draw.
+            let default = timeless(flow.run_budgeted(&shared, alg, &budget).unwrap());
+            let over = timeless(wider.run_budgeted(&shared, alg, &budget).unwrap());
+            assert_eq!(over, timeless(wider.run(&n, alg, 8).unwrap()), "{alg}");
+            differs |= over != default;
+        }
+        assert!(differs, "the two samplers must draw different paths");
     }
 
     #[test]

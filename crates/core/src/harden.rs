@@ -255,9 +255,9 @@ fn try_add_decoy<R: Rng + ?Sized>(
         }
         // Reject signals downstream of the LUT (combinational cycle);
         // `rewire_lut` re-checks and rolls back, so a cheap pre-filter
-        // plus the rollback is enough. The view is rebuilt per query:
-        // earlier decoys in this loop already rewired the netlist, so a
-        // cached fanout would answer for stale wiring.
+        // plus the rollback is enough. A view made per query reads the
+        // fan-out map the last accepted rewire kept, so earlier decoys
+        // in this loop are seen.
         if CircuitView::new(netlist).comb_reachable(lut, candidate) {
             continue;
         }

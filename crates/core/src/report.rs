@@ -17,7 +17,10 @@ pub struct FlowReport {
     pub area_overhead_pct: f64,
     /// Number of STT LUTs inserted (Table I "Number of STTs").
     pub stt_count: usize,
-    /// Wall-clock time of the selection step (Table II).
+    /// Wall-clock time of the selection step (Table II), candidate-path
+    /// sampling included. The runs over one [`Baseline`](crate::Baseline)
+    /// share one path draw, so each adds that draw's measured time to
+    /// its own: the figure stays this algorithm's whole selection cost.
     pub selection_time: Duration,
     /// Analytic attack-effort estimates (Figure 3).
     pub security: SecurityEstimate,

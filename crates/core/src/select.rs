@@ -3,7 +3,10 @@
 //! All three share the paper's path machinery: sample a fraction of the
 //! components, DFS each to a primary input and a primary output through
 //! at least two flip-flops, drop paths touching the critical path, sort
-//! by flip-flop depth ([`sttlock_netlist::paths`]).
+//! by flip-flop depth ([`sttlock_netlist::paths`]). That draw is
+//! [`candidate_paths`], and each algorithm continues from its paths and
+//! the generator state it leaves, so one draw at a seed serves all
+//! three ([`run_over`]); [`run`] and [`parametric`] draw first.
 
 use std::collections::HashSet;
 
@@ -174,16 +177,14 @@ pub fn candidate_paths<R: Rng + ?Sized>(
 
 /// Independent selection (Section IV-A.1): a pre-determined number of
 /// random gates out of all nodes on the candidate paths. Falls back to
-/// the whole gate population when sampling finds no usable path (e.g.
+/// the whole gate population when sampling found no usable path (e.g.
 /// purely combinational designs).
 pub fn independent<R: Rng + ?Sized>(
-    view: &CircuitView<'_>,
-    timing: &TimingAnalysis,
+    netlist: &Netlist,
+    paths: &[IoPath],
     cfg: &SelectionConfig,
     rng: &mut R,
 ) -> Selection {
-    let netlist = view.netlist();
-    let paths = candidate_paths(view, timing, cfg, rng);
     let mut pool: Vec<NodeId> = paths
         .iter()
         .flat_map(|p| p.combinational_nodes(netlist))
@@ -214,14 +215,7 @@ pub fn independent<R: Rng + ?Sized>(
 /// timing paths composing a longest non-critical I/O path. Among the
 /// deepest sampled paths one is chosen at random, per the Section IV
 /// implementation notes.
-pub fn dependent<R: Rng + ?Sized>(
-    view: &CircuitView<'_>,
-    timing: &TimingAnalysis,
-    cfg: &SelectionConfig,
-    rng: &mut R,
-) -> Selection {
-    let netlist = view.netlist();
-    let paths = candidate_paths(view, timing, cfg, rng);
+pub fn dependent<R: Rng + ?Sized>(netlist: &Netlist, paths: &[IoPath], rng: &mut R) -> Selection {
     let paths_considered = paths.len();
     let Some(deepest) = paths.first().map(|p| p.ff_count) else {
         return Selection {
@@ -257,6 +251,9 @@ pub fn dependent<R: Rng + ?Sized>(
 /// first checks `budget` and then charges one step, so a cancelled or
 /// expired request stops mid-selection — between cone queries, not at
 /// stage boundaries. An untripped budget never changes a decision.
+///
+/// Draws the candidate paths from `rng` first; [`run_over`] continues
+/// from paths already drawn.
 pub fn parametric<'a, R: Rng + ?Sized>(
     view: &CircuitView<'a>,
     lib: &'a Library,
@@ -265,8 +262,9 @@ pub fn parametric<'a, R: Rng + ?Sized>(
     rng: &mut R,
     budget: &Budget,
 ) -> Result<Selection, BudgetError> {
-    let mut oracle = IncrementalSta::from_analysis_with(view, lib, timing);
-    parametric_with(view, timing, cfg, rng, &mut oracle, Some(budget))
+    let paths = candidate_paths(view, timing, cfg, rng);
+    let algorithm = SelectionAlgorithm::ParametricAware;
+    run_over(view, lib, algorithm, cfg, &paths, rng, timing, budget)
 }
 
 /// [`parametric`] driven by the full-reanalysis oracle ([`FullSta`]):
@@ -283,12 +281,13 @@ pub fn parametric_full_sta<'a, R: Rng + ?Sized>(
     cfg: &SelectionConfig,
     rng: &mut R,
 ) -> Selection {
+    let paths = candidate_paths(view, timing, cfg, rng);
     let mut oracle = FullSta::new(view.netlist(), lib);
-    parametric_with(view, timing, cfg, rng, &mut oracle, None)
+    parametric_with(view, timing, cfg, &paths, rng, &mut oracle, None)
         .expect("an unbudgeted parametric selection cannot be cancelled")
 }
 
-/// Algorithm 2 over any [`TimingOracle`].
+/// Algorithm 2 over candidate paths and any [`TimingOracle`].
 ///
 /// The oracle's running hypothesis mirrors the selection at all times:
 /// accepted draws and closure gates stay swapped, rejected ones are
@@ -297,6 +296,7 @@ fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
     view: &CircuitView<'_>,
     timing: &TimingAnalysis,
     cfg: &SelectionConfig,
+    paths: &[IoPath],
     rng: &mut R,
     oracle: &mut O,
     budget: Option<&Budget>,
@@ -304,7 +304,7 @@ fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
     if let Some(b) = budget {
         b.check()?;
     }
-    let draws = draw_on_paths(view, timing, cfg, rng, oracle, budget)?;
+    let draws = draw_on_paths(view, timing, cfg, paths, rng, oracle, budget)?;
     let candidates = closure_candidates(view, &draws);
     let closure = close_usl(oracle, &candidates, &fits_budget(timing, cfg), budget)?;
     sttlock_obs::counter("select.draw_retries", draws.retries);
@@ -382,18 +382,18 @@ fn draw_on_paths<R: Rng + ?Sized, O: TimingOracle>(
     view: &CircuitView<'_>,
     timing: &TimingAnalysis,
     cfg: &SelectionConfig,
+    paths: &[IoPath],
     rng: &mut R,
     oracle: &mut O,
     budget: Option<&Budget>,
 ) -> Result<PathDraws, BudgetError> {
     let netlist = view.netlist();
-    let paths = candidate_paths(view, timing, cfg, rng);
 
     // The paper targets *timing paths* — the FF-to-FF combinational
     // segments of the sampled I/O paths. Pool and deduplicate them.
     let mut seen_segments: HashSet<Vec<NodeId>> = HashSet::new();
     let mut segments: Vec<Vec<NodeId>> = Vec::new();
-    for path in &paths {
+    for path in paths {
         for seg in path.segments(netlist) {
             if seg.len() >= 2 && seen_segments.insert(seg.clone()) {
                 segments.push(seg);
@@ -503,10 +503,10 @@ fn is_replaceable(netlist: &Netlist, id: NodeId) -> bool {
 }
 
 /// Runs the chosen algorithm over a shared [`CircuitView`] and the
-/// baseline timing analysis, under a cooperative [`Budget`]. The view's
-/// memoized fanout/topo facts serve path sampling, the incremental
-/// timing oracle and the USL closure, so they are computed once per
-/// circuit.
+/// baseline timing analysis, under a cooperative [`Budget`]: draws the
+/// [`candidate_paths`] from `rng`, then continues from them through
+/// [`run_over`]. The netlist's fan-out map and topological order serve
+/// path sampling, the incremental timing oracle and the USL closure.
 ///
 /// The parametric algorithm checks (and charges) the budget on every
 /// timing-oracle question; the cheaper sampling-only algorithms check
@@ -522,19 +522,37 @@ pub fn run<'a, R: Rng + ?Sized>(
     budget: &Budget,
 ) -> Result<Selection, BudgetError> {
     budget.check()?;
-    match algorithm {
-        SelectionAlgorithm::Independent => {
-            let sel = independent(view, timing, cfg, rng);
-            budget.check()?;
-            Ok(sel)
+    let paths = candidate_paths(view, timing, cfg, rng);
+    run_over(view, lib, algorithm, cfg, &paths, rng, timing, budget)
+}
+
+/// Runs the chosen algorithm over `paths`, which [`candidate_paths`]
+/// drew, with `rng` in the state that draw left it: the selection is
+/// the one [`run`] makes from the generator the draw started with. This
+/// is the one implementation of each algorithm.
+#[allow(clippy::too_many_arguments)]
+pub fn run_over<'a, R: Rng + ?Sized>(
+    view: &CircuitView<'a>,
+    lib: &'a Library,
+    algorithm: SelectionAlgorithm,
+    cfg: &SelectionConfig,
+    paths: &[IoPath],
+    rng: &mut R,
+    timing: &TimingAnalysis,
+    budget: &Budget,
+) -> Result<Selection, BudgetError> {
+    budget.check()?;
+    let netlist = view.netlist();
+    let selection = match algorithm {
+        SelectionAlgorithm::Independent => independent(netlist, paths, cfg, rng),
+        SelectionAlgorithm::Dependent => dependent(netlist, paths, rng),
+        SelectionAlgorithm::ParametricAware => {
+            let mut oracle = IncrementalSta::from_analysis_with(view, lib, timing);
+            return parametric_with(view, timing, cfg, paths, rng, &mut oracle, Some(budget));
         }
-        SelectionAlgorithm::Dependent => {
-            let sel = dependent(view, timing, cfg, rng);
-            budget.check()?;
-            Ok(sel)
-        }
-        SelectionAlgorithm::ParametricAware => parametric(view, lib, timing, cfg, rng, budget),
-    }
+    };
+    budget.check()?;
+    Ok(selection)
 }
 
 #[cfg(test)]
@@ -547,6 +565,18 @@ mod tests {
 
     fn circuit() -> Netlist {
         Profile::custom("sel", 220, 8, 8, 6).generate(&mut StdRng::seed_from_u64(5))
+    }
+
+    /// The candidate paths drawn at `seed`, and the generator after the
+    /// draw.
+    fn sampled(
+        view: &CircuitView<'_>,
+        timing: &TimingAnalysis,
+        cfg: &SelectionConfig,
+        seed: u64,
+    ) -> (Vec<IoPath>, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (candidate_paths(view, timing, cfg, &mut rng), rng)
     }
 
     /// [`run`] over a fresh view and baseline analysis, unbudgeted.
@@ -620,13 +650,9 @@ mod tests {
         let lib = Library::predictive_90nm();
         let timing = analyze(&n, &lib);
         let critical: HashSet<NodeId> = timing.critical_path().iter().copied().collect();
-        let mut rng = StdRng::seed_from_u64(3);
-        let sel = dependent(
-            &CircuitView::new(&n),
-            &timing,
-            &SelectionConfig::default(),
-            &mut rng,
-        );
+        let cfg = SelectionConfig::default();
+        let (paths, mut rng) = sampled(&CircuitView::new(&n), &timing, &cfg, 3);
+        let sel = dependent(&n, &paths, &mut rng);
         for g in &sel.gates {
             assert!(!critical.contains(g), "critical-path gate selected");
         }
@@ -659,8 +685,8 @@ mod tests {
         }
         let para_deg = performance_degradation_pct(&timing, &analyze(&hybrid, &lib));
 
-        let mut rng2 = StdRng::seed_from_u64(4);
-        let dep = dependent(&CircuitView::new(&n), &timing, &cfg, &mut rng2);
+        let (paths, mut rng2) = sampled(&CircuitView::new(&n), &timing, &cfg, 4);
+        let dep = dependent(&n, &paths, &mut rng2);
         let mut dep_hybrid = n.clone();
         for &g in &dep.gates {
             if n.node(g).fanin().len() <= 6 {
@@ -787,14 +813,16 @@ mod tests {
         };
         let seed = 92;
 
-        // The draws alone, then the whole selection from the same seed:
-        // the difference is what the closure asked.
+        // The draws alone, then the whole selection from the same paths
+        // and generator: the difference is what the closure asked.
+        let (paths, rng) = sampled(&view, &timing, &cfg, seed);
         let mut drawing = oracle();
         let draws = draw_on_paths(
             &view,
             &timing,
             &cfg,
-            &mut StdRng::seed_from_u64(seed),
+            &paths,
+            &mut rng.clone(),
             &mut drawing,
             None,
         )
@@ -807,7 +835,8 @@ mod tests {
             &view,
             &timing,
             &cfg,
-            &mut StdRng::seed_from_u64(seed),
+            &paths,
+            &mut rng.clone(),
             &mut whole,
             None,
         )
@@ -913,13 +942,14 @@ mod tests {
         let view = CircuitView::new(&n);
         let cfg = SelectionConfig::default();
         for alg in SelectionAlgorithm::ALL {
-            let mut rng = StdRng::seed_from_u64(11);
+            let (paths, mut rng) = sampled(&view, &timing, &cfg, 11);
             let plain = match alg {
-                SelectionAlgorithm::Independent => independent(&view, &timing, &cfg, &mut rng),
-                SelectionAlgorithm::Dependent => dependent(&view, &timing, &cfg, &mut rng),
+                SelectionAlgorithm::Independent => independent(&n, &paths, &cfg, &mut rng),
+                SelectionAlgorithm::Dependent => dependent(&n, &paths, &mut rng),
                 SelectionAlgorithm::ParametricAware => {
                     let mut oracle = IncrementalSta::from_analysis_with(&view, &lib, &timing);
-                    parametric_with(&view, &timing, &cfg, &mut rng, &mut oracle, None).unwrap()
+                    parametric_with(&view, &timing, &cfg, &paths, &mut rng, &mut oracle, None)
+                        .unwrap()
                 }
             };
             let budget = Budget::unbounded();

@@ -1,6 +1,9 @@
 //! Graph algorithms over the combinational core of a [`Netlist`]: the
-//! workers behind [`CircuitView`](crate::view::CircuitView), which
-//! memoizes their answers and is the only way to reach them.
+//! workers behind validation, which keeps the topological order it
+//! proves acyclicity with, and behind
+//! [`CircuitView`](crate::view::CircuitView), which hands that order out
+//! and memoizes the other answers. Outside the crate, the view is the
+//! only way to reach them.
 //!
 //! The sequential netlist is treated as a DAG whose sources are primary
 //! inputs, constants and flip-flop outputs, and whose sinks are primary
@@ -12,12 +15,14 @@ use std::collections::VecDeque;
 
 use crate::id::NodeId;
 use crate::netlist::Netlist;
+use crate::node::Node;
 use crate::view::Fanout;
 
-/// A topological order of the combinational nodes (gates and LUTs) such
-/// that every node appears after all of its combinational fan-ins, given
-/// the fan-out map (Kahn's algorithm, first in first out, seeded in arena
-/// order).
+/// A topological order of the combinational nodes (gates and LUTs) of
+/// the arena `nodes`, such that every node appears after all of its
+/// combinational fan-ins, given the fan-out map (Kahn's algorithm, first
+/// in first out, seeded in arena order). Validation runs it over the
+/// nodes before they become a [`Netlist`], which keeps the order.
 ///
 /// Sources (inputs, constants, flip-flops) are not included; they may be
 /// treated as level 0.
@@ -26,28 +31,26 @@ use crate::view::Fanout;
 ///
 /// On a combinational cycle, the first combinational node in arena order
 /// that lies on a cycle or behind one.
-pub(crate) fn topo_order(netlist: &Netlist, fanout: &Fanout) -> Result<Vec<NodeId>, NodeId> {
-    let n = netlist.len();
-    let mut indeg = vec![0u32; n];
-    for (id, node) in netlist.iter() {
+pub(crate) fn topo_order(nodes: &[Node], fanout: &Fanout) -> Result<Vec<NodeId>, NodeId> {
+    let mut indeg = vec![0u32; nodes.len()];
+    for (i, node) in nodes.iter().enumerate() {
         if node.is_combinational() {
-            indeg[id.index()] = node
+            indeg[i] = node
                 .fanin()
                 .iter()
-                .filter(|f| netlist.node(**f).is_combinational())
+                .filter(|f| nodes[f.index()].is_combinational())
                 .count() as u32;
         }
     }
-    let mut queue: VecDeque<NodeId> = netlist
-        .iter()
-        .filter(|(id, node)| node.is_combinational() && indeg[id.index()] == 0)
-        .map(|(id, _)| id)
+    let mut queue: VecDeque<NodeId> = (0..nodes.len())
+        .filter(|&i| nodes[i].is_combinational() && indeg[i] == 0)
+        .map(NodeId::from_index)
         .collect();
-    let mut order = Vec::with_capacity(n);
+    let mut order = Vec::with_capacity(nodes.len());
     while let Some(id) = queue.pop_front() {
         order.push(id);
         for &o in fanout.readers(id) {
-            if !netlist.node(o).is_combinational() {
+            if !nodes[o.index()].is_combinational() {
                 continue;
             }
             indeg[o.index()] -= 1;
@@ -58,11 +61,8 @@ pub(crate) fn topo_order(netlist: &Netlist, fanout: &Fanout) -> Result<Vec<NodeI
     }
     // Every combinational node whose in-degree reached zero was ordered;
     // one that kept an unordered fan-in sits on or behind a cycle.
-    match netlist
-        .iter()
-        .find(|(id, node)| node.is_combinational() && indeg[id.index()] > 0)
-    {
-        Some((on, _)) => Err(on),
+    match (0..nodes.len()).find(|&i| nodes[i].is_combinational() && indeg[i] > 0) {
+        Some(on) => Err(NodeId::from_index(on)),
         None => Ok(order),
     }
 }
@@ -227,21 +227,18 @@ mod tests {
     #[test]
     fn topo_order_names_a_cycle_node() {
         let n = chain();
-        let order = topo_order(&n, &Fanout::of(&n)).unwrap();
+        let mut nodes: Vec<Node> = n.iter().map(|(_, node)| node.clone()).collect();
+        let order = topo_order(&nodes, &Fanout::of(&nodes)).unwrap();
         assert_eq!(order.len(), 3);
         // Rewiring g1 to read g2 closes the loop g1 -> g2 -> g1: the
         // order names g1, the first node on it, not a partial order.
-        let mut n2 = chain();
-        let g1 = n2.find("g1").unwrap();
-        let g2 = n2.find("g2").unwrap();
-        n2.set_node(
-            g1,
-            crate::node::Node::Gate {
-                kind: GateKind::Not,
-                fanin: vec![g2],
-            },
-        );
-        assert_eq!(topo_order(&n2, &Fanout::of(&n2)), Err(g1));
+        let g1 = n.find("g1").unwrap();
+        let g2 = n.find("g2").unwrap();
+        nodes[g1.index()] = Node::Gate {
+            kind: GateKind::Not,
+            fanin: vec![g2],
+        };
+        assert_eq!(topo_order(&nodes, &Fanout::of(&nodes)), Err(g1));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::ops;
+use std::sync::Arc;
 
 use crate::error::NetlistError;
 use crate::graph;
@@ -21,6 +22,15 @@ use crate::view::Fanout;
 /// [`bench_format`](crate::bench_format) and [`verilog`](crate::verilog),
 /// or from nodes already wired by id with [`Netlist::from_nodes`].
 ///
+/// Validation proves acyclicity by building the fan-out map and a
+/// topological order, and the netlist keeps both: every
+/// [`CircuitView`](crate::view::CircuitView) of it, and of every clone,
+/// hands out those two, shared. Only [`rewire_lut`](Netlist::rewire_lut)
+/// changes a fan-in, and it keeps the pair its own re-check builds; the
+/// other edits change neither fan-ins nor which nodes are
+/// combinational, so the pair stays true. Equality and `Debug` ignore
+/// the pair, which the nodes determine.
+///
 /// # Example
 ///
 /// ```
@@ -37,7 +47,7 @@ use crate::view::Fanout;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Netlist {
     name: String,
     nodes: Vec<Node>,
@@ -45,6 +55,19 @@ pub struct Netlist {
     name_index: HashMap<String, NodeId>,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
+    fanout: Arc<Fanout>,
+    topo: Arc<Vec<NodeId>>,
+}
+
+/// A netlist's kept wiring facts: its fan-out map and topological order.
+type Wiring = (Arc<Fanout>, Arc<Vec<NodeId>>);
+
+/// The wiring facts of the arena `nodes`, or the first node on or behind
+/// a combinational cycle.
+fn wiring(nodes: &[Node]) -> Result<Wiring, NodeId> {
+    let fanout = Fanout::of(nodes);
+    let topo = graph::topo_order(nodes, &fanout)?;
+    Ok((Arc::new(fanout), Arc::new(topo)))
 }
 
 impl Netlist {
@@ -123,16 +146,17 @@ impl Netlist {
                 name: o.to_string(),
             });
         }
-        let netlist = Netlist {
+        let (fanout, topo) = wiring(&nodes).map_err(|on| cycle_through(&names, on))?;
+        Ok(Netlist {
             name,
             nodes,
             names,
             name_index,
             inputs,
             outputs,
-        };
-        netlist.check_acyclic()?;
-        Ok(netlist)
+            fanout,
+            topo,
+        })
     }
 
     /// The design name.
@@ -222,11 +246,26 @@ impl Netlist {
             .map(|(id, _)| id)
     }
 
+    /// The fan-out map validation built, shared by every clone.
+    pub(crate) fn fanout(&self) -> &Arc<Fanout> {
+        &self.fanout
+    }
+
+    /// The topological order validation built, shared by every clone.
+    pub(crate) fn topo(&self) -> &Arc<Vec<NodeId>> {
+        &self.topo
+    }
+
     /// Overwrites the node stored at `id`. Only for
     /// [`HybridOverlay`](crate::overlay::HybridOverlay) materialization,
-    /// which guarantees the replacement preserves fan-in wiring and
-    /// therefore acyclicity.
+    /// whose replacements keep the node's fan-ins and whether it is
+    /// combinational, so acyclicity and the kept wiring facts hold.
     pub(crate) fn set_node(&mut self, id: NodeId, node: Node) {
+        let old = &self.nodes[id.index()];
+        debug_assert!(
+            old.fanin() == node.fanin() && old.is_combinational() == node.is_combinational(),
+            "set_node must keep node {id}'s fan-ins and whether it is combinational"
+        );
         self.nodes[id.index()] = node;
     }
 
@@ -376,7 +415,10 @@ impl Netlist {
     ///
     /// Used by the complex-function merging countermeasure (Section IV-A.3)
     /// where a LUT absorbs neighbouring logic or gains decoy inputs. The
-    /// caller must keep the netlist acyclic; this is re-checked here.
+    /// caller must keep the netlist acyclic; this is re-checked here, and
+    /// an accepted rewire keeps the fan-out map and topological order the
+    /// check built. A rejected one leaves the node and both facts as they
+    /// were.
     ///
     /// # Errors
     ///
@@ -411,26 +453,63 @@ impl Netlist {
         }
         let old = std::mem::replace(&mut self.nodes[id.index()], Node::Lut { fanin, config });
         assert!(old.is_lut(), "rewire_lut: node {id} was {old:?}, not a LUT");
-        if let Err(e) = self.check_acyclic() {
-            self.nodes[id.index()] = old;
-            return Err(e);
+        match wiring(&self.nodes) {
+            Ok((fanout, topo)) => {
+                self.fanout = fanout;
+                self.topo = topo;
+                Ok(())
+            }
+            Err(on) => {
+                self.nodes[id.index()] = old;
+                Err(cycle_through(&self.names, on))
+            }
         }
-        Ok(())
     }
 
-    /// Verifies that the combinational core is acyclic.
+    /// Verifies that the combinational core is acyclic, from the nodes
+    /// alone.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] naming a node on a
     /// cycle if one exists.
     pub fn check_acyclic(&self) -> Result<(), NetlistError> {
-        match graph::topo_order(self, &Fanout::of(self)) {
-            Ok(_) => Ok(()),
-            Err(on) => Err(NetlistError::CombinationalCycle {
-                on: self.names[on.index()].clone(),
-            }),
-        }
+        wiring(&self.nodes)
+            .map(drop)
+            .map_err(|on| cycle_through(&self.names, on))
+    }
+}
+
+/// The error naming `on`, a node on or behind a combinational cycle.
+fn cycle_through(names: &[String], on: NodeId) -> NetlistError {
+    NetlistError::CombinationalCycle {
+        on: names[on.index()].clone(),
+    }
+}
+
+impl PartialEq for Netlist {
+    /// Compares what defines the netlist; the kept wiring facts follow
+    /// from its nodes.
+    fn eq(&self, other: &Netlist) -> bool {
+        self.name == other.name
+            && self.nodes == other.nodes
+            && self.names == other.names
+            && self.inputs == other.inputs
+            && self.outputs == other.outputs
+    }
+}
+
+impl Eq for Netlist {}
+
+impl fmt::Debug for Netlist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Netlist")
+            .field("name", &self.name)
+            .field("nodes", &self.nodes)
+            .field("names", &self.names)
+            .field("inputs", &self.inputs)
+            .field("outputs", &self.outputs)
+            .finish_non_exhaustive()
     }
 }
 
@@ -928,6 +1007,33 @@ mod tests {
         assert!(matches!(err, Err(NetlistError::CombinationalCycle { .. })));
         // failed rewire must leave the netlist unchanged and valid
         assert!(n2.check_acyclic().is_ok());
+    }
+
+    /// The netlist's kept wiring facts, by value.
+    fn facts(n: &Netlist) -> (Fanout, Vec<NodeId>) {
+        ((*n.fanout).clone(), (*n.topo).clone())
+    }
+
+    #[test]
+    fn rewire_lut_keeps_the_wiring_its_check_built() {
+        let mut n = toy();
+        let [a, g1, q, g2] = ["a", "g1", "q", "g2"].map(|name| n.find(name).unwrap());
+        n.replace_gate_with_lut(g2).unwrap();
+        // g2 = LUT(q, a) gains g1 as a decoy: g1 now has two readers.
+        n.rewire_lut(g2, vec![q, a, g1], None).unwrap();
+        let nodes = n
+            .iter()
+            .map(|(id, node)| (n.node_name(id).to_owned(), node.clone()));
+        let fresh = Netlist::from_nodes("toy", nodes.collect(), n.outputs().to_vec()).unwrap();
+        assert_eq!(facts(&n), facts(&fresh));
+        assert_eq!(n.fanout.readers(g1), [q, g2]);
+
+        // Reading itself closes a loop: the node and both facts stay.
+        let (node, fanout, topo) = (n.node(g2).clone(), n.fanout.clone(), n.topo.clone());
+        let err = n.rewire_lut(g2, vec![g2], None);
+        assert!(matches!(err, Err(NetlistError::CombinationalCycle { .. })));
+        assert_eq!(n.node(g2), &node);
+        assert!(Arc::ptr_eq(&n.fanout, &fanout) && Arc::ptr_eq(&n.topo, &topo));
     }
 
     #[test]

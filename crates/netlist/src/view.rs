@@ -1,4 +1,4 @@
-//! Shared, lazily memoized circuit-analysis facts.
+//! Shared circuit-analysis facts.
 //!
 //! Every analysis in the stack — simulation, timing, SAT encoding, path
 //! sampling, the selection algorithms, the security estimates — consumes
@@ -6,21 +6,24 @@
 //! logic levels, reachability cones. Recomputing them per consumer turns
 //! a grid of analyses over one circuit into a grid of O(V+E) passes.
 //!
-//! [`CircuitView`] computes each fact at most once, on first use, behind
-//! [`OnceLock`] interior mutability, and hands out either borrowed
-//! references or [`Arc`] handles (for consumers that outlive the view or
-//! cross threads). The memoization contract is enforced by the borrow
-//! checker: a view holds `&Netlist`, so no mutation entry point of
-//! [`Netlist`] (which all take `&mut self`) can run while the view
-//! exists. There is no partial invalidation — mutate the netlist, then
-//! build a fresh view.
+//! The fan-out map and the topological order come from the [`Netlist`]
+//! itself: validation builds both to prove acyclicity and keeps them,
+//! and every clone shares them. [`CircuitView`] hands those out and
+//! computes each other fact at most once, on first use, behind
+//! [`OnceLock`] interior mutability, as borrowed references or [`Arc`]
+//! handles (for consumers that outlive the view or cross threads). The
+//! memoization contract is enforced by the borrow checker: a view holds
+//! `&Netlist`, so no mutation entry point of [`Netlist`] (which all take
+//! `&mut self`) can run while the view exists. There is no partial
+//! invalidation — mutate the netlist, then build a fresh view.
 //!
 //! Copy-on-write edits that *preserve fan-in wiring* (gate ↔ LUT swaps,
 //! LUT reprogramming — everything
 //! [`HybridOverlay`](crate::overlay::HybridOverlay) can express) do not
 //! change any graph fact computed here, so the graph facts of one view
 //! of the base netlist remain valid for every overlay and every
-//! materialized variant of it. A [`derived`](CircuitView::derived) fact
+//! materialized variant of it, whose views hand out the base's own
+//! fan-out map and order. A [`derived`](CircuitView::derived) fact
 //! states its own rule: the simulator's compiled tape, for one, reads
 //! gate kinds and so serves only variants that differ in LUT contents.
 
@@ -31,9 +34,12 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use crate::graph;
 use crate::id::NodeId;
 use crate::netlist::Netlist;
+use crate::node::Node;
 use crate::set::NodeSet;
 
-/// Memoized analysis facts over a borrowed [`Netlist`].
+/// Analysis facts over a borrowed [`Netlist`]: the netlist's own fan-out
+/// map and topological order, and memoized levels, output set and
+/// derived facts.
 ///
 /// Cheap to construct: nothing is computed until the first query. All
 /// getters are `&self`; the view is `Sync`, so analyses on worker threads
@@ -41,8 +47,6 @@ use crate::set::NodeSet;
 #[derive(Debug)]
 pub struct CircuitView<'a> {
     netlist: &'a Netlist,
-    fanout: OnceLock<Arc<Fanout>>,
-    topo: OnceLock<Arc<Vec<NodeId>>>,
     levels: OnceLock<Arc<Vec<u32>>>,
     output_set: OnceLock<Arc<NodeSet>>,
     derived: Derived,
@@ -85,12 +89,12 @@ pub struct Fanout {
 }
 
 impl Fanout {
-    /// Counts every node's readers, then places each reader in its
-    /// driver's run, visiting readers in arena order.
-    pub(crate) fn of(netlist: &Netlist) -> Fanout {
-        let n = netlist.len();
+    /// Counts every node's readers in the arena `nodes`, then places each
+    /// reader in its driver's run, visiting readers in arena order.
+    pub(crate) fn of(nodes: &[Node]) -> Fanout {
+        let n = nodes.len();
         let mut start = vec![0usize; n + 1];
-        for (_, node) in netlist.iter() {
+        for node in nodes {
             for &f in node.fanin() {
                 start[f.index() + 1] += 1;
             }
@@ -100,9 +104,9 @@ impl Fanout {
         }
         let mut next = start[..n].to_vec();
         let mut readers = vec![NodeId::from_index(0); start[n]];
-        for (id, node) in netlist.iter() {
+        for (i, node) in nodes.iter().enumerate() {
             for &f in node.fanin() {
-                readers[next[f.index()]] = id;
+                readers[next[f.index()]] = NodeId::from_index(i);
                 next[f.index()] += 1;
             }
         }
@@ -125,8 +129,6 @@ impl<'a> CircuitView<'a> {
     pub fn new(netlist: &'a Netlist) -> Self {
         CircuitView {
             netlist,
-            fanout: OnceLock::new(),
-            topo: OnceLock::new(),
             levels: OnceLock::new(),
             output_set: OnceLock::new(),
             derived: Derived::default(),
@@ -138,40 +140,29 @@ impl<'a> CircuitView<'a> {
         self.netlist
     }
 
-    fn fanout_handle(&self) -> &Arc<Fanout> {
-        self.fanout
-            .get_or_init(|| Arc::new(Fanout::of(self.netlist)))
-    }
-
     /// The fan-out map: [`readers`](Fanout::readers) of a node lists
     /// every node that reads it (combinational readers *and* flip-flop
-    /// D pins).
-    pub fn fanout(&self) -> &Fanout {
-        self.fanout_handle()
+    /// D pins). It is the netlist's own, built when it was validated.
+    pub fn fanout(&self) -> &'a Fanout {
+        self.netlist.fanout()
     }
 
     /// Shared handle to the fan-out map.
     pub fn fanout_arc(&self) -> Arc<Fanout> {
-        Arc::clone(self.fanout_handle())
-    }
-
-    fn topo_handle(&self) -> &Arc<Vec<NodeId>> {
-        self.topo.get_or_init(|| {
-            let order = graph::topo_order(self.netlist, self.fanout());
-            Arc::new(order.expect("a validated netlist has no combinational cycle"))
-        })
+        Arc::clone(self.netlist.fanout())
     }
 
     /// A topological order of the combinational nodes (gates and LUTs):
     /// every node appears after all of its combinational fan-ins.
-    /// Sources (inputs, constants, flip-flops) are not included.
-    pub fn topo_order(&self) -> &[NodeId] {
-        self.topo_handle()
+    /// Sources (inputs, constants, flip-flops) are not included. It is
+    /// the order validation proved acyclicity with.
+    pub fn topo_order(&self) -> &'a [NodeId] {
+        self.netlist.topo()
     }
 
     /// Shared handle to the topological order.
     pub fn topo_order_arc(&self) -> Arc<Vec<NodeId>> {
-        Arc::clone(self.topo_handle())
+        Arc::clone(self.netlist.topo())
     }
 
     /// Logic level per node: sources are level 0; a combinational node
@@ -237,6 +228,7 @@ mod tests {
     use super::*;
     use crate::netlist::NetlistBuilder;
     use crate::node::GateKind;
+    use crate::overlay::HybridOverlay;
 
     fn chain() -> Netlist {
         let mut b = NetlistBuilder::new("chain");
@@ -258,6 +250,23 @@ mod tests {
         let b = v.topo_order_arc();
         assert!(Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&v.fanout_arc(), &v.fanout_arc()));
+    }
+
+    #[test]
+    fn clones_hybrids_and_foundry_views_share_the_netlists_wiring() {
+        let n = Arc::new(chain());
+        let mut overlay = HybridOverlay::new(Arc::clone(&n));
+        overlay
+            .replace_gate_with_lut(n.find("g2").unwrap())
+            .unwrap();
+        let hybrid = overlay.materialize();
+        let (foundry, _) = hybrid.redact();
+        let v = CircuitView::new(&n);
+        for other in [(*n).clone(), hybrid, foundry] {
+            let w = CircuitView::new(&other);
+            assert!(Arc::ptr_eq(&v.fanout_arc(), &w.fanout_arc()));
+            assert!(Arc::ptr_eq(&v.topo_order_arc(), &w.topo_order_arc()));
+        }
     }
 
     #[test]

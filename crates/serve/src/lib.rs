@@ -39,7 +39,7 @@ pub mod client;
 pub mod handlers;
 pub mod http;
 
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -67,6 +67,13 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
 /// Per-read socket timeout: a peer that stops sending mid-request
 /// (slowloris) costs a worker at most this long.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The longest the accept thread spends on one rejected connection:
+/// writing the canned 429, then draining the request.
+const REJECT_LINGER: Duration = Duration::from_millis(50);
+
+/// The most request bytes a rejection drains before it closes.
+const REJECT_DRAIN_BYTES: usize = 64 * 1024;
 
 /// Server configuration; every field has a sensible default.
 #[derive(Debug, Clone)]
@@ -365,12 +372,34 @@ fn submit(shared: &Arc<Shared>, pool: &Pool, stream: TcpStream) {
 /// Backpressure: the queue is full, so the *accept thread* answers a
 /// canned 429 and closes — a bounded-latency rejection that never
 /// blocks behind the workers.
+///
+/// The request is not read first, but it must be read before the close:
+/// closing a socket with unread bytes resets the connection, and the
+/// client, still writing its request, then fails with a broken pipe and
+/// never reads the 429. So the rejection half-closes and drains what the
+/// client sends until EOF, [`REJECT_DRAIN_BYTES`] or [`REJECT_LINGER`]
+/// after it began, whichever comes first: one rejection holds the accept
+/// thread for at most `REJECT_LINGER` (50 ms).
 fn reject_busy(mut stream: TcpStream) {
     sttlock_obs::counter("serve.rejected_busy", 1);
     count_status(429);
+    let deadline = Instant::now() + REJECT_LINGER;
     let resp = Response::error(429, "request queue is full, retry later").with_retry_after(1);
+    let _ = stream.set_write_timeout(Some(REJECT_LINGER));
     let _ = stream.write_all(&resp.to_bytes());
-    let _ = stream.shutdown(Shutdown::Both);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < REJECT_DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 fn serve_connection(shared: &Shared, job: Job) {
